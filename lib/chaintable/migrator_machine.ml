@@ -16,7 +16,8 @@ let machine ~tables ~bugs ~report_to ctx =
       (* Phase marker for the coverage maps: deliveries to the migrator now
          carry the migration phase as the receiver state. *)
       R.set_state_name ctx (Phase.to_string target);
-      R.log ctx (Printf.sprintf "advanced to %s" (Phase.to_string target))
+      if R.logging ctx then
+        R.log ctx (Printf.sprintf "advanced to %s" (Phase.to_string target))
     | _ -> assert false
   in
   Migrator.run ~bugs { Migrator.backend; advance };

@@ -76,8 +76,9 @@ let ops ?(bugs = Bug_flags.none) ctx ~tables ~stash : B.ops =
         end
         else seq
       in
-      R.log ctx
-        (Printf.sprintf "rpc timeout seq=%d; retrying as seq=%d" seq seq');
+      if R.logging ctx then
+        R.log ctx
+          (Printf.sprintf "rpc timeout seq=%d; retrying as seq=%d" seq seq');
       timed_request seq' table call lin
     | response -> finish response
   in

@@ -76,9 +76,9 @@ let run_mutation ctx s ~mt_op ~rt_op =
       (Printf.sprintf "%s never reached a linearization point"
          (T.op_to_string mt_op))
   | Some rt_outcome ->
-    if s.check_outcomes then
-      R.assert_here ctx
-        (T.outcome_equivalent mt_outcome rt_outcome)
+    if s.check_outcomes && not (T.outcome_equivalent mt_outcome rt_outcome)
+    then
+      R.assert_here ctx false
         (Printf.sprintf
            "outcome divergence on %s: migrating table returned %s, reference \
             table returned %s"
@@ -99,9 +99,9 @@ let run_retrieve ctx s key =
   match Remote_backend.take_rt_outcome s.stash with
   | None -> R.assert_here ctx false "retrieve never linearized"
   | Some rt_outcome ->
-    if s.check_outcomes then
-      R.assert_here ctx
-        (T.outcome_equivalent (T.Row mt_row) rt_outcome)
+    if s.check_outcomes && not (T.outcome_equivalent (T.Row mt_row) rt_outcome)
+    then
+      R.assert_here ctx false
         (Printf.sprintf
            "retrieve divergence on %s: migrating table %s, reference table %s"
            (T.key_to_string key)
@@ -120,9 +120,9 @@ let run_query ctx s filter =
   match Remote_backend.take_rt_outcome s.stash with
   | None -> R.assert_here ctx false "query never linearized"
   | Some rt_outcome ->
-    if s.check_outcomes then
-      R.assert_here ctx
-        (T.outcome_equivalent (T.Rows mt_rows) rt_outcome)
+    if s.check_outcomes && not (T.outcome_equivalent (T.Rows mt_rows) rt_outcome)
+    then
+      R.assert_here ctx false
         (Printf.sprintf
            "query divergence on %s: migrating table %s, reference table %s"
            (Filter0.to_string filter)

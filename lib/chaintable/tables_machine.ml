@@ -42,10 +42,11 @@ let handle_backend_request ctx m ~reply_to ~seq ~table ~call ~lin =
       | Some pending ->
         Hashtbl.remove m.pending (Psharp.Id.index reply_to);
         let outcome = Linearize.apply m.rt ~at:m.vclock pending in
-        R.log ctx
-          (Printf.sprintf "linearized %s -> %s"
-             (Linearize.pending_to_string pending)
-             (T.outcome_to_string outcome));
+        if R.logging ctx then
+          R.log ctx
+            (Printf.sprintf "linearized %s -> %s"
+               (Linearize.pending_to_string pending)
+               (T.outcome_to_string outcome));
         Some outcome
       | None ->
         R.assert_here ctx false
@@ -85,7 +86,8 @@ let try_apply_advance ctx m =
     if drained then begin
       m.phase <- target;
       m.queued_advance <- None;
-      R.log ctx (Printf.sprintf "phase -> %s" (Phase.to_string target));
+      if R.logging ctx then
+        R.log ctx (Printf.sprintf "phase -> %s" (Phase.to_string target));
       R.send ctx requester Events.Advance_done;
       (* Release begins that were deferred behind the transition. *)
       let deferred = List.rev m.deferred_begins in
@@ -173,8 +175,10 @@ let machine ?(bugs = Bug_flags.none) ~initial_rows ctx =
             duplicated in flight executes twice — the second run of a
             linearized call finds no pending logical operation and trips
             the double-linearization assert. *)
-         R.log ctx
-           (Printf.sprintf "discarded duplicate backend request seq=%d" seq)
+         (if R.logging ctx then
+            R.log ctx
+              (Printf.sprintf "discarded duplicate backend request seq=%d"
+                 seq))
        else begin
          Hashtbl.replace m.last_seq (Psharp.Id.index reply_to) seq;
          handle_backend_request ctx m ~reply_to ~seq ~table ~call ~lin

@@ -12,7 +12,9 @@ type t +=
   | Halt_event  (** requests the receiving machine to halt *)
   | Unit_event  (** payload-free wake-up *)
 
-(** [name e] is the constructor name of [e], e.g. ["ClientReq"]. *)
+(** [name e] is the constructor name of [e], e.g. ["ClientReq"]. Memoized
+    per constructor and domain: repeated calls return the same string and
+    allocate nothing. *)
 val name : t -> string
 
 (** Register a pretty-printer used by [to_string]. Printers are tried most

@@ -1,71 +1,111 @@
-(* Classic two-list deque: [front] is the head in order, [back] is the tail
-   reversed, [len] counts both so [length]/[is_empty] are O(1). Filtered
-   removal rebuilds at most one of the lists. Each entry carries the
-   creation index of the sending machine (-1 when unknown) so the coverage
-   layer can attribute deliveries, and the happens-before message stamp
+(* A ring buffer of three parallel arrays: the events, the creation index
+   of each event's sender (-1 when unknown) so the coverage layer can
+   attribute deliveries, and each event's happens-before message stamp
    (-1 when hb tracking is off) so the dequeue can merge the sender's
-   vector clock — neither tag changes the event type. *)
+   vector clock — neither tag changes the event type. A push stores into
+   the arrays and a dequeue shifts the entries behind the removed one, so
+   neither allocates once the buffer has grown to the inbox's high-water
+   mark. The capacity is zero or a power of two. *)
 
-type entry = Event.t * int * int
+type t = {
+  mutable events : Event.t array;
+  mutable senders : int array;
+  mutable stamps : int array;
+  mutable head : int;  (* physical slot of the oldest entry *)
+  mutable len : int;
+}
 
-type t = { mutable front : entry list; mutable back : entry list; mutable len : int }
+(* What a vacated slot holds, so a dequeued event is not kept alive. *)
+let vacant = Event.Unit_event
 
-let create () = { front = []; back = []; len = 0 }
+let create () = { events = [||]; senders = [||]; stamps = [||]; head = 0; len = 0 }
 
-let push ?(sender = -1) ?(stamp = -1) t e =
-  t.back <- (e, sender, stamp) :: t.back;
+let[@inline] slot t i = (t.head + i) land (Array.length t.events - 1)
+
+let grow t =
+  let cap = max 8 (2 * Array.length t.events) in
+  let events = Array.make cap vacant in
+  let senders = Array.make cap (-1) in
+  let stamps = Array.make cap (-1) in
+  for i = 0 to t.len - 1 do
+    let j = slot t i in
+    events.(i) <- t.events.(j);
+    senders.(i) <- t.senders.(j);
+    stamps.(i) <- t.stamps.(j)
+  done;
+  t.events <- events;
+  t.senders <- senders;
+  t.stamps <- stamps;
+  t.head <- 0
+
+let push t ~sender ~stamp e =
+  if t.len = Array.length t.events then grow t;
+  let j = slot t t.len in
+  Array.unsafe_set t.events j e;
+  Array.unsafe_set t.senders j sender;
+  Array.unsafe_set t.stamps j stamp;
   t.len <- t.len + 1
-
-let normalize t =
-  if t.front = [] then begin
-    t.front <- List.rev t.back;
-    t.back <- []
-  end
 
 let is_empty t = t.len = 0
 
 let length t = t.len
 
-let to_list t = List.map (fun (e, _, _) -> e) (t.front @ List.rev t.back)
-
-let pop_entry t pred =
-  normalize t;
-  let rec remove acc = function
-    | [] -> None
-    | ((e, _, _) as entry) :: rest ->
-      if pred e then Some (entry, List.rev_append acc rest)
-      else remove (entry :: acc) rest
+let find t pred =
+  let rec go i =
+    if i = t.len then -1
+    else if pred (Array.unsafe_get t.events (slot t i)) then i
+    else go (i + 1)
   in
-  match remove [] t.front with
-  | Some (entry, front') ->
-    t.front <- front';
-    t.len <- t.len - 1;
-    Some entry
-  | None ->
-    (* Search [back] in FIFO order but leave it where it lives: removing
-       from the reversed tail must not pay an O(|front|) append. *)
-    (match remove [] (List.rev t.back) with
-     | Some (entry, back_in_order) ->
-       t.back <- List.rev back_in_order;
-       t.len <- t.len - 1;
-       Some entry
-     | None -> None)
+  go 0
+
+let check t i name =
+  if i < 0 || i >= t.len then invalid_arg ("Inbox." ^ name ^ ": no such entry")
+
+let sender_at t i = check t i "sender_at"; t.senders.(slot t i)
+let stamp_at t i = check t i "stamp_at"; t.stamps.(slot t i)
+
+let take t i =
+  check t i "take";
+  let mask = Array.length t.events - 1 in
+  let e = t.events.(slot t i) in
+  if i = 0 then begin
+    t.events.(t.head) <- vacant;
+    t.head <- (t.head + 1) land mask
+  end
+  else begin
+    (* close the gap: every later entry moves one slot towards the head *)
+    for k = i to t.len - 2 do
+      let dst = slot t k and src = slot t (k + 1) in
+      t.events.(dst) <- t.events.(src);
+      t.senders.(dst) <- t.senders.(src);
+      t.stamps.(dst) <- t.stamps.(src)
+    done;
+    t.events.(slot t (t.len - 1)) <- vacant
+  end;
+  t.len <- t.len - 1;
+  e
 
 let pop_first t pred =
-  Option.map (fun (e, _, _) -> e) (pop_entry t pred)
+  match find t pred with -1 -> None | i -> Some (take t i)
 
 let peek_first t pred =
-  let rec find = function
-    | [] -> None
-    | (e, _, _) :: rest -> if pred e then Some e else find rest
-  in
-  match find t.front with Some _ as r -> r | None -> find (List.rev t.back)
+  match find t pred with -1 -> None | i -> Some t.events.(slot t i)
 
-let exists t pred =
-  List.exists (fun (e, _, _) -> pred e) t.front
-  || List.exists (fun (e, _, _) -> pred e) t.back
+let exists t pred = find t pred >= 0
+
+let exists_name t name =
+  let rec go i =
+    i < t.len
+    && (String.equal (Event.name (Array.unsafe_get t.events (slot t i))) name
+       || go (i + 1))
+  in
+  go 0
+
+let to_list t = List.init t.len (fun i -> t.events.(slot t i))
 
 let clear t =
-  t.front <- [];
-  t.back <- [];
+  for i = 0 to t.len - 1 do
+    t.events.(slot t i) <- vacant
+  done;
+  t.head <- 0;
   t.len <- 0

@@ -18,40 +18,54 @@ let make ~seed ~change_points ~max_steps ~iteration : Strategy.t =
     in
     sample Int_set.empty (min change_points max_steps)
   in
-  let priorities : (int, int) Hashtbl.t = Hashtbl.create 16 in
+  (* Priority per machine creation index; 0 = not yet assigned (initial
+     priorities are >= 1, demotions <= -1). An array rather than a table:
+     [best] reads two priorities per enabled machine per step. *)
+  let priorities = ref (Array.make 16 0) in
+  let slot m =
+    let a = !priorities in
+    if m >= Array.length a then begin
+      let bigger = Array.make (max (2 * Array.length a) (m + 1)) 0 in
+      Array.blit a 0 bigger 0 (Array.length a);
+      priorities := bigger
+    end;
+    !priorities
+  in
   let lowest = ref 0 in
   let priority_of m =
-    match Hashtbl.find_opt priorities m with
-    | Some p -> p
-    | None ->
+    let a = slot m in
+    match a.(m) with
+    | 0 ->
       (* Random initial priority, strictly above any demotion slot. *)
       let p = 1 + Prng.int rng 1_000_000 in
-      Hashtbl.replace priorities m p;
+      a.(m) <- p;
       p
+    | p -> p
   in
+  (* The highest-priority enabled machine, or -1 when none is enabled. *)
   let best enabled n =
-    let acc = ref None in
+    let acc = ref (-1) in
     for i = 0 to n - 1 do
       let m = enabled.(i) in
-      match !acc with
-      | None -> acc := Some m
-      | Some b -> if priority_of m > priority_of b then acc := Some m
+      if !acc < 0 then acc := m
+      else begin
+        let b = !acc in
+        if priority_of m > priority_of b then acc := m
+      end
     done;
     !acc
   in
   let next_schedule ~enabled ~n ~step =
-    match best enabled n with
-    | None -> invalid_arg "Pct_strategy: empty enabled set"
-    | Some b ->
-      if Int_set.mem step change_steps then begin
-        (* Demote the machine that would have run; rerun the choice. *)
-        decr lowest;
-        Hashtbl.replace priorities b !lowest;
-        match best enabled n with
-        | Some b' -> b'
-        | None -> b
-      end
-      else b
+    let b = best enabled n in
+    if b < 0 then invalid_arg "Pct_strategy: empty enabled set";
+    if Int_set.mem step change_steps then begin
+      (* Demote the machine that would have run; rerun the choice. *)
+      decr lowest;
+      (slot b).(b) <- !lowest;
+      let b' = best enabled n in
+      if b' < 0 then b else b'
+    end
+    else b
   in
   {
     name = "pct";

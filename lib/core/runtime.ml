@@ -31,7 +31,8 @@ let default_config =
    branches just fall back to the scheduler. *)
 type status =
   | Not_started of (ctx -> unit)
-  | Waiting of (Event.t -> bool) option * (Event.t, unit) Effect.Deep.continuation
+  | Waiting of (Event.t, unit) Effect.Deep.continuation
+      (* the receive's filter, if any, is in [machine.wait_pred] *)
   | Running
   | Halted
 
@@ -47,9 +48,13 @@ and machine = {
          waiting machine's enabledness is monotone between status changes
          (events are only ever added to its inbox until it runs), so the
          cache stays valid until a send or a status transition marks it
-         dirty — which is what keeps filtered receives ([Waiting (Some
-         pred, _)]) from re-running [Inbox.exists pred] every step. *)
+         dirty — which is what keeps filtered receives ([wait_pred =
+         Some pred]) from re-running [Inbox.exists pred] every step. *)
   mutable dirty : bool;
+  mutable wait_pred : (Event.t -> bool) option;
+      (* the filter of the receive a [Waiting] machine is blocked on; a
+         field rather than a [Waiting] argument so the effect branch that
+         blocks the machine can be built once per machine start *)
   persistent : (unit -> ctx -> unit) option;
       (* restart hook: a machine created with one survives [crash] — the
          hook builds the body the machine re-runs from its durable state *)
@@ -120,6 +125,9 @@ exception Halt_exn
 
 type _ Effect.t += Receive_eff : (Event.t -> bool) option -> Event.t Effect.t
 
+(* The unfiltered receive, built once: [receive] runs on every step. *)
+let receive_any = Receive_eff None
+
 (* Private wakeup event delivered by the clock to a sleeping machine; the
    token is the arming sequence number, so concurrent sleeps on one machine
    never cross wires. *)
@@ -162,6 +170,7 @@ let add_machine ?persistent rt ~name body =
           state_name = "-";
           enabled_cache = false;
           dirty = false;
+          wait_pred = None;
           persistent = None }
     in
     Array.blit rt.machines 0 bigger 0 rt.n_machines;
@@ -171,7 +180,7 @@ let add_machine ?persistent rt ~name body =
   let id = Id.make ~index:rt.n_machines ~name in
   let m =
     { id; inbox = Inbox.create (); status = Not_started body; state_name = "-";
-      enabled_cache = true; dirty = false; persistent }
+      enabled_cache = true; dirty = false; wait_pred = None; persistent }
   in
   rt.machines.(rt.n_machines) <- m;
   rt.n_machines <- rt.n_machines + 1;
@@ -216,12 +225,12 @@ let send ctx target e =
        logf rt "[%d] %s -> %s: %s (dropped: target halted)" rt.steps
          (Id.to_string ctx.me.id) (Id.to_string target) (Event.to_string e)
    | Not_started _ | Waiting _ | Running ->
-     (match rt.config.hb with
-      | Some h ->
-        Inbox.push ~sender:(Id.index ctx.me.id)
-          ~stamp:(Hb.on_send h ~target:(Id.index target))
-          m.inbox e
-      | None -> Inbox.push ~sender:(Id.index ctx.me.id) m.inbox e);
+     let stamp =
+       match rt.config.hb with
+       | Some h -> Hb.on_send h ~target:(Id.index target)
+       | None -> -1
+     in
+     Inbox.push m.inbox ~sender:(Id.index ctx.me.id) ~stamp e;
      mark_dirty m;
      if rt.log_on then
        logf rt "[%d] %s -> %s: %s" rt.steps (Id.to_string ctx.me.id)
@@ -234,12 +243,10 @@ let send_unless_pending ?same ctx target e =
   let m = rt.machines.(Id.index target) in
   let duplicate =
     match same with
-    | Some pred -> pred
-    | None ->
-      let name = Event.name e in
-      fun e' -> Event.name e' = name
+    | Some pred -> Inbox.exists m.inbox pred
+    | None -> Inbox.exists_name m.inbox (Event.name e)
   in
-  if Inbox.exists m.inbox duplicate then begin
+  if duplicate then begin
     (* the coalesce decision read the target's inbox: conservatively
        ordered against it even though nothing was enqueued *)
     (match rt.config.hb with
@@ -251,14 +258,14 @@ let send_unless_pending ?same ctx target e =
   end
   else send ctx target e
 
-let receive _ctx = Effect.perform (Receive_eff None)
+let receive _ctx = Effect.perform receive_any
 
 let receive_where _ctx pred = Effect.perform (Receive_eff (Some pred))
 
 let nondet ctx =
   let rt = ctx.rt in
   let b = rt.strategy.next_bool ~step:rt.steps in
-  Trace.Builder.add rt.trace (Trace.Bool b);
+  Trace.Builder.add_bool rt.trace b;
   (match rt.config.hb with Some h -> Hb.on_bool h b | None -> ());
   (match rt.config.coverage with
    | Some cov -> Coverage.branch_bool cov ~machine:(Id.name ctx.me.id) b
@@ -271,7 +278,7 @@ let nondet_int ctx bound =
   if bound <= 0 then invalid_arg "Runtime.nondet_int: bound must be positive";
   let rt = ctx.rt in
   let i = rt.strategy.next_int ~bound ~step:rt.steps in
-  Trace.Builder.add rt.trace (Trace.Int i);
+  Trace.Builder.add_int rt.trace i;
   (match rt.config.hb with Some h -> Hb.on_int h i | None -> ());
   (match rt.config.coverage with
    | Some cov -> Coverage.branch_int cov ~machine:(Id.name ctx.me.id) ~bound i
@@ -616,6 +623,8 @@ let set_state_name ctx state =
   | Some cov -> Coverage.visit_state cov ~machine:(Id.name ctx.me.id) ~state
   | None -> ()
 
+let logging ctx = ctx.rt.log_on
+
 let log ctx s =
   if ctx.rt.log_on then
     logf ctx.rt "[%d] %s: %s" ctx.rt.steps (Id.to_string ctx.me.id) s
@@ -638,7 +647,7 @@ let deliver_delayed rt d =
      | Some h when d.d_stamp >= 0 ->
        Hb.on_delayed_delivery h ~target:d.d_target ~msg:d.d_stamp
      | _ -> ());
-    Inbox.push ~sender:d.d_sender ~stamp:d.d_stamp m.inbox d.d_event;
+    Inbox.push m.inbox ~sender:d.d_sender ~stamp:d.d_stamp d.d_event;
     mark_dirty m;
     if rt.log_on then
       logf rt "[%d] delayed -> %s: %s (delivered)" rt.steps (Id.to_string m.id)
@@ -685,7 +694,7 @@ let deliver_clock rt (e : Clock.entry) =
      | Some h when e.Clock.stamp >= 0 ->
        Hb.on_delayed_delivery h ~target:e.Clock.target ~msg:e.Clock.stamp
      | _ -> ());
-    Inbox.push ~sender:e.Clock.sender ~stamp:e.Clock.stamp m.inbox
+    Inbox.push m.inbox ~sender:e.Clock.sender ~stamp:e.Clock.stamp
       e.Clock.event;
     mark_dirty m;
     if rt.log_on then
@@ -695,8 +704,10 @@ let deliver_clock rt (e : Clock.entry) =
 let machine_enabled m =
   match m.status with
   | Not_started _ -> true
-  | Waiting (None, _) -> not (Inbox.is_empty m.inbox)
-  | Waiting (Some pred, _) -> Inbox.exists m.inbox pred
+  | Waiting _ -> (
+    match m.wait_pred with
+    | None -> not (Inbox.is_empty m.inbox)
+    | Some pred -> Inbox.exists m.inbox pred)
   | Running | Halted -> false
 
 (* Refresh dirty machines and compact the enabled creation indices
@@ -723,6 +734,14 @@ let compute_enabled rt =
    matter how many receives the machine has performed. *)
 let start_machine rt m =
   let ctx = { rt; me = m } in
+  (* The receive effect's branch, built once per machine start rather than
+     once per receive. *)
+  let on_receive =
+    Some
+      (fun (k : (Event.t, unit) Effect.Deep.continuation) ->
+        m.status <- Waiting k;
+        mark_dirty m)
+  in
   let handler : (unit, unit) Effect.Deep.handler =
     {
       retc =
@@ -755,13 +774,12 @@ let start_machine rt m =
                    exn = Printexc.to_string e;
                  }));
       effc =
-        (fun (type a) (eff : a Effect.t) ->
+        (fun (type a) (eff : a Effect.t) :
+             ((a, unit) Effect.Deep.continuation -> unit) option ->
           match eff with
           | Receive_eff pred ->
-            Some
-              (fun (k : (a, unit) Effect.Deep.continuation) ->
-                m.status <- Waiting (pred, k);
-                mark_dirty m)
+            m.wait_pred <- pred;
+            on_receive
           | _ -> None);
     }
   in
@@ -777,40 +795,44 @@ let start_machine rt m =
 
 let resume_machine rt m =
   match m.status with
-  | Waiting (pred, k) ->
-    let matches = Option.value pred ~default:(fun _ -> true) in
-    (match Inbox.pop_entry m.inbox matches with
-     | None -> assert false (* scheduler only picks enabled machines *)
-     | Some (e, sender, stamp) ->
-       m.status <- Running;
-       mark_dirty m;
-       (match rt.config.hb with
-        | Some h -> Hb.begin_step h ~machine:(Id.index m.id) ~msg:stamp
-        | None -> ());
-       (match rt.config.coverage with
-        | Some cov ->
-          let sender_name =
-            if sender >= 0 && sender < rt.n_machines then
-              Id.name rt.machines.(sender).id
-            else "<external>"
-          in
-          Coverage.deliver cov ~sender:sender_name ~event:(Event.name e)
-            ~receiver:(Id.name m.id) ~state:m.state_name
-        | None -> ());
-       (match rt.config.scenario with
-        | Some o ->
-          (* stamped with the deciding scheduling point (rt.steps was
-             already incremented), so the checker sees window state
-             exactly as the wrapper's pruning decision did *)
-          Scenario.Obs.on_deliver o ~step:(rt.steps - 1)
-            ~time:(match rt.clock with Some ck -> Clock.now ck | None -> 0)
-            ~sender ~receiver:(Id.index m.id) ~event:(Event.name e)
-        | None -> ());
-       if rt.log_on then
-         logf rt "[%d] %s dequeues %s" rt.steps (Id.to_string m.id)
-           (Event.to_string e);
-       tick_delayed rt;
-       Effect.Deep.continue k e)
+  | Waiting k ->
+    let i =
+      match m.wait_pred with None -> 0 | Some p -> Inbox.find m.inbox p
+    in
+    (* the scheduler only picks enabled machines *)
+    if i < 0 || i >= Inbox.length m.inbox then assert false;
+    let sender = Inbox.sender_at m.inbox i in
+    let stamp = Inbox.stamp_at m.inbox i in
+    let e = Inbox.take m.inbox i in
+    m.status <- Running;
+    mark_dirty m;
+    (match rt.config.hb with
+     | Some h -> Hb.begin_step h ~machine:(Id.index m.id) ~msg:stamp
+     | None -> ());
+    (match rt.config.coverage with
+     | Some cov ->
+       let sender_name =
+         if sender >= 0 && sender < rt.n_machines then
+           Id.name rt.machines.(sender).id
+         else "<external>"
+       in
+       Coverage.deliver cov ~sender:sender_name ~event:(Event.name e)
+         ~receiver:(Id.name m.id) ~state:m.state_name
+     | None -> ());
+    (match rt.config.scenario with
+     | Some o ->
+       (* stamped with the deciding scheduling point (rt.steps was
+          already incremented), so the checker sees window state
+          exactly as the wrapper's pruning decision did *)
+       Scenario.Obs.on_deliver o ~step:(rt.steps - 1)
+         ~time:(match rt.clock with Some ck -> Clock.now ck | None -> 0)
+         ~sender ~receiver:(Id.index m.id) ~event:(Event.name e)
+     | None -> ());
+    if rt.log_on then
+      logf rt "[%d] %s dequeues %s" rt.steps (Id.to_string m.id)
+        (Event.to_string e);
+    tick_delayed rt;
+    Effect.Deep.continue k e
   | Not_started _ -> start_machine rt m
   | Running | Halted -> assert false
 
@@ -917,8 +939,10 @@ let execute config strategy ~monitors ~name body =
          if i < 0 || i >= rt.n_machines then None
          else
            match rt.machines.(i).status with
-           | Waiting (pred, _) ->
-             let matches = Option.value pred ~default:(fun _ -> true) in
+           | Waiting _ ->
+             let matches =
+               Option.value rt.machines.(i).wait_pred ~default:(fun _ -> true)
+             in
              Option.map Event.name
                (Inbox.peek_first rt.machines.(i).inbox matches)
            | _ -> None)
@@ -986,12 +1010,11 @@ let execute config strategy ~monitors ~name body =
       end
       else begin
         (match
-           (try Ok (strategy.next_schedule ~enabled:rt.enabled_buf ~n ~step:rt.steps)
-            with Error.Bug kind -> Error kind)
+           strategy.next_schedule ~enabled:rt.enabled_buf ~n ~step:rt.steps
          with
-         | Error kind -> set_bug rt kind
-         | Ok idx ->
-           Trace.Builder.add rt.trace (Trace.Schedule idx);
+         | exception Error.Bug kind -> set_bug rt kind
+         | idx ->
+           Trace.Builder.add_schedule rt.trace idx;
            rt.steps <- rt.steps + 1;
            resume_machine rt rt.machines.(idx));
         loop ()

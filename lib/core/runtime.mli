@@ -143,8 +143,8 @@ val send : ctx -> Id.t -> Event.t -> unit
 val send_faulty : ctx -> Id.t -> Event.t -> unit
 
 (** Like [send], but coalesces: if the target's inbox already holds a
-    duplicate (same constructor by default; [same] overrides the test), the
-    new event is dropped. Used for periodic signals — timer ticks,
+    duplicate (same constructor name by default, tested without building a
+    closure; [same] overrides the test), the new event is dropped. Used for periodic signals — timer ticks,
     heartbeats, sync reports — whose missed occurrences collapse, so they
     cannot flood a slow machine's queue. *)
 val send_unless_pending :
@@ -221,11 +221,23 @@ val scenario_crash_tick : ctx -> victims:string list -> unit
 val notify : ctx -> string -> Event.t -> unit
 
 (** [assert_here ctx cond msg] reports an assertion-failure bug on this
-    machine when [cond] is false. *)
+    machine when [cond] is false. Like every OCaml argument, [msg] is
+    evaluated before the call, also when [cond] holds: a message built
+    with [Printf.sprintf] is formatted on every passing check. On a hot
+    path, test first and build the message only on failure:
+    [if not cond then assert_here ctx false (Printf.sprintf ...)]. *)
 val assert_here : ctx -> bool -> string -> unit
 
-(** Append a line to the global-order log (no-op unless [collect_log]). *)
+(** Append a line to the global-order log (no-op unless [collect_log]).
+    The line is evaluated before the call even when logging is off, so
+    guard a formatted line with {!logging}:
+    [if logging ctx then log ctx (Printf.sprintf ...)]. The runtime's own
+    log lines are guarded this way; with logging off, none is formatted. *)
 val log : ctx -> string -> unit
+
+(** Is this execution collecting a log ([collect_log])? Draw-free and
+    constant for the whole execution. *)
+val logging : ctx -> bool
 
 (** [history_point ctx point] files one completed client operation into
     the coverage [history] family ({!Coverage.history}); no-op without a

@@ -29,30 +29,31 @@ let find_state states name =
   | None ->
     invalid_arg (Printf.sprintf "Statemachine: undeclared state %s" name)
 
-type disposition = Handle of string | Defer_it | Ignore_it | Implicit_halt | Bug
+let rec mem_name name = function
+  | [] -> false
+  | n :: rest -> String.equal n name || mem_name name rest
 
-let disposition st ev_name =
-  if List.mem_assoc ev_name st.handlers then Handle ev_name
-  else if List.mem ev_name st.deferred then Defer_it
-  else if List.mem ev_name st.ignored then Ignore_it
-  else if ev_name = Event.name Event.Halt_event then Implicit_halt
-  else Bug
+(* The handler of [name] in [handlers], or [no_handler]: a sentinel
+   compared by address, so a lookup allocates no option. *)
+let no_handler _ _ _ = Unhandled
+
+let rec find_handler name = function
+  | [] -> no_handler
+  | (n, h) :: rest -> if String.equal n name then h else find_handler name rest
+
+let halt_name = Event.name Event.Halt_event
 
 (* The active states form a stack (P# push/pop semantics): the top state
    handles events first; events it neither handles, defers nor ignores
    fall through to the states below it. *)
-let stack_disposition stack ev_name =
-  let rec walk = function
-    | [] ->
-      if ev_name = Event.name Event.Halt_event then `Halt else `Bug
-    | st :: below ->
-      (match disposition st ev_name with
-       | Handle name -> `Handle (st, name)
-       | Defer_it -> `Defer
-       | Ignore_it -> `Ignore
-       | Implicit_halt | Bug -> walk below)
-  in
-  walk stack
+let rec deferred_by stack ev_name =
+  match stack with
+  | [] -> false
+  | st :: below ->
+    if find_handler ev_name st.handlers != no_handler then false
+    else if mem_name ev_name st.deferred then true
+    else if mem_name ev_name st.ignored then false
+    else deferred_by below ev_name
 
 let run ctx ~machine ~states ~init model =
   Registry.register_machine ~machine ~kind:Registry.Machine
@@ -65,8 +66,8 @@ let run ctx ~machine ~states ~init model =
     | st :: _ -> st
     | [] -> assert false
   in
-  (* Deferred events, oldest first. *)
-  let stash = ref [] in
+  (* Deferred events, oldest first; tags unused. *)
+  let stash = Inbox.create () in
   let unhandled e =
     raise
       (Error.Bug
@@ -80,8 +81,9 @@ let run ctx ~machine ~states ~init model =
   let record target =
     Registry.record_transition ~machine ~from_:(top ()).sname ~to_:target;
     Runtime.set_state_name ctx target;
-    Runtime.log ctx
-      (Printf.sprintf "transition %s -> %s" (top ()).sname target)
+    if Runtime.logging ctx then
+      Runtime.log ctx
+        (Printf.sprintf "transition %s -> %s" (top ()).sname target)
   in
   let goto target =
     (top ()).exit_ ctx model;
@@ -110,45 +112,35 @@ let run ctx ~machine ~states ~init model =
       record (top ()).sname
     | [] -> assert false
   in
-  let apply e =
-    match stack_disposition !stack (Event.name e) with
-    | `Handle (st, name) ->
-      let h = List.assoc name st.handlers in
-      (match h ctx model e with
-       | Stay -> ()
-       | Goto target -> goto target
-       | Push target -> push target
-       | Pop -> pop ()
-       | Halt_machine -> Runtime.halt ctx
-       | Unhandled -> unhandled e)
-    | `Defer -> stash := !stash @ [ e ]
-    | `Ignore -> ()
-    | `Halt -> Runtime.halt ctx
-    | `Bug -> unhandled e
+  let rec dispatch e ev_name = function
+    | [] -> if String.equal ev_name halt_name then Runtime.halt ctx else unhandled e
+    | st :: below ->
+      let h = find_handler ev_name st.handlers in
+      if h != no_handler then begin
+        match h ctx model e with
+        | Stay -> ()
+        | Goto target -> goto target
+        | Push target -> push target
+        | Pop -> pop ()
+        | Halt_machine -> Runtime.halt ctx
+        | Unhandled -> unhandled e
+      end
+      else if mem_name ev_name st.deferred then
+        Inbox.push stash ~sender:(-1) ~stamp:(-1) e
+      else if mem_name ev_name st.ignored then ()
+      else dispatch e ev_name below
   in
-  (* Pull the first stashed event the current state stack no longer
-     defers. *)
-  let pop_replayable () =
-    let rec split acc = function
-      | [] -> None
-      | e :: rest ->
-        (match stack_disposition !stack (Event.name e) with
-         | `Defer -> split (e :: acc) rest
-         | `Handle _ | `Ignore | `Halt | `Bug ->
-           Some (e, List.rev_append acc rest))
-    in
-    match split [] !stash with
-    | Some (e, rest) ->
-      stash := rest;
-      Some e
-    | None -> None
-  in
+  let apply e = dispatch e (Event.name e) !stack in
+  (* The first stashed event the current state stack no longer defers. *)
+  let replayable e = not (deferred_by !stack (Event.name e)) in
   Runtime.set_state_name ctx init;
   (top ()).entry ctx model;
   let rec loop () =
-    (match pop_replayable () with
-     | Some e -> apply e
-     | None -> apply (Runtime.receive ctx));
+    (if Inbox.is_empty stash then apply (Runtime.receive ctx)
+     else
+       match Inbox.find stash replayable with
+       | -1 -> apply (Runtime.receive ctx)
+       | i -> apply (Inbox.take stash i));
     loop ()
   in
   loop ()

@@ -71,10 +71,19 @@ let load ~path =
 module Builder = struct
   type trace = t
 
-  (* Growable array rather than a reversed list: one boxed choice per
-     [add] (amortized), no cons cell, and [finish] is a blit instead of a
-     reverse — the builder sits on the every-step hot path. *)
+  (* Growable array rather than a reversed list: no cons cell per choice,
+     and [finish] is a blit instead of a reverse — the builder sits on the
+     every-step hot path. Small choices are interned: [add_schedule],
+     [add_bool] and [add_int] store a preallocated immutable value, so a
+     step allocates nothing, and no young block is ever written into the
+     (typically major-heap) buffer, which is what would get it promoted. *)
   type t = { mutable buf : choice array; mutable len : int }
+
+  let interned = 256
+  let schedules = Array.init interned (fun i -> Schedule i)
+  let ints = Array.init interned (fun i -> Int i)
+  let bool_true = Bool true
+  let bool_false = Bool false
 
   let create () = { buf = [||]; len = 0 }
 
@@ -84,8 +93,19 @@ module Builder = struct
       Array.blit t.buf 0 bigger 0 t.len;
       t.buf <- bigger
     end;
-    t.buf.(t.len) <- c;
+    Array.unsafe_set t.buf t.len c;
     t.len <- t.len + 1
+
+  let add_schedule t i =
+    add t
+      (if i >= 0 && i < interned then Array.unsafe_get schedules i
+       else Schedule i)
+
+  let add_bool t b = add t (if b then bool_true else bool_false)
+
+  let add_int t i =
+    add t
+      (if i >= 0 && i < interned then Array.unsafe_get ints i else Int i)
 
   let length t = t.len
 

@@ -42,7 +42,14 @@ module Builder : sig
   type t
 
   val create : unit -> t
-  val add : t -> choice -> unit
+
+  (** [add_schedule t i] appends [Schedule i]; [add_bool] and [add_int]
+      append [Bool] and [Int] choices likewise. Small values reuse
+      preallocated choices, so recording a step allocates nothing. *)
+  val add_schedule : t -> int -> unit
+
+  val add_bool : t -> bool -> unit
+  val add_int : t -> int -> unit
   val length : t -> int
   val finish : t -> trace
 end

@@ -94,7 +94,8 @@ let elect ctx m =
     winner.role <- Primary;
     R.notify ctx Monitors.primary_name (Events.M_became_primary winner.rid);
     R.send_faulty ctx winner.machine_id (Events.Become_primary { actives = view m });
-    R.log ctx (Printf.sprintf "elected replica %d as primary" winner.rid);
+    if R.logging ctx then
+      R.log ctx (Printf.sprintf "elected replica %d as primary" winner.rid);
     (* Re-drive requests that may have died with the old primary. *)
     List.iter (forward ctx m) m.pending
 
@@ -125,11 +126,12 @@ let on_copy_done ctx m e =
         r.building <- false;
         (* The §5 assertion: only a secondary still waiting for its copy
            may be promoted to active secondary. *)
-        R.assert_here ctx (r.role <> Primary)
-          (Printf.sprintf
-             "replica %d was promoted to active secondary while being the \
-              primary"
-             rid);
+        if r.role = Primary then
+          R.assert_here ctx false
+            (Printf.sprintf
+               "replica %d was promoted to active secondary while being the \
+                primary"
+               rid);
         if r.role = Idle then begin
           r.role <- Active;
           R.send_faulty ctx r.machine_id Events.Promote_to_active;
@@ -209,7 +211,9 @@ let machine ~bugs ~make_service ~n_replicas ctx =
      | [] -> ()
      | replicas ->
        let victim = R.choose ctx replicas in
-       R.log ctx (Printf.sprintf "injecting failure into replica %d" victim.rid);
+       if R.logging ctx then
+         R.log ctx
+           (Printf.sprintf "injecting failure into replica %d" victim.rid);
        R.send ctx victim.machine_id Events.Fail_replica);
     Sm.Stay
   in

@@ -12,11 +12,11 @@ let single_primary () =
       match e with
       | Events.M_became_primary rid ->
         primaries := Int_set.add rid !primaries;
-        M.assert_ m
-          (Int_set.cardinal !primaries <= 1)
-          (Printf.sprintf "two live primaries: [%s]"
-             (String.concat ";"
-                (List.map string_of_int (Int_set.elements !primaries))))
+        if Int_set.cardinal !primaries > 1 then
+          M.assert_ m false
+            (Printf.sprintf "two live primaries: [%s]"
+               (String.concat ";"
+                  (List.map string_of_int (Int_set.elements !primaries))))
       | Events.M_primary_down rid -> primaries := Int_set.remove rid !primaries
       | _ -> ())
 

@@ -164,7 +164,9 @@ let proposer ~bugs ~pid ~acceptors ~my_value ~max_ballots ~report_to ctx =
         let rec phase2 () =
           if !accepts >= majority then begin
             R.notify ctx monitor_name (M_chosen { value; ballot });
-            R.log ctx (Printf.sprintf "chose %d at ballot (%d,%d)" value round pid)
+            if R.logging ctx then
+              R.log ctx
+                (Printf.sprintf "chose %d at ballot (%d,%d)" value round pid)
           end
           else if !rejections > n - majority then try_ballot (round + 1)
           else begin

@@ -150,7 +150,8 @@ let become_leader ctx s =
   s.role <- Leader;
   s.match_lens <- [];
   R.notify ctx election_name (M_leader { term = s.term; server = s.sid });
-  R.log ctx (Printf.sprintf "server %d is leader of term %d" s.sid s.term);
+  if R.logging ctx then
+    R.log ctx (Printf.sprintf "server %d is leader of term %d" s.sid s.term);
   broadcast_append ctx s
 
 (* Leader commit rule: an index is committed once a majority of servers

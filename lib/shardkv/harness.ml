@@ -7,14 +7,16 @@ let joining_node = "N2"
 let n_shards = 4
 let replicas = 2
 
-let initial_ring () =
-  Ring.create ~n_shards ~replicas initial_nodes
+(* Rings are immutable, so every execution (and every domain) shares one
+   initial ring and its placements. *)
+let initial_ring = Ring.create ~n_shards ~replicas initial_nodes
 
 (* The workload is phrased in terms of a key that migrates when N2 joins
    and one that stays put, computed from the ring itself so it tracks the
-   hash layout rather than hard-coding it. *)
-let moving_and_stable_keys () =
-  let before = initial_ring () in
+   hash layout rather than hard-coding it. Computed once, at start-up:
+   the layout is a pure function of the constants above. *)
+let keys =
+  let before = initial_ring in
   let after = Ring.add_node before joining_node in
   let moved = Ring.moved_shards ~before ~after in
   let candidates = List.init 64 (fun i -> Printf.sprintf "k%d" i) in
@@ -24,12 +26,14 @@ let moving_and_stable_keys () =
   ( find (fun s -> List.mem s moved),
     find (fun s -> not (List.mem s moved)) )
 
+let moving_and_stable_keys () = keys
+
 (* Two clients, three ops each, concentrated on the migrating key so the
    handoff window actually sees traffic; [Add] responses carry the new
    value, so lost or double-applied mutations contradict the history even
    without a final read. *)
-let workloads () =
-  let km, ks = moving_and_stable_keys () in
+let workloads =
+  let km, ks = keys in
   [
     [ Model.Add (km, 1); Model.Put (ks, 7); Model.Add (km, 2) ];
     [ Model.Add (km, 4); Model.Get ks; Model.Get km ];
@@ -38,7 +42,7 @@ let workloads () =
 let test ?(bugs = Bug_flags.none) ?on_history ?history_out () ctx =
   Events.install_printer ();
   Psharp.Fault_driver.install ctx;
-  let ring = initial_ring () in
+  let ring = initial_ring in
   let all_nodes = initial_nodes @ [ joining_node ] in
   (* One disk per node, owned here: the [~persistent] hook closes over
      it, so a crash restarts the node on whatever it had durably
@@ -79,7 +83,7 @@ let test ?(bugs = Bug_flags.none) ?on_history ?history_out () ctx =
              (Client.machine ~name ~directory ~ring ~history ~ops
                 ~report_to:root));
         name)
-      (workloads ())
+      workloads
   in
   (* the rebalance races the whole client workload *)
   R.send ctx router_id (Events.Join { node = joining_node });

@@ -3,6 +3,7 @@ type t = {
   n_shards : int;
   replicas : int;
   nodes : string list;
+  placements : string list array;
 }
 
 (* FNV-1a, 64-bit, then a murmur3-style avalanche, truncated positive:
@@ -26,39 +27,24 @@ let fnv s =
   in
   Int64.to_int (Int64.logand (mix !h) 0x3fffffffffffffffL)
 
-let create ~n_shards ~replicas nodes =
-  if nodes = [] then invalid_arg "Ring.create: no nodes";
-  if n_shards <= 0 then invalid_arg "Ring.create: n_shards must be positive";
-  if replicas <= 0 then invalid_arg "Ring.create: replicas must be positive";
-  { version = 0; n_shards; replicas; nodes }
-
-let add_node t name =
-  if List.mem name t.nodes then
-    invalid_arg (Printf.sprintf "Ring.add_node: %s already a member" name);
-  { t with version = t.version + 1; nodes = t.nodes @ [ name ] }
-
-let shard_of_key t key = fnv key mod t.n_shards
-
 let vnodes = 8
 
-(* The circle: every node's [vnodes] points, sorted by position. Rebuilt
-   on demand — rings are tiny and placement is queried rarely (route
-   computation, not per-message hot path). *)
-let circle t =
+(* The circle: every node's [vnodes] points, sorted by position. *)
+let circle nodes =
   List.concat_map
     (fun node ->
       List.init vnodes (fun i ->
           (fnv (Printf.sprintf "%s#%d" node i), node)))
-    t.nodes
+    nodes
   |> List.sort compare
 
-let placement t shard =
+(* Walk clockwise from the shard's point, wrapping once, and keep the
+   first [min replicas (length nodes)] distinct nodes. *)
+let walk ~replicas nodes ring shard =
   let point = fnv (Printf.sprintf "shard%d" shard) in
-  let ring = circle t in
-  (* walk clockwise from the shard's point, wrapping once *)
   let after, before = List.partition (fun (p, _) -> p > point) ring in
   let walk = after @ before in
-  let want = min t.replicas (List.length t.nodes) in
+  let want = min replicas (List.length nodes) in
   let rec take acc = function
     | [] -> List.rev acc
     | (_, node) :: rest ->
@@ -67,6 +53,40 @@ let placement t shard =
       else take (node :: acc) rest
   in
   take [] walk
+
+let compute_placement t shard =
+  walk ~replicas:t.replicas t.nodes (circle t.nodes) shard
+
+(* Placement is read on every client request and node operation, so every
+   shard's placement is computed once, when the membership is built: one
+   circle per ring value, never one per query. *)
+let make ~version ~n_shards ~replicas nodes =
+  let ring = circle nodes in
+  {
+    version;
+    n_shards;
+    replicas;
+    nodes;
+    placements = Array.init n_shards (walk ~replicas nodes ring);
+  }
+
+let create ~n_shards ~replicas nodes =
+  if nodes = [] then invalid_arg "Ring.create: no nodes";
+  if n_shards <= 0 then invalid_arg "Ring.create: n_shards must be positive";
+  if replicas <= 0 then invalid_arg "Ring.create: replicas must be positive";
+  make ~version:0 ~n_shards ~replicas nodes
+
+let add_node t name =
+  if List.mem name t.nodes then
+    invalid_arg (Printf.sprintf "Ring.add_node: %s already a member" name);
+  make ~version:(t.version + 1) ~n_shards:t.n_shards ~replicas:t.replicas
+    (t.nodes @ [ name ])
+
+let shard_of_key t key = fnv key mod t.n_shards
+
+let placement t shard =
+  if shard >= 0 && shard < t.n_shards then t.placements.(shard)
+  else compute_placement t shard
 
 let primary t shard = List.hd (placement t shard)
 

@@ -14,11 +14,14 @@
     shardkv harness hunts). All placement is deterministic — same nodes,
     same placement — so replays are exact. *)
 
-type t = {
+type t = private {
   version : int;
   n_shards : int;
   replicas : int;
   nodes : string list;  (** membership in join order *)
+  placements : string list array;
+      (** [placements.(s)] is {!placement} of shard [s], computed once when
+          the ring is built *)
 }
 
 (** [create ~n_shards ~replicas nodes] builds version-0 membership.
@@ -36,6 +39,11 @@ val shard_of_key : t -> string -> int
 (** Replica placement of a shard: [min replicas (length nodes)] distinct
     nodes clockwise from the shard's point; the head is the primary. *)
 val placement : t -> int -> string list
+
+(** The uncached {!placement}: builds the hash circle of [t]'s nodes and
+    walks it from the shard's point. The reference the cached placements
+    are tested against. *)
+val compute_placement : t -> int -> string list
 
 (** [primary t shard] = [List.hd (placement t shard)]. *)
 val primary : t -> int -> string

@@ -27,13 +27,23 @@ let holds m extent = Extent_center.holds m.center ~en:m.en ~extent
 (* EN-to-manager messages do not go through the modeled network engine;
    they are delivered to the ExtentManager machine directly (§3.1). A
    periodic report identical to one still queued at the manager is
-   coalesced — a node does not stack up identical reports. *)
+   coalesced — a node does not stack up identical reports. Identical means
+   equal payloads: the event printer renders [To_mgr] payloads injectively
+   and every other event in the manager's inbox under another name, so
+   this is the test "renders the same" without rendering anything. *)
+let same_report report = function
+  | Events.To_mgr queued -> (
+    match (queued, report) with
+    | Extent_manager.Heartbeat a, Extent_manager.Heartbeat b -> a.en = b.en
+    | ( Extent_manager.Sync_report a,
+        Extent_manager.Sync_report b ) ->
+      a.en = b.en && List.equal Int.equal a.extents b.extents
+    | _ -> false)
+  | _ -> false
+
 let send_report ctx m report =
-  let e = Events.To_mgr report in
-  let rendered = Psharp.Event.to_string e in
-  R.send_unless_pending
-    ~same:(fun e' -> Psharp.Event.to_string e' = rendered)
-    ctx m.mgr e
+  R.send_unless_pending ~same:(same_report report) ctx m.mgr
+    (Events.To_mgr report)
 
 let on_heartbeat_tick ctx m _e =
   send_report ctx m (Extent_manager.Heartbeat { en = m.en });

@@ -47,7 +47,7 @@ let machine ?(heartbeat_misses = 3) ~bugs ~replica_target ~relay ctx =
       ( "Expiration_tick",
         fun ctx m _e ->
           let expired = Extent_manager.run_expiration_loop m.ext_mgr in
-          if expired <> [] then
+          if expired <> [] && R.logging ctx then
             R.log ctx
               (Printf.sprintf "expired ENs [%s]"
                  (String.concat ";" (List.map string_of_int expired)));

@@ -8,7 +8,8 @@ let machine ~lossy ctx =
     (match R.receive ctx with
      | Events.Net_deliver { target; event } ->
        if (not lossy) || R.nondet ctx then R.send_faulty ctx target event
-       else R.log ctx (Printf.sprintf "dropped %s" (Psharp.Event.to_string event))
+       else if R.logging ctx then
+         R.log ctx (Printf.sprintf "dropped %s" (Psharp.Event.to_string event))
      | _ -> ());
     loop ()
   in

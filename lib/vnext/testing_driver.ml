@@ -91,7 +91,8 @@ let test ?(bugs = Bug_flags.none) ?(n_nodes = 3) ?(replica_target = 3)
           let victim_en = R.nondet_int ctx n_nodes in
           let victim = List.assoc victim_en nodes in
           R.send ctx victim Events.Fail_en;
-          R.log ctx (Printf.sprintf "injected failure into EN%d" victim_en);
+          if R.logging ctx then
+            R.log ctx (Printf.sprintf "injected failure into EN%d" victim_en);
           let fresh_en = n_nodes in
           let fresh = make_node fresh_en ~initial_extents:[] in
           bind (nodes @ [ (fresh_en, fresh) ]);

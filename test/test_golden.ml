@@ -330,6 +330,82 @@ let test_clock_log_deterministic () =
          String.length line >= 3 && String.sub line 0 3 = "[t=")
        log1)
 
+(* Logged text pin: the MD5 of the [collect_log] log of one fixed-seed
+   execution per harness, recorded before log and assertion messages at
+   harness call sites became lazy (built only when logging is on or the
+   check failed). A message built behind a [Runtime.logging] guard must
+   render byte for byte what the eager call rendered. The chaintable
+   clock case is iteration 1, the first whose log has an RPC timeout. *)
+type log_case = {
+  l_name : string;
+  l_harness : Runtime.ctx -> unit;
+  l_monitors : unit -> Psharp.Monitor.t list;
+  l_max_steps : int;
+  l_faults : Psharp.Fault.spec;
+  l_clock : Psharp.Clock.config option;
+  l_iteration : int;
+  l_lines : int;
+  l_md5 : string;
+}
+
+let log_cases () =
+  let module Cat = Catalog.Bug_catalog in
+  let kv = List.find (fun e -> e.Cat.case_study = Cat.Cs_shardkv) Cat.all in
+  let retry = Cat.find "ChaintableRetryFreshSeq" in
+  let plain l_name l_harness l_monitors l_max_steps l_lines l_md5 =
+    { l_name; l_harness; l_monitors; l_max_steps; l_faults = Psharp.Fault.none;
+      l_clock = None; l_iteration = 0; l_lines; l_md5 }
+  in
+  let of_entry l_name (e : Cat.entry) l_iteration l_lines l_md5 =
+    { l_name; l_harness = e.Cat.fixed_harness; l_monitors = e.Cat.monitors;
+      l_max_steps = e.Cat.max_steps; l_faults = e.Cat.faults;
+      l_clock = e.Cat.clock; l_iteration; l_lines; l_md5 }
+  in
+  [
+    plain "vnext"
+      (Vnext.Testing_driver.test ~bugs:Vnext.Bug_flags.none
+         ~scenario:Vnext.Testing_driver.Fail_and_repair ())
+      Vnext.Testing_driver.monitors 3_000 9245
+      "8f8cb192e0daf39ff98d1546aef7fa76";
+    plain "chaintable" (Chaintable.Harness.test ()) (fun () -> []) 4_000 398
+      "33538cde510bdd16697af5590b1133ab";
+    plain "fabric" (Fabric.Harness.test ()) Fabric.Harness.monitors 3_000 184
+      "45a39f9be5adc994742fb099613a9755";
+    of_entry "shardkv" kv 0 113 "58fe32ac31a360abe0c53d0d2e1304fd";
+    of_entry "chaintable-clock" retry 1 419 "08d60bb3d32315799190f8df4fdeef79";
+  ]
+
+let test_logged_text_pins () =
+  List.iter
+    (fun c ->
+      let strategy =
+        match
+          (Psharp.Random_strategy.factory ~seed).Psharp.Strategy.fresh
+            ~iteration:c.l_iteration
+        with
+        | Some s -> s
+        | None -> Alcotest.fail "random factory returned no strategy"
+      in
+      let cfg =
+        {
+          Runtime.default_config with
+          Runtime.max_steps = c.l_max_steps;
+          collect_log = true;
+          faults = c.l_faults;
+          clock = c.l_clock;
+        }
+      in
+      let result =
+        Runtime.execute cfg strategy ~monitors:(c.l_monitors ())
+          ~name:"Harness" c.l_harness
+      in
+      Alcotest.(check int) (c.l_name ^ " log lines") c.l_lines
+        (List.length result.Runtime.log);
+      Alcotest.(check string) (c.l_name ^ " log md5") c.l_md5
+        (Digest.to_hex
+           (Digest.string (String.concat "\n" result.Runtime.log))))
+    (log_cases ())
+
 let suite =
   [
     Alcotest.test_case "sequential schedule digests" `Quick
@@ -348,4 +424,6 @@ let suite =
       test_clock_hunt_worker_invariant;
     Alcotest.test_case "clock-on timestamped log deterministic" `Quick
       test_clock_log_deterministic;
+    Alcotest.test_case "logged text pinned per harness" `Quick
+      test_logged_text_pins;
   ]

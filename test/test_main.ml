@@ -33,4 +33,5 @@ let () =
       ("roundtrip", Test_roundtrip.suite);
       ("scenario", Test_scenario.suite);
       ("campaign", Test_campaign.suite);
+      ("alloc", Test_alloc.suite);
     ]

@@ -54,6 +54,34 @@ let test_ring_placement_properties () =
   check_ring before;
   check_ring (Ring.add_node before "N2")
 
+(* The placements cached when a ring is built must equal the from-scratch
+   circle walk, for every shard of every membership a sequence of joins
+   goes through — including memberships smaller than the replica count. *)
+let prop_cached_placement =
+  let open QCheck in
+  let gen =
+    Gen.(
+      quad (int_range 1 8) (int_range 1 4) (int_range 1 4) (int_range 0 5))
+  in
+  Test.make ~name:"cached ring placement = from-scratch circle walk"
+    ~count:200 (make gen) (fun (n_shards, replicas, initial, joins) ->
+      let name i = Printf.sprintf "node-%d" (i * 7919 mod 1009) in
+      let agrees ring =
+        List.for_all
+          (fun s ->
+            Ring.placement ring s = Ring.compute_placement ring s
+            && Ring.primary ring s = List.hd (Ring.compute_placement ring s))
+          (List.init ring.Ring.n_shards Fun.id)
+      in
+      let ring =
+        Ring.create ~n_shards ~replicas (List.init initial name)
+      in
+      let rec grow ring k =
+        agrees ring
+        && (k = joins || grow (Ring.add_node ring (name (initial + k))) (k + 1))
+      in
+      grow ring 0)
+
 let test_ring_add_node () =
   let before = harness_ring () in
   let after = Ring.add_node before "N2" in
@@ -203,6 +231,7 @@ let suite =
     Alcotest.test_case "ring placement properties" `Quick
       test_ring_placement_properties;
     Alcotest.test_case "ring add_node" `Quick test_ring_add_node;
+    QCheck_alcotest.to_alcotest prop_cached_placement;
     Alcotest.test_case "ring moved_shards" `Quick test_ring_moved_shards;
     Alcotest.test_case "moving and stable keys" `Quick
       test_moving_and_stable_keys;

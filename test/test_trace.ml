@@ -29,12 +29,19 @@ let test_malformed () =
 
 let test_builder () =
   let b = Trace.Builder.create () in
-  Trace.Builder.add b (Trace.Schedule 1);
-  Trace.Builder.add b (Trace.Bool false);
-  Alcotest.(check int) "builder length" 2 (Trace.Builder.length b);
+  Trace.Builder.add_schedule b 1;
+  Trace.Builder.add_bool b false;
+  (* values inside and outside the interned range *)
+  Trace.Builder.add_int b 7;
+  Trace.Builder.add_schedule b 300;
+  Trace.Builder.add_int b (-2);
+  Trace.Builder.add_bool b true;
+  Alcotest.(check int) "builder length" 6 (Trace.Builder.length b);
   let t = Trace.Builder.finish b in
   Alcotest.(check bool) "builder order" true
-    (Trace.to_list t = [ Trace.Schedule 1; Trace.Bool false ])
+    (Trace.to_list t
+    = [ Trace.Schedule 1; Trace.Bool false; Trace.Int 7; Trace.Schedule 300;
+        Trace.Int (-2); Trace.Bool true ])
 
 let test_save_load () =
   let path = Filename.temp_file "psharp_trace" ".txt" in
