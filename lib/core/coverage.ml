@@ -1,55 +1,121 @@
-(* Coverage keys are interned: the first time a key is seen it is assigned
-   an integer slot, and from then on recording is one hashtable lookup plus
-   an int-array bump — no Printf/Buffer allocation on the hot path. Keys
-   are structured tuples; their human-readable renderings (the public,
-   report-facing key strings) are produced only at read time. *)
+(* Coverage keys are interned ints. Each map owns a symbol table that
+   numbers every string it has seen (machine, state, event, fault kind,
+   history point); a key is up to three ints built from symbols, and each
+   family is an open-addressing table from key to slot. Recording through
+   the [*_sym] entry points is a few int loads and stores — no string is
+   hashed, compared or allocated on the hot path. The runtime interns a
+   machine's name once, at creation, and a state once per
+   [set_state_name]; events are interned per extension constructor.
 
-type 'k family = {
-  slots : ('k, int) Hashtbl.t;  (* key -> slot *)
-  mutable keys : 'k array;      (* slot -> key, first [n] valid *)
-  mutable counts : int array;   (* slot -> visit count *)
+   Symbols are private to a map, so strings are rebuilt only where two
+   maps meet or a person reads one: reports, [to_save], [equal], and the
+   symbol translation of a cross-map [absorb]. *)
+
+module Stbl = Hashtbl.Make (struct
+  type t = string
+
+  let equal = String.equal
+  let hash = Hashtbl.hash
+end)
+
+(* --- Families: int-keyed open addressing -------------------------------- *)
+
+type family = {
+  mutable index : int array;  (* power of two; slot + 1, 0 = empty *)
+  mutable k1 : int array;  (* slot -> key, first [n] valid *)
+  mutable k2 : int array;
+  mutable k3 : int array;
+  mutable counts : int array;  (* slot -> visit count *)
   mutable n : int;
 }
 
-let family_create size =
-  { slots = Hashtbl.create size; keys = [||]; counts = [||]; n = 0 }
+let family_create () =
+  { index = [||]; k1 = [||]; k2 = [||]; k3 = [||]; counts = [||]; n = 0 }
 
-(* Add [add] visits of [key]; returns [true] when the key is new. *)
-let family_bump_n fam key add =
-  match Hashtbl.find_opt fam.slots key with
-  | Some id ->
-    fam.counts.(id) <- fam.counts.(id) + add;
+let[@inline] hash3 a b c =
+  let h = ((a * 0x2545F491) + b) * 0x2545F491 + c in
+  h lxor (h lsr 17)
+
+let rehash fam size =
+  let index = Array.make size 0 in
+  let mask = size - 1 in
+  for s = 0 to fam.n - 1 do
+    let i = ref (hash3 fam.k1.(s) fam.k2.(s) fam.k3.(s) land mask) in
+    while index.(!i) <> 0 do
+      i := (!i + 1) land mask
+    done;
+    index.(!i) <- s + 1
+  done;
+  fam.index <- index
+
+let grow_slots fam =
+  let cap = max 8 (2 * fam.n) in
+  let grow a =
+    let b = Array.make cap 0 in
+    Array.blit a 0 b 0 fam.n;
+    b
+  in
+  fam.k1 <- grow fam.k1;
+  fam.k2 <- grow fam.k2;
+  fam.k3 <- grow fam.k3;
+  fam.counts <- grow fam.counts
+
+(* Add [add] visits of key [(a, b, c)]; returns [true] when the key is
+   new. Allocation-free unless a table grows (a loop, not a local
+   recursive function, which would allocate its closure per call). *)
+let family_bump_n fam a b c add =
+  if 2 * (fam.n + 1) > Array.length fam.index then
+    rehash fam (max 16 (2 * Array.length fam.index));
+  let index = fam.index in
+  let mask = Array.length index - 1 in
+  let i = ref (hash3 a b c land mask) in
+  let found = ref (-1) in
+  while !found < 0 && Array.unsafe_get index !i <> 0 do
+    let s = Array.unsafe_get index !i - 1 in
+    if
+      Array.unsafe_get fam.k1 s = a
+      && Array.unsafe_get fam.k2 s = b
+      && Array.unsafe_get fam.k3 s = c
+    then found := s
+    else i := (!i + 1) land mask
+  done;
+  if !found >= 0 then begin
+    fam.counts.(!found) <- fam.counts.(!found) + add;
     false
-  | None ->
-    if fam.n = Array.length fam.keys then begin
-      let cap = max 16 (2 * fam.n) in
-      let keys = Array.make cap key in
-      Array.blit fam.keys 0 keys 0 fam.n;
-      fam.keys <- keys;
-      let counts = Array.make cap 0 in
-      Array.blit fam.counts 0 counts 0 fam.n;
-      fam.counts <- counts
-    end;
-    Hashtbl.replace fam.slots key fam.n;
-    fam.keys.(fam.n) <- key;
-    fam.counts.(fam.n) <- add;
-    fam.n <- fam.n + 1;
+  end
+  else begin
+    if fam.n = Array.length fam.k1 then grow_slots fam;
+    let s = fam.n in
+    fam.k1.(s) <- a;
+    fam.k2.(s) <- b;
+    fam.k3.(s) <- c;
+    fam.counts.(s) <- add;
+    fam.n <- s + 1;
+    index.(!i) <- s + 1;
     true
+  end
 
-let family_bump fam key = ignore (family_bump_n fam key 1)
+let family_bump fam a b c = ignore (family_bump_n fam a b c 1)
 
-type branch_key =
-  | Branch_bool of string * bool          (* machine, outcome *)
-  | Branch_int of string * int * int      (* machine, value, bound *)
+(* Transition triples pack receiver and receiver state into one int. *)
+let sym_bits = 31
+let sym_mask = (1 lsl sym_bits) - 1
 
 type t = {
-  states : (string * string) family;                    (* machine, state *)
-  events : string family;
-  triples : (string * string * string * string) family;
-      (* sender, event, receiver, receiver-state *)
-  branches : branch_key family;
-  faults : (string * string) family;                    (* kind, target *)
-  histories : string family;
+  syms : int Stbl.t;  (* string -> symbol *)
+  mutable strs : string array;  (* symbol -> string, first [nsyms] valid *)
+  mutable nsyms : int;
+  mutable ev_ids : int array;
+      (* direct-mapped event cache: extension constructor id -> symbol *)
+  mutable ev_syms : int array;
+  states : family;  (* machine, state *)
+  events : family;  (* event *)
+  triples : family;
+      (* sender, event, receiver << sym_bits | receiver-state *)
+  branches : family;
+      (* machine << 1 | 0, outcome 0/1 — or machine << 1 | 1, value, bound *)
+  faults : family;  (* kind, target *)
+  histories : family;
       (* completed client operations ("client op -> res"); empty unless a
          harness records a History *)
   schedules : (int64, int) Hashtbl.t;
@@ -61,48 +127,109 @@ type t = {
 
 let create () =
   {
-    states = family_create 64;
-    events = family_create 64;
-    triples = family_create 256;
-    branches = family_create 64;
-    faults = family_create 16;
-    histories = family_create 16;
-    schedules = Hashtbl.create 64;
-    hb = Hashtbl.create 64;
+    syms = Stbl.create 16;
+    strs = [||];
+    nsyms = 0;
+    ev_ids = [||];
+    ev_syms = [||];
+    states = family_create ();
+    events = family_create ();
+    triples = family_create ();
+    branches = family_create ();
+    faults = family_create ();
+    histories = family_create ();
+    schedules = Hashtbl.create 8;
+    hb = Hashtbl.create 8;
     executions = 0;
   }
 
+(* --- Symbols ----------------------------------------------------------- *)
+
+let sym t s =
+  match Stbl.find t.syms s with
+  | i -> i
+  | exception Not_found ->
+    let i = t.nsyms in
+    if i >= sym_mask then failwith "Coverage: symbol table full";
+    if i = Array.length t.strs then begin
+      let strs = Array.make (max 16 (2 * i)) "" in
+      Array.blit t.strs 0 strs 0 i;
+      t.strs <- strs
+    end;
+    t.strs.(i) <- s;
+    t.nsyms <- i + 1;
+    Stbl.add t.syms s i;
+    i
+
+let ev_cache = 64
+
+let event_sym t e =
+  if Array.length t.ev_ids = 0 then begin
+    t.ev_ids <- Array.make ev_cache (-1);
+    t.ev_syms <- Array.make ev_cache 0
+  end;
+  let id = Event.constructor_id e in
+  let j = id land (ev_cache - 1) in
+  if Array.unsafe_get t.ev_ids j = id then Array.unsafe_get t.ev_syms j
+  else begin
+    let s = sym t (Event.name e) in
+    t.ev_ids.(j) <- id;
+    t.ev_syms.(j) <- s;
+    s
+  end
+
 (* --- Recording --------------------------------------------------------- *)
 
-let visit_state t ~machine ~state = family_bump t.states (machine, state)
+let visit_state_sym t ~machine ~state = family_bump t.states machine state 0
+
+let deliver_sym t ~sender ~event ~receiver ~state =
+  family_bump t.events event 0 0;
+  family_bump t.triples sender event ((receiver lsl sym_bits) lor state)
+
+let branch_bool_sym t ~machine b =
+  family_bump t.branches (machine lsl 1) (if b then 1 else 0) 0
+
+let branch_int_sym t ~machine ~bound v =
+  family_bump t.branches ((machine lsl 1) lor 1) v bound
+
+let visit_state t ~machine ~state =
+  visit_state_sym t ~machine:(sym t machine) ~state:(sym t state)
 
 let deliver t ~sender ~event ~receiver ~state =
-  family_bump t.events event;
-  family_bump t.triples (sender, event, receiver, state)
+  deliver_sym t ~sender:(sym t sender) ~event:(sym t event)
+    ~receiver:(sym t receiver) ~state:(sym t state)
 
-let branch_bool t ~machine b = family_bump t.branches (Branch_bool (machine, b))
+let branch_bool t ~machine b = branch_bool_sym t ~machine:(sym t machine) b
 
 let branch_int t ~machine ~bound v =
-  family_bump t.branches (Branch_int (machine, v, bound))
+  branch_int_sym t ~machine:(sym t machine) ~bound v
 
-let fault t ~kind ~target = family_bump t.faults (kind, target)
-let history t ~point = family_bump t.histories point
+let fault t ~kind ~target = family_bump t.faults (sym t kind) (sym t target) 0
+let history t ~point = family_bump t.histories (sym t point) 0 0
 
 (* FNV-1a over the choice sequence; tags keep [Schedule 1] and [Int 1]
    from colliding. *)
 let fnv_prime = 0x100000001b3L
 let fnv_offset = 0xcbf29ce484222325L
 
-let mix h x = Int64.mul (Int64.logxor h (Int64.of_int x)) fnv_prime
+let[@inline] mix h x = Int64.mul (Int64.logxor h (Int64.of_int x)) fnv_prime
+
+(* The running hash stays unboxed in 8 bytes: an [int64] accumulator
+   threaded through the fold would box a fresh value per choice. *)
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let fingerprint trace =
+  let h = Bytes.create 8 in
+  set64 h 0 fnv_offset;
   Trace.fold
-    (fun h c ->
+    (fun () c ->
       match c with
-      | Trace.Schedule i -> mix (mix h 1) i
-      | Trace.Bool b -> mix (mix h 2) (if b then 1 else 0)
-      | Trace.Int i -> mix (mix h 3) i)
-    fnv_offset trace
+      | Trace.Schedule i -> set64 h 0 (mix (mix (get64 h 0) 1) i)
+      | Trace.Bool b -> set64 h 0 (mix (mix (get64 h 0) 2) (if b then 1 else 0))
+      | Trace.Int i -> set64 h 0 (mix (mix (get64 h 0) 3) i))
+    () trace;
+  get64 h 0
 
 (* One 64-bit digest of the whole schedule-fingerprint multiset: FNV-1a
    over the sorted (fingerprint, count) pairs. Two maps have the same
@@ -195,21 +322,38 @@ let novel_in n = function
 
 let novel_families n = List.filter (novel_in n) all_family_kinds
 
+(* The other map's symbols, translated into [into]'s on first use. *)
+let translator ~into src =
+  let xlat = Array.make src.nsyms (-1) in
+  fun i ->
+    let d = Array.unsafe_get xlat i in
+    if d >= 0 then d
+    else begin
+      let d = sym into src.strs.(i) in
+      xlat.(i) <- d;
+      d
+    end
+
 let absorb_tagged ~into src =
-  let merge src_fam dst_fam =
+  let x = translator ~into src in
+  let merge src_fam dst_fam f1 f2 f3 =
     let fresh = ref 0 in
     for i = 0 to src_fam.n - 1 do
-      if family_bump_n dst_fam src_fam.keys.(i) src_fam.counts.(i) then
+      let a = src_fam.k1.(i) and b = src_fam.k2.(i) and c = src_fam.k3.(i) in
+      if family_bump_n dst_fam (f1 a) (f2 b) (f3 c) src_fam.counts.(i) then
         incr fresh
     done;
     !fresh
   in
-  let new_states = merge src.states into.states in
-  let new_events = merge src.events into.events in
-  let new_triples = merge src.triples into.triples in
-  let new_branches = merge src.branches into.branches in
-  let new_faults = merge src.faults into.faults in
-  let new_histories = merge src.histories into.histories in
+  let keep v = v in
+  let pair v = (x (v lsr sym_bits) lsl sym_bits) lor x (v land sym_mask) in
+  let tagged v = (x (v lsr 1) lsl 1) lor (v land 1) in
+  let new_states = merge src.states into.states x x keep in
+  let new_events = merge src.events into.events x keep keep in
+  let new_triples = merge src.triples into.triples x x pair in
+  let new_branches = merge src.branches into.branches tagged keep keep in
+  let new_faults = merge src.faults into.faults x x keep in
+  let new_histories = merge src.histories into.histories x keep keep in
   (* Fingerprint multisets merge like the rest. Raw schedule fingerprints
      never count as novelty — almost every random schedule is unique —
      but new hb fingerprints are reported per family: a semantically new
@@ -241,35 +385,57 @@ let absorb_tagged ~into src =
 
 let absorb ~into src = novel_core (absorb_tagged ~into src)
 
+(* Recording straight into an accumulator: the novelty of everything
+   recorded since [mark] is each family's growth, which is exactly what
+   absorbing the same recordings as a separate map would report. *)
+type mark = int array
+
+let mark t =
+  [| t.states.n; t.events.n; t.triples.n; t.branches.n; t.faults.n;
+     t.histories.n; Hashtbl.length t.hb |]
+
+let novelty_since t (m : mark) =
+  let now = mark t in
+  {
+    new_states = now.(0) - m.(0);
+    new_events = now.(1) - m.(1);
+    new_triples = now.(2) - m.(2);
+    new_branches = now.(3) - m.(3);
+    new_faults = now.(4) - m.(4);
+    new_histories = now.(5) - m.(5);
+    new_hb = now.(6) - m.(6);
+  }
+
 (* --- Reading ----------------------------------------------------------- *)
 
 (* Rendered (report-facing) key strings; these spellings are the public
    format of the table and JSON reports and must stay stable. *)
 
-let render_state (machine, state) = machine ^ "." ^ state
+let render_state t m s = t.strs.(m) ^ "." ^ t.strs.(s)
 
-let render_triple (sender, event, receiver, state) =
-  Printf.sprintf "%s -[%s]-> %s@%s" sender event receiver state
+let render_triple t sender event k3 =
+  Printf.sprintf "%s -[%s]-> %s@%s" t.strs.(sender) t.strs.(event)
+    t.strs.(k3 lsr sym_bits) t.strs.(k3 land sym_mask)
 
-let render_branch = function
-  | Branch_bool (machine, b) -> Printf.sprintf "%s ? %b" machine b
-  | Branch_int (machine, v, bound) -> Printf.sprintf "%s ? %d/%d" machine v bound
+let render_branch t k1 v bound =
+  if k1 land 1 = 0 then Printf.sprintf "%s ? %b" t.strs.(k1 lsr 1) (v = 1)
+  else Printf.sprintf "%s ? %d/%d" t.strs.(k1 lsr 1) v bound
 
-let render_fault (kind, target) = kind ^ " " ^ target
+let render_fault t kind target = t.strs.(kind) ^ " " ^ t.strs.(target)
 
 let sorted_entries render fam =
   let acc = ref [] in
   for i = fam.n - 1 downto 0 do
-    acc := (render fam.keys.(i), fam.counts.(i)) :: !acc
+    acc := (render fam.k1.(i) fam.k2.(i) fam.k3.(i), fam.counts.(i)) :: !acc
   done;
   List.sort (fun (a, _) (b, _) -> compare a b) !acc
 
-let states t = sorted_entries render_state t.states
-let events t = sorted_entries Fun.id t.events
-let triples t = sorted_entries render_triple t.triples
-let branches t = sorted_entries render_branch t.branches
-let faults t = sorted_entries render_fault t.faults
-let histories t = sorted_entries Fun.id t.histories
+let states t = sorted_entries (fun m s _ -> render_state t m s) t.states
+let events t = sorted_entries (fun e _ _ -> t.strs.(e)) t.events
+let triples t = sorted_entries (render_triple t) t.triples
+let branches t = sorted_entries (render_branch t) t.branches
+let faults t = sorted_entries (fun k tg _ -> render_fault t k tg) t.faults
+let histories t = sorted_entries (fun p _ _ -> t.strs.(p)) t.histories
 
 let schedules t =
   Hashtbl.fold (fun k n acc -> (k, n) :: acc) t.schedules []
@@ -376,28 +542,26 @@ let to_save (t : t) =
   in
   let each_family fam f =
     for i = 0 to fam.n - 1 do
-      f fam.keys.(i) fam.counts.(i)
+      f fam.k1.(i) fam.k2.(i) fam.k3.(i) fam.counts.(i)
     done
   in
-  each_family t.states (fun (m, s) c ->
-      entry [ "state"; escape_field m; escape_field s ] c);
-  each_family t.events (fun e c -> entry [ "event"; escape_field e ] c);
-  each_family t.triples (fun (s, e, r, st) c ->
+  let field i = escape_field t.strs.(i) in
+  each_family t.states (fun m s _ c -> entry [ "state"; field m; field s ] c);
+  each_family t.events (fun e _ _ c -> entry [ "event"; field e ] c);
+  each_family t.triples (fun s e k3 c ->
       entry
-        [ "triple"; escape_field s; escape_field e; escape_field r;
-          escape_field st ]
+        [ "triple"; field s; field e; field (k3 lsr sym_bits);
+          field (k3 land sym_mask) ]
         c);
-  each_family t.branches (fun k c ->
-      match k with
-      | Branch_bool (m, b) ->
-        entry [ "bbool"; escape_field m; (if b then "1" else "0") ] c
-      | Branch_int (m, v, bound) ->
+  each_family t.branches (fun k1 v bound c ->
+      if k1 land 1 = 0 then
+        entry [ "bbool"; field (k1 lsr 1); (if v = 1 then "1" else "0") ] c
+      else
         entry
-          [ "bint"; escape_field m; string_of_int v; string_of_int bound ]
+          [ "bint"; field (k1 lsr 1); string_of_int v; string_of_int bound ]
           c);
-  each_family t.faults (fun (k, tgt) c ->
-      entry [ "fault"; escape_field k; escape_field tgt ] c);
-  each_family t.histories (fun p c -> entry [ "hist"; escape_field p ] c);
+  each_family t.faults (fun k tgt _ c -> entry [ "fault"; field k; field tgt ] c);
+  each_family t.histories (fun p _ _ c -> entry [ "hist"; field p ] c);
   Hashtbl.iter
     (fun fp c -> entry [ "sched"; Printf.sprintf "%016Lx" fp ] c)
     t.schedules;
@@ -439,6 +603,7 @@ let of_save data =
     match List.rev lines with "" :: rest -> List.rev rest | _ -> lines
   in
   let t = create () in
+  let str field = sym t (unescape_field field) in
   let seen_schedules = Hashtbl.create 64 and seen_hb = Hashtbl.create 64 in
   let entries = ref 0 in
   let fresh line ok =
@@ -455,15 +620,13 @@ let of_save data =
     match fields with
     | [ "state"; m; s; c ] ->
       fresh line
-        (family_bump_n t.states (unescape_field m, unescape_field s)
-           (parse_count line c))
+        (family_bump_n t.states (str m) (str s) 0 (parse_count line c))
     | [ "event"; e; c ] ->
-      fresh line (family_bump_n t.events (unescape_field e) (parse_count line c))
+      fresh line (family_bump_n t.events (str e) 0 0 (parse_count line c))
     | [ "triple"; s; e; r; st; c ] ->
       fresh line
-        (family_bump_n t.triples
-           ( unescape_field s, unescape_field e, unescape_field r,
-             unescape_field st )
+        (family_bump_n t.triples (str s) (str e)
+           ((str r lsl sym_bits) lor str st)
            (parse_count line c))
     | [ "bbool"; m; b; c ] ->
       let b =
@@ -475,7 +638,7 @@ let of_save data =
             (Printf.sprintf "Coverage.of_save: bad bool on line %d" line)
       in
       fresh line
-        (family_bump_n t.branches (Branch_bool (unescape_field m, b))
+        (family_bump_n t.branches (str m lsl 1) (if b then 1 else 0) 0
            (parse_count line c))
     | [ "bint"; m; v; bound; c ] ->
       let int_of s =
@@ -487,15 +650,14 @@ let of_save data =
       in
       fresh line
         (family_bump_n t.branches
-           (Branch_int (unescape_field m, int_of v, int_of bound))
-           (parse_count line c))
+           ((str m lsl 1) lor 1)
+           (int_of v) (int_of bound) (parse_count line c))
     | [ "fault"; k; tgt; c ] ->
       fresh line
-        (family_bump_n t.faults (unescape_field k, unescape_field tgt)
-           (parse_count line c))
+        (family_bump_n t.faults (str k) (str tgt) 0 (parse_count line c))
     | [ "hist"; p; c ] ->
       fresh line
-        (family_bump_n t.histories (unescape_field p) (parse_count line c))
+        (family_bump_n t.histories (str p) 0 0 (parse_count line c))
     | [ "sched"; fp; c ] ->
       file_fp line t.schedules seen_schedules (parse_fingerprint line fp)
         (parse_count line c)

@@ -21,17 +21,47 @@
     fingerprint} (a hash of its full choice trace), so a map counts how
     many {e distinct} schedules a run explored.
 
-    A map is either a per-execution map (filled by the {!Runtime} while one
-    execution unfolds) or an accumulator (the {!Engine} absorbs each
-    execution's map into a per-run accumulator, merging per-worker maps
-    when exploring across domains). Maps are not thread-safe; concurrent
-    absorbs must be serialized by the caller (the engine holds a mutex). *)
+    The {!Runtime} records into whichever map its config carries. The
+    sequential {!Engine} loops hand it the run's accumulator itself, so
+    every execution is recorded straight into the accumulator and its
+    novelty is read off each family's growth ({!mark},
+    {!novelty_since}). Parallel workers record each execution into a
+    per-worker map and merge with {!absorb_tagged} at batch boundaries.
+    Maps are not thread-safe; concurrent absorbs must be serialized by
+    the caller (the engine holds a mutex).
+
+    Keys are interned: each map numbers the strings it has seen
+    ({e symbols}, private to the map), and recording through the [_sym]
+    entry points hashes, compares and allocates no string. Strings are
+    rebuilt only for reports, {!to_save}, {!equal} and the symbol
+    translation of a cross-map {!absorb_tagged}. *)
 
 type t
 
+(** A fresh, empty map. Cheap: every table starts small. *)
 val create : unit -> t
 
 (** {1 Recording (one execution)} *)
+
+(** [sym t s] is [s]'s symbol in [t], interning it on first sight. A
+    symbol is valid only for the map that issued it. *)
+val sym : t -> string -> int
+
+(** The symbol of the event's {!Event.name}, cached per extension
+    constructor: allocation-free after the constructor's first event. *)
+val event_sym : t -> Event.t -> int
+
+(** Symbol-keyed recording: the same points as {!visit_state},
+    {!deliver}, {!branch_bool} and {!branch_int}, with every name given
+    as a symbol of [t]. Allocation-free unless a table grows. *)
+
+val visit_state_sym : t -> machine:int -> state:int -> unit
+
+val deliver_sym :
+  t -> sender:int -> event:int -> receiver:int -> state:int -> unit
+
+val branch_bool_sym : t -> machine:int -> bool -> unit
+val branch_int_sym : t -> machine:int -> bound:int -> int -> unit
 
 val visit_state : t -> machine:string -> state:string -> unit
 
@@ -135,6 +165,17 @@ val novel_families : novelty -> family_kind list
     (commutative and associative up to {!equal}, so per-worker maps may be
     merged in any order) and returns the per-family novelty breakdown. *)
 val absorb_tagged : into:t -> t -> novelty
+
+(** The size of every novelty-bearing family at one instant. *)
+type mark
+
+val mark : t -> mark
+
+(** [novelty_since t m]: what [t] gained since [m] was taken — for an
+    accumulator recorded into directly, exactly the breakdown
+    {!absorb_tagged} would report for the same recordings made into a
+    separate map and absorbed. *)
+val novelty_since : t -> mark -> novelty
 
 (** [absorb ~into src] = [novel_core (absorb_tagged ~into src)]: [true]
     when [src] contributed at least one {e new} coverage point — a state,

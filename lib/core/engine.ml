@@ -162,25 +162,23 @@ let audit_scenario config sobs =
 
 (* --- Happens-before reduction ------------------------------------------ *)
 
-(* Per-execution instrumentation: a fresh happens-before recorder
-   (threaded into the runtime config) and, under [Sleep_sets], the
-   sleep-set wrapper around the base strategy. *)
-let instrument config strategy =
+(* The run's happens-before recorder: one per sequential run, reset
+   before each execution (the runtime config carries it). *)
+let recorder_of config =
   match config.reduce with
-  | No_reduction -> (strategy, None)
-  | Hb_track -> (strategy, Some (Hb.create ()))
-  | Sleep_sets ->
-    let hb = Hb.create () in
-    (Sleep_strategy.wrap ~hb strategy, Some hb)
+  | No_reduction -> None
+  | Hb_track | Sleep_sets -> Some (Hb.create ())
 
-(* When coverage is being collected, file the execution's canonical
-   partial-order fingerprint into its per-execution map (absorbed into
-   the run accumulator by [observe] right after). *)
-let note_hb hb exec_cov =
-  match (hb, exec_cov) with
-  | Some h, Some cov ->
-    Coverage.note_hb cov ~fingerprint:(Hb.canonical_fingerprint h)
-  | _ -> ()
+(* Per-execution instrumentation: the emptied recorder and, under
+   [Sleep_sets], the sleep-set wrapper around the base strategy. *)
+let instrument config hb strategy =
+  match hb with
+  | None -> strategy
+  | Some h ->
+    Hb.reset h;
+    (match config.reduce with
+     | Sleep_sets -> Sleep_strategy.wrap ~hb:h strategy
+     | No_reduction | Hb_track -> strategy)
 
 (* DFS enumerates its own tree and replay retraces exact recorded
    choices; pruning their enabled sets would change what they mean. Keep
@@ -277,26 +275,30 @@ let collector_of config (factory : Strategy.factory) =
       }
   else None
 
-(* One execution's worth of coverage bookkeeping: fingerprint the schedule,
-   merge into the run accumulator, update the plateau counter and feed the
-   strategy back with the per-family novelty breakdown. Returns whether
-   the execution was core-novel. *)
-let observe collector (factory : Strategy.factory) (result : Runtime.exec_result)
-    exec_cov =
-  match (collector, exec_cov) with
-  | Some c, Some exec ->
-    Coverage.note_execution exec
+(* The runtime records each execution straight into the accumulator;
+   [mark] is taken right before it starts. *)
+let mark_of collector = Option.map (fun c -> Coverage.mark c.acc) collector
+
+(* One execution's worth of coverage bookkeeping: file the canonical
+   partial-order fingerprint (when hb is tracked) and the schedule
+   fingerprint, read the per-family novelty off the accumulator's growth
+   since [mark], update the plateau counter and feed the strategy back. *)
+let observe collector (factory : Strategy.factory) hb mark
+    (result : Runtime.exec_result) =
+  match (collector, mark) with
+  | Some c, Some mark ->
+    (match hb with
+     | Some h -> Coverage.note_hb c.acc ~fingerprint:(Hb.canonical_fingerprint h)
+     | None -> ());
+    Coverage.note_execution c.acc
       ~fingerprint:(Coverage.fingerprint result.Runtime.choices);
-    let novelty = Coverage.absorb_tagged ~into:c.acc exec in
+    let novelty = Coverage.novelty_since c.acc mark in
     if plateau_gain c.gain_family novelty then c.no_gain <- 0
     else c.no_gain <- c.no_gain + 1;
     (match factory.Strategy.feedback with
      | Some f -> f ~trace:result.Runtime.choices ~novelty
-     | None -> ());
-    Coverage.novel_core novelty
-  | _ -> false
-
-let exec_cov_of collector = Option.map (fun _ -> Coverage.create ()) collector
+     | None -> ())
+  | _ -> ()
 
 let hit_plateau config collector =
   match (config.coverage_plateau, collector) with
@@ -409,6 +411,7 @@ let shared_coverage_of shared = Option.map (fun s -> s.s_acc) shared
 let run_sequential ~monitors config body =
   let factory = factory_of config in
   let collector = collector_of config factory in
+  let hb = recorder_of config in
   let steer = scenario_steers config in
   let started = Unix.gettimeofday () in
   let deadline = Option.map (fun b -> started +. b) config.max_seconds in
@@ -437,19 +440,18 @@ let run_sequential ~monitors config body =
       match factory.Strategy.fresh ~iteration:(config.start_iteration + i) with
       | None -> No_bug (stats_at ~search_exhausted:true i)
       | Some strategy ->
-        let strategy, hb = instrument config strategy in
+        let strategy = instrument config hb strategy in
         let sobs = scenario_obs config in
         let strategy = scenario_wrap ~steer sobs strategy in
-        let exec_cov = exec_cov_of collector in
+        let mark = mark_of collector in
         let result =
           Runtime.execute
-            (runtime_config ?coverage:exec_cov ?hb ?deadline ?scenario:sobs
-               config ~collect_log:false)
+            (runtime_config ?coverage:(coverage_of collector) ?hb ?deadline
+               ?scenario:sobs config ~collect_log:false)
             strategy ~monitors:(monitors ()) ~name:"Harness" body
         in
         total_steps := !total_steps + result.Runtime.steps;
-        note_hb hb exec_cov;
-        ignore (observe collector factory result exec_cov);
+        observe collector factory hb mark result;
         audit_scenario config sobs;
         (match result.Runtime.bug with
          | Some kind ->
@@ -575,6 +577,7 @@ let run ?(monitors = no_monitors) config body =
 let explore_sequential ~monitors config body =
   let factory = factory_of config in
   let collector = collector_of config factory in
+  let hb = recorder_of config in
   let steer = scenario_steers config in
   let started = Unix.gettimeofday () in
   let deadline = Option.map (fun b -> started +. b) config.max_seconds in
@@ -603,19 +606,18 @@ let explore_sequential ~monitors config body =
       match factory.Strategy.fresh ~iteration:(config.start_iteration + i) with
       | None -> stats_at ~search_exhausted:true i
       | Some strategy ->
-        let strategy, hb = instrument config strategy in
+        let strategy = instrument config hb strategy in
         let sobs = scenario_obs config in
         let strategy = scenario_wrap ~steer sobs strategy in
-        let exec_cov = exec_cov_of collector in
+        let mark = mark_of collector in
         let result =
           Runtime.execute
-            (runtime_config ?coverage:exec_cov ?hb ?deadline ?scenario:sobs
-               config ~collect_log:false)
+            (runtime_config ?coverage:(coverage_of collector) ?hb ?deadline
+               ?scenario:sobs config ~collect_log:false)
             strategy ~monitors:(monitors ()) ~name:"Harness" body
         in
         total_steps := !total_steps + result.Runtime.steps;
-        note_hb hb exec_cov;
-        ignore (observe collector factory result exec_cov);
+        observe collector factory hb mark result;
         audit_scenario config sobs;
         if result.Runtime.timed_out then stats_at ~timed_out:true (i + 1)
         else if hit_plateau config collector then
@@ -691,6 +693,7 @@ let report_of_result kind (result : Runtime.exec_result) =
 
 let survey_sequential ~monitors config body =
   let factory = factory_of config in
+  let hb = recorder_of config in
   let steer = scenario_steers config in
   let started = Unix.gettimeofday () in
   let deadline = Option.map (fun b -> started +. b) config.max_seconds in
@@ -709,8 +712,7 @@ let survey_sequential ~monitors config body =
       match factory.Strategy.fresh ~iteration:(config.start_iteration + i) with
       | None -> ()
       | Some strategy ->
-        let strategy, hb = instrument config strategy in
-        ignore hb;
+        let strategy = instrument config hb strategy in
         let sobs = scenario_obs config in
         let strategy = scenario_wrap ~steer sobs strategy in
         let result =

@@ -55,6 +55,9 @@ let name (e : t) =
     s
   end
 
+let constructor_id (e : t) =
+  Obj.Extension_constructor.id (Obj.Extension_constructor.of_val e)
+
 (* Registration happens lazily from machine bodies, which may execute
    concurrently across domains; publish the list with a CAS loop so no
    registration is lost. Reads are plain: a momentarily stale list only

@@ -17,6 +17,12 @@ type t +=
     allocate nothing. *)
 val name : t -> string
 
+(** [constructor_id e] identifies [e]'s constructor within the process:
+    two events share it iff they were built by the same constructor
+    (payloads aside). Allocation-free; constructors that share a bare
+    {!name} still get distinct ids. *)
+val constructor_id : t -> int
+
 (** Register a pretty-printer used by [to_string]. Printers are tried most
     recent first; the first to return [Some] wins. *)
 val register_printer : (t -> string option) -> unit

@@ -33,7 +33,22 @@
 
 type t
 
+(** A fresh, empty recorder. Cheap: every buffer starts small and grows
+    by doubling, so a recorder per execution costs a few hundred words. *)
 val create : unit -> t
+
+(** [reset t] empties [t] for the next execution without freeing its
+    buffers: afterwards [t] answers every query exactly like
+    [create ()]. A caller running many executions reuses one recorder
+    through [reset] and allocates nothing once the buffers have grown to
+    the longest execution.
+
+    Storage contract: clocks are [int array] rows updated in place, and
+    step and message clocks are snapshots copied into one int arena, so
+    no array the recorder hands out ({!clock_of}) aliases its state, and
+    no value read from it stays valid across [reset]. The recorder is
+    not thread-safe; one execution (one domain) owns it at a time. *)
+val reset : t -> unit
 
 (** {1 Runtime hooks}
 
@@ -99,7 +114,8 @@ val machine_of : t -> int -> int
 
 (** Copy of step [i]'s vector clock, indexed by machine creation index
     (component [m] counts the steps of machine [m] in the step's causal
-    past, the step itself included). *)
+    past, the step itself included). Components past the end of the
+    array read as 0; its length is not part of the clock. *)
 val clock_of : t -> int -> int array
 
 (** [ordered t i j]: does step [i] happen-before step [j]? (Reflexive:

@@ -43,6 +43,11 @@ and machine = {
   mutable state_name : string;
       (* current declared state ("-" for plain machines); feeds the
          receiver-state component of coverage triples *)
+  name_sym : int;
+  mutable state_sym : int;
+      (* [Id.name id] and [state_name] as symbols of [config.coverage]
+         (-1 when coverage is off): interned once, at creation and at each
+         state change, so recording a delivery hashes no string *)
   mutable enabled_cache : bool;
       (* last computed [machine_enabled], valid while not [dirty]. A
          waiting machine's enabledness is monotone between status changes
@@ -99,6 +104,7 @@ and t = {
   clock : Clock.t option;
       (* the virtual clock, when [config.clock] enables simulated time;
          advanced only at quiescence, never by a strategy draw *)
+  dash_sym : int;  (* the symbol of state "-" in [config.coverage], or -1 *)
   horizon : int;  (* config.clock.max_time; 0 when the clock is off *)
   mutable step_limit : int;
       (* the effective step bound: starts at [config.max_steps] and is
@@ -168,6 +174,8 @@ let add_machine ?persistent rt ~name body =
           inbox = Inbox.create ();
           status = Halted;
           state_name = "-";
+          name_sym = -1;
+          state_sym = -1;
           enabled_cache = false;
           dirty = false;
           wait_pred = None;
@@ -178,14 +186,18 @@ let add_machine ?persistent rt ~name body =
     rt.enabled_buf <- Array.make (Array.length bigger) 0
   end;
   let id = Id.make ~index:rt.n_machines ~name in
+  let name_sym =
+    match rt.config.coverage with Some cov -> Coverage.sym cov name | None -> -1
+  in
   let m =
     { id; inbox = Inbox.create (); status = Not_started body; state_name = "-";
-      enabled_cache = true; dirty = false; wait_pred = None; persistent }
+      name_sym; state_sym = rt.dash_sym; enabled_cache = true; dirty = false;
+      wait_pred = None; persistent }
   in
   rt.machines.(rt.n_machines) <- m;
   rt.n_machines <- rt.n_machines + 1;
   (match rt.config.coverage with
-   | Some cov -> Coverage.visit_state cov ~machine:name ~state:"-"
+   | Some cov -> Coverage.visit_state_sym cov ~machine:name_sym ~state:rt.dash_sym
    | None -> ());
   (match rt.config.scenario with
    | Some o -> Scenario.Obs.on_create o ~index:(rt.n_machines - 1) ~name
@@ -268,7 +280,7 @@ let nondet ctx =
   Trace.Builder.add_bool rt.trace b;
   (match rt.config.hb with Some h -> Hb.on_bool h b | None -> ());
   (match rt.config.coverage with
-   | Some cov -> Coverage.branch_bool cov ~machine:(Id.name ctx.me.id) b
+   | Some cov -> Coverage.branch_bool_sym cov ~machine:ctx.me.name_sym b
    | None -> ());
   if rt.log_on then
     logf rt "[%d] %s nondet -> %b" rt.steps (Id.to_string ctx.me.id) b;
@@ -281,7 +293,7 @@ let nondet_int ctx bound =
   Trace.Builder.add_int rt.trace i;
   (match rt.config.hb with Some h -> Hb.on_int h i | None -> ());
   (match rt.config.coverage with
-   | Some cov -> Coverage.branch_int cov ~machine:(Id.name ctx.me.id) ~bound i
+   | Some cov -> Coverage.branch_int_sym cov ~machine:ctx.me.name_sym ~bound i
    | None -> ());
   if rt.log_on then
     logf rt "[%d] %s nondet_int(%d) -> %d" rt.steps (Id.to_string ctx.me.id)
@@ -451,6 +463,7 @@ let crash ctx target =
         | None -> ());
        m.status <- Not_started (restart ());
        m.state_name <- "-";
+       m.state_sym <- rt.dash_sym;
        mark_dirty m;
        (match rt.config.hb with
         | Some h -> Hb.on_crash h ~target:(Id.index target)
@@ -613,14 +626,17 @@ let assert_here ctx cond msg =
             { machine = Id.to_string ctx.me.id; message = msg }))
 
 let set_state_name ctx state =
-  ctx.me.state_name <- state;
+  let m = ctx.me in
+  let same = m.state_name == state in
+  m.state_name <- state;
   (match ctx.rt.config.scenario with
    | Some o ->
-     Scenario.Obs.on_state o ~step:ctx.rt.steps ~index:(Id.index ctx.me.id)
-       ~state
+     Scenario.Obs.on_state o ~step:ctx.rt.steps ~index:(Id.index m.id) ~state
    | None -> ());
   match ctx.rt.config.coverage with
-  | Some cov -> Coverage.visit_state cov ~machine:(Id.name ctx.me.id) ~state
+  | Some cov ->
+    if not same then m.state_sym <- Coverage.sym cov state;
+    Coverage.visit_state_sym cov ~machine:m.name_sym ~state:m.state_sym
   | None -> ()
 
 let logging ctx = ctx.rt.log_on
@@ -811,13 +827,13 @@ let resume_machine rt m =
      | None -> ());
     (match rt.config.coverage with
      | Some cov ->
-       let sender_name =
+       let sender =
          if sender >= 0 && sender < rt.n_machines then
-           Id.name rt.machines.(sender).id
-         else "<external>"
+           rt.machines.(sender).name_sym
+         else Coverage.sym cov "<external>"
        in
-       Coverage.deliver cov ~sender:sender_name ~event:(Event.name e)
-         ~receiver:(Id.name m.id) ~state:m.state_name
+       Coverage.deliver_sym cov ~sender ~event:(Coverage.event_sym cov e)
+         ~receiver:m.name_sym ~state:m.state_sym
      | None -> ());
     (match rt.config.scenario with
      | Some o ->
@@ -923,6 +939,8 @@ let execute config strategy ~monitors ~name body =
       delayed = [];
       timed_out = false;
       clock = Option.map (fun (_ : Clock.config) -> Clock.create ()) config.clock;
+      dash_sym =
+        (match config.coverage with Some cov -> Coverage.sym cov "-" | None -> -1);
       horizon =
         (match config.clock with Some c -> c.Clock.max_time | None -> 0);
       step_limit = config.max_steps;

@@ -1,5 +1,5 @@
 (* Words-per-step gate: minor-heap words allocated per scheduling step on
-   three fixed harnesses, at seed 1 for fixed budgets. The count is a
+   fixed harnesses, at fixed seeds for fixed budgets. The count is a
    deterministic function of the code path, so it repeats exactly from
    run to run; each ceiling is pinned 10% above the value measured when
    it was set, and a change that makes the step path allocate more fails
@@ -7,16 +7,27 @@
    one-time work (printer registration, registry and name caches) does
    not depend on which tests ran before. Raise a ceiling only for a
    deliberate allocation increase, and say in the change log why the step
-   path needs the words. *)
+   path needs the words.
+
+   The plain rows run [Runtime.execute] with no observer; the observed
+   rows run [Engine.run] under fuzz v2 with happens-before tracking (the
+   configuration of the fuzz-observed benchmark), so they count coverage
+   and hb recording, both fingerprints, novelty and fuzz feedback too. *)
 
 module Runtime = Psharp.Runtime
 module Cat = Catalog.Bug_catalog
+
+module E = Psharp.Engine
+
+type run =
+  | Plain of Runtime.config  (* Runtime.execute, random strategy, seed 1 *)
+  | Observed of E.config  (* one Engine.run *)
 
 type gate = {
   g_name : string;
   g_harness : Runtime.ctx -> unit;
   g_monitors : unit -> Psharp.Monitor.t list;
-  g_config : Runtime.config;
+  g_run : run;
   g_executions : int;
   g_ceiling : float;  (* minor words per step *)
 }
@@ -32,12 +43,34 @@ let gates () =
       clock = e.Cat.clock;
     }
   in
+  let observed g_name (e : Cat.entry) g_executions g_ceiling =
+    {
+      g_name;
+      g_harness = e.Cat.fixed_harness;
+      g_monitors = e.Cat.monitors;
+      g_run =
+        Observed
+          {
+            E.default_config with
+            E.strategy = E.Fuzz { corpus_cap = 32 };
+            seed = 7L;
+            max_executions = g_executions;
+            max_steps = e.Cat.max_steps;
+            faults = e.Cat.faults;
+            reduce = E.Hb_track;
+            fuzz_energy = true;
+            fuzz_mutate_faults = true;
+          };
+      g_executions;
+      g_ceiling;
+    }
+  in
   [
     {
       g_name = "vnext (fixed)";
       g_harness = vnext.Cat.fixed_harness;
       g_monitors = vnext.Cat.monitors;
-      g_config = config vnext;
+      g_run = Plain (config vnext);
       g_executions = 8;
       g_ceiling = 13.88;  (* measured 12.62 *)
     };
@@ -45,7 +78,7 @@ let gates () =
       g_name = "chaintable (fixed, legacy oracle)";
       g_harness = Chaintable.Harness.test ();
       g_monitors = (fun () -> []);
-      g_config = { Runtime.default_config with Runtime.max_steps = 4_000 };
+      g_run = Plain { Runtime.default_config with Runtime.max_steps = 4_000 };
       g_executions = 100;
       g_ceiling = 77.33;  (* measured 70.30 *)
     };
@@ -53,29 +86,43 @@ let gates () =
       g_name = "shardkv (fixed, crash+delay, clock)";
       g_harness = kv.Cat.fixed_harness;
       g_monitors = kv.Cat.monitors;
-      g_config = { (config kv) with Runtime.deadlock_is_bug = false };
+      g_run = Plain { (config kv) with Runtime.deadlock_is_bug = false };
       g_executions = 100;
       g_ceiling = 225.98;  (* measured 205.44 *)
     };
+    observed "chaintable (fixed, fuzz v2 + hb)"
+      (Cat.find "ChaintableDuplicateBackendRequest") 300 87.00 (* measured 79.09 *);
+    observed "fabric (fixed, fuzz v2 + hb)" (Cat.find "FabricCrashSilentRestart")
+      300 56.41 (* measured 51.28 *);
   ]
 
+let steps_of_run g =
+  match g.g_run with
+  | Plain config ->
+    let factory = Psharp.Random_strategy.factory ~seed:1L in
+    let steps = ref 0 in
+    for iteration = 0 to g.g_executions - 1 do
+      match factory.Psharp.Strategy.fresh ~iteration with
+      | None -> Alcotest.fail "random factory returned no strategy"
+      | Some strategy ->
+        let r =
+          Runtime.execute config strategy ~monitors:(g.g_monitors ())
+            ~name:"Harness" g.g_harness
+        in
+        if r.Runtime.bug <> None then
+          Alcotest.failf "%s: fixed harness reported a bug" g.g_name;
+        steps := !steps + r.Runtime.steps
+    done;
+    !steps
+  | Observed config -> (
+    match E.run ~monitors:g.g_monitors config g.g_harness with
+    | E.No_bug st -> st.E.total_steps
+    | E.Bug_found _ -> Alcotest.failf "%s: fixed harness reported a bug" g.g_name)
+
 let pass g =
-  let factory = Psharp.Random_strategy.factory ~seed:1L in
-  let steps = ref 0 in
   let before = Gc.minor_words () in
-  for iteration = 0 to g.g_executions - 1 do
-    match factory.Psharp.Strategy.fresh ~iteration with
-    | None -> Alcotest.fail "random factory returned no strategy"
-    | Some strategy ->
-      let r =
-        Runtime.execute g.g_config strategy ~monitors:(g.g_monitors ())
-          ~name:"Harness" g.g_harness
-      in
-      if r.Runtime.bug <> None then
-        Alcotest.failf "%s: fixed harness reported a bug" g.g_name;
-      steps := !steps + r.Runtime.steps
-  done;
-  (Gc.minor_words () -. before) /. float_of_int !steps
+  let steps = steps_of_run g in
+  (Gc.minor_words () -. before) /. float_of_int steps
 
 let test_words_per_step () =
   let over =

@@ -487,6 +487,152 @@ let test_to_json_wellformed () =
   Alcotest.(check bool) "has schedules" true
     (contains json "\"schedule_fingerprints\"")
 
+(* --- direct recording vs the per-execution shard path ------------------- *)
+
+(* The sequential engine records every execution straight into the run
+   accumulator and reads novelty off its growth. [shard_run] replays the
+   same fuzz v2 + hb-tracking run the way parallel workers (and the
+   engine before it) do: a fresh map and recorder per execution,
+   absorbed with [absorb_tagged]. Both must end on equal maps, see the
+   same per-execution novelty, and stop on a plateau at the same
+   execution. *)
+let shard_entry () = Catalog.Bug_catalog.find "ChaintableDuplicateBackendRequest"
+
+let shard_config ?prior_coverage ?(start_iteration = 0) ?coverage_plateau
+    ?plateau_family ~seed ~executions () =
+  let e = shard_entry () in
+  {
+    E.default_config with
+    strategy = E.Fuzz { corpus_cap = 32 };
+    seed;
+    max_executions = executions;
+    max_steps = e.Catalog.Bug_catalog.max_steps;
+    faults = e.Catalog.Bug_catalog.faults;
+    reduce = E.Hb_track;
+    fuzz_energy = true;
+    fuzz_mutate_faults = true;
+    prior_coverage;
+    start_iteration;
+    coverage_plateau;
+    plateau_family;
+  }
+
+let engine_coverage cfg =
+  let e = shard_entry () in
+  match
+    E.run ~monitors:e.Catalog.Bug_catalog.monitors cfg
+      e.Catalog.Bug_catalog.fixed_harness
+  with
+  | E.No_bug ({ E.coverage = Some cov; _ } as st) -> (cov, st)
+  | E.No_bug _ -> Alcotest.fail "engine run collected no coverage"
+  | E.Bug_found _ -> Alcotest.fail "bug on the fixed harness"
+
+let shard_run (cfg : E.config) =
+  let e = shard_entry () in
+  let factory =
+    Fuzz.factory ~seed:cfg.E.seed ~corpus_cap:32 ~energy:true
+      ~mutate_faults:true ()
+  in
+  let acc = Coverage.create () in
+  Option.iter (fun p -> ignore (Coverage.absorb ~into:acc p)) cfg.E.prior_coverage;
+  let novelties = ref [] and no_gain = ref 0 in
+  let rec go i =
+    if i >= cfg.E.max_executions then i
+    else
+      match factory.Psharp.Strategy.fresh ~iteration:(cfg.E.start_iteration + i) with
+      | None -> i
+      | Some strategy ->
+        let hb = Psharp.Hb.create () and exec = Coverage.create () in
+        let rcfg =
+          {
+            R.default_config with
+            R.max_steps = cfg.E.max_steps;
+            faults = cfg.E.faults;
+            coverage = Some exec;
+            hb = Some hb;
+          }
+        in
+        let r =
+          R.execute rcfg strategy ~monitors:(e.Catalog.Bug_catalog.monitors ())
+            ~name:"Harness" e.Catalog.Bug_catalog.fixed_harness
+        in
+        Coverage.note_hb exec ~fingerprint:(Psharp.Hb.canonical_fingerprint hb);
+        Coverage.note_execution exec ~fingerprint:(Coverage.fingerprint r.R.choices);
+        let novelty = Coverage.absorb_tagged ~into:acc exec in
+        novelties := novelty :: !novelties;
+        let gain =
+          match cfg.E.plateau_family with
+          | None -> Coverage.novel_core novelty
+          | Some fam -> Coverage.novel_in novelty fam
+        in
+        if gain then no_gain := 0 else incr no_gain;
+        Option.iter
+          (fun f -> f ~trace:r.R.choices ~novelty)
+          factory.Psharp.Strategy.feedback;
+        if r.R.bug <> None then Alcotest.fail "bug on the fixed harness";
+        (match cfg.E.coverage_plateau with
+         | Some n when !no_gain >= n -> i + 1
+         | _ -> go (i + 1))
+  in
+  let executions = go 0 in
+  (acc, List.rev !novelties, executions)
+
+(* The engine's novelty of execution [k], read from the growth of its
+   totals between the runs of the first [k] and [k + 1] executions (the
+   runs are deterministic prefixes of each other). *)
+let engine_novelties cfg n =
+  let totals k =
+    Coverage.totals (fst (engine_coverage { cfg with E.max_executions = k }))
+  in
+  List.init n (fun k ->
+      let a = totals k and b = totals (k + 1) in
+      Coverage.
+        {
+          new_states = b.machine_states - a.machine_states;
+          new_events = b.event_types - a.event_types;
+          new_triples = b.transition_triples - a.transition_triples;
+          new_branches = b.branch_outcomes - a.branch_outcomes;
+          new_faults = b.fault_points - a.fault_points;
+          new_histories = b.history_points - a.history_points;
+          new_hb = b.partial_orders - a.partial_orders;
+        })
+
+let check_same_run name cfg ~prefix =
+  let direct, _ = engine_coverage cfg in
+  let shard, novelties, _ = shard_run cfg in
+  Alcotest.(check bool) (name ^ ": direct map equals shard-and-absorb map") true
+    (Coverage.equal direct shard);
+  Alcotest.(check string) (name ^ ": same schedule digest")
+    (Coverage.schedule_digest shard) (Coverage.schedule_digest direct);
+  Alcotest.(check bool) (name ^ ": same per-execution novelty") true
+    (engine_novelties cfg prefix = List.filteri (fun i _ -> i < prefix) novelties)
+
+let test_direct_equals_shard () =
+  check_same_run "fresh" (shard_config ~seed:7L ~executions:120 ()) ~prefix:30;
+  (* a campaign resume: the accumulator starts from an earlier run's map *)
+  let prior, _ = engine_coverage (shard_config ~seed:3L ~executions:60 ()) in
+  check_same_run "resume"
+    (shard_config ~prior_coverage:prior ~start_iteration:60 ~seed:7L
+       ~executions:80 ())
+    ~prefix:20
+
+let test_direct_plateau_matches_shard () =
+  List.iter
+    (fun fam ->
+      let cfg =
+        shard_config ~coverage_plateau:6 ~plateau_family:fam ~seed:7L
+          ~executions:400 ()
+      in
+      let direct, st = engine_coverage cfg in
+      let shard, _, executions = shard_run cfg in
+      Alcotest.(check bool) "plateaued" true st.E.plateaued;
+      Alcotest.(check int)
+        (Coverage.family_kind_to_string fam ^ " plateau at the same execution")
+        executions st.E.executions;
+      Alcotest.(check bool) "equal maps at the plateau" true
+        (Coverage.equal direct shard))
+    [ Coverage.Triple; Coverage.State ]
+
 let suite =
   [
     Alcotest.test_case "absorb is order-independent" `Quick
@@ -521,4 +667,8 @@ let suite =
     Alcotest.test_case "pp_outcome shows steps and coverage" `Quick
       test_pp_outcome_shows_steps_and_coverage;
     Alcotest.test_case "to_json is well-formed" `Quick test_to_json_wellformed;
+    Alcotest.test_case "direct recording = shard-and-absorb" `Quick
+      test_direct_equals_shard;
+    Alcotest.test_case "direct plateau stop = shard-and-absorb" `Quick
+      test_direct_plateau_matches_shard;
   ]

@@ -406,6 +406,125 @@ let test_logged_text_pins () =
            (Digest.string (String.concat "\n" result.Runtime.log))))
     (log_cases ())
 
+(* Happens-before pins: for each case study's fixed harness under its
+   catalog faults (plus chaintable under every message fault, so the
+   drop hook fires), the canonical hb fingerprint and the happening feed
+   of [hb_executions] fixed-seed executions, folded into one MD5. Recorded
+   on the eager fresh-array recorder; the flat, reusable recorder must
+   reproduce them byte for byte. *)
+type hb_case = {
+  h_name : string;
+  h_entry : string;  (* catalog entry: fixed harness, monitors, clock *)
+  h_faults : Psharp.Fault.spec option;  (* [None]: the entry's own spec *)
+  h_md5 : string;
+}
+
+let hb_executions = 30
+
+let hb_cases =
+  let all_msg =
+    Psharp.Fault.make [ Psharp.Fault.Drop; Psharp.Fault.Duplicate; Psharp.Fault.Delay ]
+  in
+  [
+    { h_name = "vnext crash"; h_entry = "ExtentNodeCrashLosesBinding";
+      h_faults = None; h_md5 = "cbf194a6ea7a8466274a065c3602dae8" };
+    { h_name = "chaintable dup"; h_entry = "ChaintableDuplicateBackendRequest";
+      h_faults = None; h_md5 = "8770d82675977590aef531b71ab1f992" };
+    { h_name = "chaintable drop/dup/delay";
+      h_entry = "ChaintableDuplicateBackendRequest"; h_faults = Some all_msg;
+      h_md5 = "25734b4dc41f97cf5fef1cb34cf4465b" };
+    { h_name = "chaintable clock delay"; h_entry = "ChaintableRetryFreshSeq";
+      h_faults = None; h_md5 = "309c6184c0e4694730586bbfb8d75aa5" };
+    { h_name = "fabric crash"; h_entry = "FabricCrashSilentRestart";
+      h_faults = None; h_md5 = "6ffc2ef9ad8a9c108ffd81c832db0c68" };
+    { h_name = "shardkv crash+delay"; h_entry = "ShardkvCrashLosesShard";
+      h_faults = None; h_md5 = "e43d5199ef5a21c342b3a9f6f98b7fa7" };
+  ]
+
+let hb_digest c =
+  let e = Catalog.Bug_catalog.find c.h_entry in
+  let factory = Psharp.Random_strategy.factory ~seed in
+  let buf = Buffer.create 4096 in
+  for iteration = 0 to hb_executions - 1 do
+    match factory.Psharp.Strategy.fresh ~iteration with
+    | None -> Alcotest.fail "random factory returned no strategy"
+    | Some strategy ->
+      let hb = Psharp.Hb.create () in
+      let cfg =
+        {
+          Runtime.default_config with
+          Runtime.max_steps = e.Catalog.Bug_catalog.max_steps;
+          faults = Option.value c.h_faults ~default:e.Catalog.Bug_catalog.faults;
+          clock = e.Catalog.Bug_catalog.clock;
+          deadlock_is_bug = false;
+          hb = Some hb;
+        }
+      in
+      let r =
+        Runtime.execute cfg strategy ~monitors:(e.Catalog.Bug_catalog.monitors ())
+          ~name:"Harness" e.Catalog.Bug_catalog.fixed_harness
+      in
+      Printf.bprintf buf "%d %d %016Lx\n" r.Runtime.steps (Psharp.Hb.steps hb)
+        (Psharp.Hb.canonical_fingerprint hb);
+      for i = 0 to Psharp.Hb.happenings hb - 1 do
+        match Psharp.Hb.happening hb i with
+        | Psharp.Hb.Touch { target; actor } -> Printf.bprintf buf "t%d,%d " target actor
+        | Psharp.Hb.Notify { actor; monitor } -> Printf.bprintf buf "n%d,%d " actor monitor
+      done;
+      Buffer.add_char buf '\n'
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let test_hb_pins () =
+  List.iter
+    (fun c -> Alcotest.(check string) (c.h_name ^ " hb md5") c.h_md5 (hb_digest c))
+    hb_cases
+
+(* Coverage pin: the fuzz-observed configuration (fuzz v2 with energy and
+   fault mutation, happens-before tracking) over the fixed harnesses of
+   two fault-only bugs. [Coverage.to_save] covers every family and count,
+   so its MD5 pins the whole accumulator; the schedule digest pins the
+   fingerprint multiset on its own. *)
+let fuzz_observed_coverage name ~executions =
+  let e = Catalog.Bug_catalog.find name in
+  let cfg =
+    {
+      E.default_config with
+      strategy = E.Fuzz { corpus_cap = 32 };
+      seed = 7L;
+      max_executions = executions;
+      max_steps = e.Catalog.Bug_catalog.max_steps;
+      faults = e.Catalog.Bug_catalog.faults;
+      clock = e.Catalog.Bug_catalog.clock;
+      reduce = E.Hb_track;
+      fuzz_energy = true;
+      fuzz_mutate_faults = true;
+    }
+  in
+  match
+    E.run ~monitors:e.Catalog.Bug_catalog.monitors cfg
+      e.Catalog.Bug_catalog.fixed_harness
+  with
+  | E.No_bug { E.coverage = Some cov; _ } -> cov
+  | E.No_bug _ -> Alcotest.fail "fuzz run collected no coverage"
+  | E.Bug_found _ -> Alcotest.failf "%s: bug on the fixed harness" name
+
+let coverage_pins =
+  [
+    ("ChaintableDuplicateBackendRequest", 300, "f2653eac1bc9348eb5f526461945586b", "2b0434963b57e70d");
+    ("FabricCrashSilentRestart", 200, "5734f8326188dc792c03cacd7bfde969", "06320f71cba5d02f");
+  ]
+
+let test_coverage_pins () =
+  List.iter
+    (fun (name, executions, save_md5, digest) ->
+      let cov = fuzz_observed_coverage name ~executions in
+      Alcotest.(check string) (name ^ " to_save md5") save_md5
+        (Digest.to_hex (Digest.string (Coverage.to_save cov)));
+      Alcotest.(check string) (name ^ " schedule digest") digest
+        (Coverage.schedule_digest cov))
+    coverage_pins
+
 let suite =
   [
     Alcotest.test_case "sequential schedule digests" `Quick
@@ -426,4 +545,8 @@ let suite =
       test_clock_log_deterministic;
     Alcotest.test_case "logged text pinned per harness" `Quick
       test_logged_text_pins;
+    Alcotest.test_case "hb fingerprints pinned per harness" `Quick
+      test_hb_pins;
+    Alcotest.test_case "fuzz-observed coverage pinned" `Quick
+      test_coverage_pins;
   ]

@@ -262,6 +262,121 @@ let test_swap_invariance () =
     Alcotest.(check bool) "canonical partial-order fingerprints agree" true
       (Hb.canonical_fingerprint h = Hb.canonical_fingerprint h')
 
+(* --- the flat recorder against the slow reference ----------------------- *)
+
+(* A random run is a list of (op, a, b) triples, interpreted so that every
+   hook is called the way the runtime calls it: the root is created first,
+   a child is always a fresh index created by the running machine, a
+   delayed message is delivered at most once (possibly between steps), a
+   machine never crashes itself. Creates are frequent so runs pass 8
+   machines and the clock buffers grow. A query op compares every query
+   mid-run; the production recorder is reused through [reset] from run
+   to run, the reference is fresh each time. *)
+
+let monitor_names = [| "Safety"; "Liveness"; "Progress" |]
+
+(* clocks compare up to trailing zeros: only the components matter *)
+let trim c =
+  let n = ref (Array.length c) in
+  while !n > 0 && c.(!n - 1) = 0 do decr n done;
+  Array.sub c 0 !n
+
+let agree h r =
+  let n = Hb.steps h in
+  if n <> Hb_ref.steps r then QCheck.Test.fail_reportf "steps %d vs %d" n (Hb_ref.steps r);
+  for i = 0 to n - 1 do
+    if Hb.machine_of h i <> Hb_ref.machine_of r i then
+      QCheck.Test.fail_reportf "machine_of %d" i;
+    if trim (Hb.clock_of h i) <> trim (Hb_ref.clock_of r i) then
+      QCheck.Test.fail_reportf "clock_of %d" i;
+    for j = 0 to n - 1 do
+      if Hb.ordered h i j <> Hb_ref.ordered r i j then
+        QCheck.Test.fail_reportf "ordered %d %d" i j;
+      if Hb.independent h i j <> Hb_ref.independent r i j then
+        QCheck.Test.fail_reportf "independent %d %d" i j
+    done
+  done;
+  if Hb.happenings h <> Hb_ref.happenings r then
+    QCheck.Test.fail_reportf "happenings %d vs %d" (Hb.happenings h)
+      (Hb_ref.happenings r);
+  for i = 0 to Hb.happenings h - 1 do
+    let same =
+      match (Hb.happening h i, Hb_ref.happening r i) with
+      | Hb.Touch { target; actor }, Hb_ref.Touch { target = t'; actor = a' } ->
+        target = t' && actor = a'
+      | Hb.Notify { actor; monitor }, Hb_ref.Notify { actor = a'; monitor = m' } ->
+        actor = a' && monitor = m'
+      | _ -> false
+    in
+    if not same then QCheck.Test.fail_reportf "happening %d" i
+  done;
+  if Hb.canonical_fingerprint h <> Hb_ref.canonical_fingerprint r then
+    QCheck.Test.fail_report "canonical_fingerprint";
+  true
+
+let replay_run h ops =
+  let r = Hb_ref.create () in
+  let both f g = f h; g r in
+  both (Hb.on_create ~parent:(-1) ~child:0) (Hb_ref.on_create ~parent:(-1) ~child:0);
+  let nm = ref 1 and actor = ref (-1) in
+  let sent = ref [] and delayed = ref [] in
+  let pick l k = List.nth l (k mod List.length l) in
+  List.iter
+    (fun (op, a, b) ->
+      let target = a mod !nm in
+      match op mod 12 with
+      | 0 | 1 ->
+        (* begin_step: a start, or the dequeue of a sent message *)
+        let msg = if !sent = [] || b mod 3 = 0 then -1 else pick !sent b in
+        actor := target;
+        both (Hb.begin_step ~machine:target ~msg) (Hb_ref.begin_step ~machine:target ~msg)
+      | _ when !actor < 0 -> ()
+      | 2 | 3 ->
+        let child = !nm in
+        incr nm;
+        both (Hb.on_create ~parent:!actor ~child) (Hb_ref.on_create ~parent:!actor ~child)
+      | 4 ->
+        let s = Hb.on_send h ~target in
+        let s' = Hb_ref.on_send r ~target in
+        if s <> s' then QCheck.Test.fail_reportf "stamp %d vs %d" s s';
+        sent := s :: !sent
+      | 5 ->
+        let s = Hb.on_send_delayed h ~target in
+        let s' = Hb_ref.on_send_delayed r ~target in
+        if s <> s' then QCheck.Test.fail_reportf "delayed stamp %d vs %d" s s';
+        delayed := (s, target) :: !delayed
+      | 6 when !delayed <> [] ->
+        let ((msg, target) as d) = pick !delayed b in
+        delayed := List.filter (fun x -> x != d) !delayed;
+        sent := msg :: !sent;
+        both (Hb.on_delayed_delivery ~target ~msg) (Hb_ref.on_delayed_delivery ~target ~msg)
+      | 6 | 7 -> both (Hb.on_touch ~target) (Hb_ref.on_touch ~target)
+      | 8 when target <> !actor -> both (Hb.on_crash ~target) (Hb_ref.on_crash ~target)
+      | 8 | 9 ->
+        (* a fresh copy now and then: interning must not rely on identity *)
+        let name = monitor_names.(b mod Array.length monitor_names) in
+        let name = if b mod 5 = 0 then String.init (String.length name) (String.get name) else name in
+        both (Hb.on_notify ~monitor:name) (Hb_ref.on_notify ~monitor:name)
+      | 10 ->
+        if b mod 2 = 0 then both (fun h -> Hb.on_bool h (a mod 2 = 0)) (fun r -> Hb_ref.on_bool r (a mod 2 = 0))
+        else both (fun h -> Hb.on_int h b) (fun r -> Hb_ref.on_int r b)
+      | _ -> ignore (agree h r))
+    ops;
+  agree h r
+
+let prop_matches_reference =
+  let open QCheck in
+  let op = triple small_nat small_nat small_nat in
+  Test.make ~count:200 ~name:"flat recorder matches the eager reference"
+    (list_of_size Gen.(1 -- 3) (list_of_size Gen.(1 -- 250) op))
+    (fun runs ->
+      let h = Hb.create () in
+      List.for_all
+        (fun ops ->
+          Hb.reset h;
+          replay_run h ops)
+        runs)
+
 let suite =
   [
     Alcotest.test_case "delivery merge" `Quick test_delivery_merge;
@@ -275,4 +390,5 @@ let suite =
     Alcotest.test_case "sampled vnext executions" `Slow test_sampled_properties;
     Alcotest.test_case "swap-adjacent-independent invariance" `Slow
       test_swap_invariance;
+    QCheck_alcotest.to_alcotest prop_matches_reference;
   ]
