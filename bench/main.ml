@@ -1720,18 +1720,16 @@ let lin_overhead ~budget ~op_counts () =
   print_newline ()
 
 (* ------------------------------------------------------------------ *)
-(* Happens-before reduction                                            *)
+(* Happens-before tracking and fuzz feedback                          *)
 (* ------------------------------------------------------------------ *)
 
-(* ISSUE 5 acceptance benchmark, extended by ISSUE 9. For each paper case
-   study: hunt the catalog bug with reduction off and with sleep sets
-   (executions to first bug at a fixed seed), hunt it with plain v1 fuzz
-   and with fuzz v2 (energy schedule + fault mutation, hb tracking on so
-   partial-order novelty feeds the corpus), and explore the no-bug fixed
-   variant with plain tracking vs sleep sets (distinct canonical partial
-   orders per 1000 executions — how much of the budget lands on
-   semantically new interleavings). Results land in BENCH_dpor.json; the
-   pre-fuzz-v2 numbers are preserved as a baseline block. *)
+(* Executions to first bug per paper case study: hunted with random
+   scheduling, with plain v1 fuzz and with fuzz v2 (energy schedule +
+   fault mutation, hb tracking on so partial-order novelty feeds the
+   corpus), plus the distinct canonical partial orders per 1000 executions
+   of the no-bug fixed variant under hb tracking (how much of the budget
+   lands on semantically new interleavings). Results land in
+   BENCH_dpor.json. *)
 
 let reduction_bugs =
   [
@@ -1740,24 +1738,18 @@ let reduction_bugs =
     ("fabric", "FabricPromoteDuringCopy");
   ]
 
-(* The ISSUE 5 numbers these extensions must not lose (seed 1, hunt
-   budget 20000): off/sleep executions-to-first-bug per harness. *)
-let reduction_baseline =
-  [ ("vnext", 1009, 840); ("chaintable", 16, 20); ("fabric", 36, 14) ]
-
 let reduction ~hunt_budget ~explore_budget () =
   Printf.printf
-    "== Happens-before reduction: hunt %d / explore %d executions (seed \
+    "== Happens-before tracking: hunt %d / explore %d executions (seed \
      %Ld) ==\n"
     hunt_budget explore_budget base_seed;
-  let hunt_execs entry ~reduce =
+  let hunt_execs entry =
     let cfg =
       {
         E.default_config with
         seed = base_seed;
         max_executions = hunt_budget;
         max_steps = entry.Bug_catalog.max_steps;
-        reduce;
       }
     in
     match
@@ -1767,7 +1759,7 @@ let reduction ~hunt_budget ~explore_budget () =
     | E.Bug_found (_, stats) -> Some stats.E.executions
     | E.No_bug _ -> None
   in
-  let upo_per_1000 entry ~reduce =
+  let upo_per_1000 entry =
     let cfg =
       {
         E.default_config with
@@ -1775,7 +1767,7 @@ let reduction ~hunt_budget ~explore_budget () =
         max_executions = explore_budget;
         max_steps = entry.Bug_catalog.max_steps;
         collect_coverage = true;
-        reduce;
+        reduce = E.Hb_track;
       }
     in
     let stats =
@@ -1819,32 +1811,28 @@ let reduction ~hunt_budget ~explore_budget () =
     List.map
       (fun (harness, bug) ->
         let entry = Bug_catalog.find bug in
-        let off = hunt_execs entry ~reduce:E.No_reduction in
-        let on_ = hunt_execs entry ~reduce:E.Sleep_sets in
+        let off = hunt_execs entry in
         let fz = fuzz_execs entry ~v2:false in
         let fz2 = fuzz_execs entry ~v2:true in
-        let upo_track = upo_per_1000 entry ~reduce:E.Hb_track in
-        let upo_sleep = upo_per_1000 entry ~reduce:E.Sleep_sets in
-        (harness, bug, off, on_, fz, fz2, upo_track, upo_sleep))
+        (harness, bug, off, fz, fz2, upo_per_1000 entry))
       reduction_bugs
   in
   let pp_execs = function
     | Some n -> string_of_int n
     | None -> "not-found"
   in
-  Printf.printf "%-11s %-36s %12s %12s %12s %12s %11s %11s\n" "harness" "bug"
-    "execs (off)" "execs (on)" "execs fuzz" "execs fzv2" "upo/1k trk"
-    "upo/1k slp";
-  print_endline (String.make 124 '-');
+  Printf.printf "%-11s %-36s %12s %12s %12s %11s\n" "harness" "bug"
+    "execs random" "execs fuzz" "execs fzv2" "upo/1k trk";
+  print_endline (String.make 98 '-');
   List.iter
-    (fun (harness, bug, off, on_, fz, fz2, ut, us) ->
-      Printf.printf "%-11s %-36s %12s %12s %12s %12s %11.1f %11.1f\n" harness
-        bug (pp_execs off) (pp_execs on_) (pp_execs fz) (pp_execs fz2) ut us)
+    (fun (harness, bug, off, fz, fz2, ut) ->
+      Printf.printf "%-11s %-36s %12s %12s %12s %11.1f\n" harness bug
+        (pp_execs off) (pp_execs fz) (pp_execs fz2) ut)
     rows;
   let improved =
     List.length
       (List.filter
-         (fun (_, _, _, _, fz, fz2, _, _) ->
+         (fun (_, _, _, fz, fz2, _) ->
            match (fz, fz2) with
            | Some a, Some b -> b <= a
            | None, Some _ -> true
@@ -1858,32 +1846,20 @@ let reduction ~hunt_budget ~explore_budget () =
   Printf.fprintf oc "  \"seed\": %Ld,\n" base_seed;
   Printf.fprintf oc "  \"hunt_budget\": %d,\n" hunt_budget;
   Printf.fprintf oc "  \"explore_budget\": %d,\n" explore_budget;
-  output_string oc "  \"baseline_pre_fuzz_v2\": {\"seed\": 1, \"hunt_budget\": 20000, \"harnesses\": [\n";
-  List.iteri
-    (fun i (name, off, sleep) ->
-      Printf.fprintf oc
-        "    {\"name\": %S, \"execs_to_first_bug_off\": %d, \
-         \"execs_to_first_bug_sleep\": %d}%s\n"
-        name off sleep
-        (if i = List.length reduction_baseline - 1 then "" else ","))
-    reduction_baseline;
-  output_string oc "  ]},\n";
   output_string oc "  \"harnesses\": [\n";
   let json_execs = function
     | Some n -> string_of_int n
     | None -> "null"
   in
   List.iteri
-    (fun i (harness, bug, off, on_, fz, fz2, ut, us) ->
+    (fun i (harness, bug, off, fz, fz2, ut) ->
       Printf.fprintf oc
         "    {\"name\": %S, \"bug\": %S, \
-         \"execs_to_first_bug_off\": %s, \"execs_to_first_bug_sleep\": \
-         %s, \"execs_to_first_bug_fuzz\": %s, \
+         \"execs_to_first_bug_random\": %s, \
+         \"execs_to_first_bug_fuzz\": %s, \
          \"execs_to_first_bug_fuzz_v2\": %s, \
-         \"unique_partial_orders_per_1000_track\": %.1f, \
-         \"unique_partial_orders_per_1000_sleep\": %.1f}%s\n"
-        harness bug (json_execs off) (json_execs on_) (json_execs fz)
-        (json_execs fz2) ut us
+         \"unique_partial_orders_per_1000_track\": %.1f}%s\n"
+        harness bug (json_execs off) (json_execs fz) (json_execs fz2) ut
         (if i = List.length rows - 1 then "" else ","))
     rows;
   output_string oc "  ]\n}\n";

@@ -164,19 +164,19 @@ let faults_arg =
 
 let reduce_arg =
   let doc =
-    "Happens-before instrumentation: none (default), track (record each \
+    "Happens-before instrumentation: none (default) or track (record each \
      execution's canonical partial order into coverage without changing \
-     the schedule), or sleep (sleep-set partial-order reduction wrapped \
-     around the base strategy). Sequential-only; with --workers the run \
-     falls back to one worker."
+     the schedule). Works with any --workers count."
   in
   Arg.(value & opt string "none" & info [ "reduce" ] ~docv:"MODE" ~doc)
 
 let parse_reduce = function
   | "none" -> Ok E.No_reduction
   | "track" -> Ok E.Hb_track
-  | "sleep" -> Ok E.Sleep_sets
-  | other -> Error (Printf.sprintf "unknown reduction mode %s" other)
+  | other ->
+    Error
+      (Printf.sprintf "unknown reduction mode %s (valid modes: none, track)"
+         other)
 
 let fault_budget_arg =
   let doc = "Maximum faults injected per execution (with --faults)." in

@@ -11,7 +11,14 @@
     visits, delivered event types, transition triples, branch outcomes and
     a schedule fingerprint) which is merged — domain-safely when exploring
     across {!Worker_pool} workers — into a per-run accumulator returned in
-    {!stats}. *)
+    {!stats}.
+
+    {!run}, {!explore} and {!survey} share one exploration loop over
+    {!Worker_pool}: every worker runs the same per-execution body (fresh
+    strategy, scenario wrap, {!Runtime.execute}, hb and coverage
+    bookkeeping, strategy feedback, scenario audit), and the entry point
+    only decides what a result does. The sequential case is one worker run
+    inline in the calling domain. *)
 
 type strategy_spec =
   | Random
@@ -35,15 +42,9 @@ type reduction =
   | Hb_track
       (** record each execution's happens-before relation ({!Hb}) and file
           its canonical partial-order fingerprint into coverage's [hb]
-          family — measurement only, the schedule explored is untouched *)
-  | Sleep_sets
-      (** [Hb_track] plus sleep-set partial-order reduction: the sequential
-          base strategy is wrapped in {!Sleep_strategy}, which prunes
-          enabled machines whose next step provably commutes with a
-          just-skipped alternative, steering the budget toward distinct
-          Mazurkiewicz traces. Composes with any sequential strategy;
-          [Dfs] and [Replay_trace] keep their own schedule discipline and
-          are downgraded to [Hb_track] with a notice. *)
+          family — measurement only, the schedule explored is untouched.
+          Partial orders land only in coverage, so tracking is skipped in
+          runs that collect none (e.g. {!survey}). *)
 
 type config = {
   strategy : strategy_spec;
@@ -67,9 +68,10 @@ type config = {
           worker — so a bug found with any worker count is found with
           every other (only wall-clock time and, when several distinct
           buggy schedules exist, which one is reported first can differ).
-          Stateful strategies (DFS, trace replay, fuzz) are not
-          parallel-safe; the engine logs a notice and falls back to
-          sequential. *)
+          Each worker owns its strategy factory and its hb recorder.
+          Stateful strategies (DFS, trace replay, fuzz without an exchange
+          hub) are not parallel-safe; the engine logs a notice and runs
+          one worker. *)
   collect_coverage : bool;
       (** record per-execution coverage maps and return the merged map in
           [stats.coverage]. Coverage is also collected implicitly when
@@ -98,12 +100,12 @@ type config = {
           through this config — reproduces the identical faults, and the
           shrinker minimizes fault schedules like any other. *)
   reduce : reduction;
-      (** happens-before tracking / sleep-set reduction
-          ([No_reduction] by default — strictly opt-in: the hot path makes
-          zero extra draws and golden digests are byte-identical, pinned
-          by [test/test_golden.ml]). Tracking is sequential-only: with
-          [workers <> 1] the engine logs a notice and explores
-          sequentially. *)
+      (** happens-before tracking ([No_reduction] by default — strictly
+          opt-in: tracking makes zero draws and golden digests are
+          byte-identical, pinned by [test/test_golden.ml]). It works at
+          every worker count: each worker resets its own recorder per
+          execution, and the merged partial orders equal the one-worker
+          run's. *)
   clock : Clock.config option;
       (** virtual-time clock config handed to every execution's runtime
           ([None] by default — zero draws, schedules untouched; see
@@ -207,8 +209,11 @@ val pp_outcome : Format.formatter -> outcome -> unit
     (the root machine). [monitors] is called before each execution so every
     run gets fresh monitor state. With [config.workers] other than [1] and
     a parallel-safe strategy, executions fan out across domains
-    ({!Worker_pool}); the first bug raises an atomic stop flag and
-    in-flight workers exit at their next iteration boundary. *)
+    ({!Worker_pool}); the first bug min-updates an atomic stop bound, and
+    the lowest buggy iteration wins at every worker count. The run also
+    stops at a coverage plateau, at [max_seconds], and when the strategy's
+    search space is exhausted; neither stop counts an execution that did
+    not run. *)
 val run :
   ?monitors:(unit -> Monitor.t list) ->
   config ->
@@ -225,6 +230,24 @@ val explore :
   config ->
   (Runtime.ctx -> unit) ->
   stats
+
+(** [runtime_config ?coverage ?hb ?deadline ?scenario config ~collect_log]
+    is the {!Runtime.config} of one execution under [config]: the step
+    bound, liveness grace, deadlock rule, faults and clock come from
+    [config], the observers and the absolute [deadline] from the caller.
+    The engine, {!replay} and the shrinker all build theirs here. *)
+val runtime_config :
+  ?coverage:Coverage.t ->
+  ?hb:Hb.t ->
+  ?deadline:float ->
+  ?scenario:Scenario.Obs.t ->
+  config ->
+  collect_log:bool ->
+  Runtime.config
+
+(** A fresh observer for [config.scenario], one per execution ([None]
+    without a scenario). *)
+val scenario_obs : config -> Scenario.Obs.t option
 
 (** [replay config ~monitors trace body] re-executes one recorded schedule
     (with [collect_log] on) and returns the raw execution result. *)

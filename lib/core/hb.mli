@@ -16,15 +16,14 @@
     [send_faulty] participates fully: a dropped or coalesced send still
     touched the target (conservatively ordered), a duplicated send is two
     ordinary sends, and a delayed message carries its sender's clock until
-    the delivery actually enqueues it — so fault schedules stay sound
-    under reduction.
+    the delivery actually enqueues it — so fault schedules are ordered
+    soundly too.
 
     Two steps are {e independent} when their clocks are incomparable: no
     chain of deliveries, inbox conflicts, crashes or monitor
     notifications orders one before the other. Swapping two adjacent
     independent steps yields an equivalent execution (same Mazurkiewicz
-    trace), which is what {!Sleep_strategy} exploits to prune and what
-    {!canonical_fingerprint} quotients away.
+    trace), which is what {!canonical_fingerprint} quotients away.
 
     A recorder makes {e no} strategy draws and never perturbs the
     schedule; with [Runtime.config.hb = None] the runtime does not touch
@@ -137,8 +136,8 @@ val canonical_fingerprint : t -> int64
 
 (** {1 Happening feed}
 
-    A chronological log of cross-machine effects, consumed incrementally
-    by {!Sleep_strategy} to wake sleeping machines. *)
+    A chronological log of cross-machine effects, read by tests and by
+    per-layer measurement. *)
 
 type happening =
   | Touch of { target : int; actor : int }

@@ -6,7 +6,7 @@
     the harness enters [Repairing]", "drop every [Router]→[N*] message
     between step 30 and step 120") and scheduling focus ("pause the
     migrator until the clients settle"). Scenarios compile to a strategy
-    {e wrapper} in the style of {!Sleep_strategy}: the base strategy
+    {e wrapper}: the base strategy
     (random, PCT, fuzz, …) still makes every choice, but the wrapper
     prunes the enabled set and forces the fault draws the clauses demand.
     Constraining rather than replacing the search keeps every downstream

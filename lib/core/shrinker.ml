@@ -51,38 +51,16 @@ let same_kind (a : Error.kind) (b : Error.kind) =
     x.machine = y.machine
   | _, _ -> false
 
-let runtime_config (config : Engine.config) =
-  {
-    Runtime.max_steps = config.Engine.max_steps;
-    liveness_grace = config.Engine.liveness_grace;
-    deadlock_is_bug = config.Engine.deadlock_is_bug;
-    collect_log = false;
-    hb = None;
-    coverage = None;
-    (* fault draws are ordinary recorded choices: shrinking a fault-found
-       trace needs the same spec so lenient replay interprets them *)
-    faults = config.Engine.faults;
-    deadline = None;
-    (* same reason as faults: a clock-found trace only replays under the
-       same time model *)
-    clock = config.Engine.clock;
-    (* observer only, never wrapped: scenario-forced draws are ordinary
-       recorded choices, so lenient replay retraces them like any other —
-       a fresh observer per attempt keeps the hooks' contract uniform
-       without perturbing a single draw *)
-    scenario =
-      Option.map
-        (fun s -> Scenario.Obs.create s ~faults:config.Engine.faults)
-        config.Engine.scenario;
-  }
-
 (* Execute once under lenient replay of [candidate]; if the same bug kind
    fires, return the executed run's exact trace. *)
 let attempt config ~monitors ~kind ~seed body candidate =
   let strategy = lenient_strategy candidate ~seed in
   let result =
-    Runtime.execute (runtime_config config) strategy ~monitors:(monitors ())
-      ~name:"Harness" body
+    Runtime.execute
+      (Engine.runtime_config
+         ?scenario:(Engine.scenario_obs config)
+         config ~collect_log:false)
+      strategy ~monitors:(monitors ()) ~name:"Harness" body
   in
   match result.Runtime.bug with
   | Some found when same_kind found kind ->

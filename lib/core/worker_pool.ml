@@ -1,6 +1,8 @@
-type claim = Batch of int | Stride
-
-let default_claim = Batch 16
+type 'r step =
+  | Ran of int
+  | Found of 'r * int
+  | Final of int
+  | Exhausted
 
 type stats = {
   executions : int;
@@ -8,6 +10,8 @@ type stats = {
   elapsed : float;
   timed_out : bool;
 }
+
+let default_batch = 16
 
 let resolve n =
   if n < 0 then invalid_arg "Worker_pool.resolve: negative worker count"
@@ -24,6 +28,11 @@ let oversubscribe_requested () =
   match Sys.getenv_opt "PSHARP_OVERSUBSCRIBE" with
   | Some ("1" | "true" | "yes") -> true
   | _ -> false
+
+let effective_workers ~workers ~max_iterations =
+  let workers = max 1 (min (resolve workers) (max 1 max_iterations)) in
+  if workers = 1 || oversubscribe_requested () then workers
+  else max 1 (min workers (Domain.recommended_domain_count ()))
 
 (* An [Atomic.t] is a one-word heap box; boxes allocated back to back end
    up on the same cache line, so a hot store to one (the claim cursor)
@@ -45,17 +54,10 @@ type 'r local = {
   mutable steps : int;
 }
 
-let drive ?(claim = default_claim) ~workers ~max_iterations ?max_seconds
+let drive ?(batch = default_batch) ~workers ~max_iterations ?max_seconds
     ~stop_on_result ~init ?on_batch ~body () =
-  (match claim with
-   | Batch n when n <= 0 ->
-     invalid_arg "Worker_pool.drive: batch size must be positive"
-   | _ -> ());
-  let workers = max 1 (min (resolve workers) (max 1 max_iterations)) in
-  let workers =
-    if oversubscribe_requested () then workers
-    else max 1 (min workers (Domain.recommended_domain_count ()))
-  in
+  if batch <= 0 then invalid_arg "Worker_pool.drive: batch size must be positive";
+  let workers = effective_workers ~workers ~max_iterations in
   let started = Unix.gettimeofday () in
   (* Early-stop bound: workers keep running iterations strictly below it.
      A plain boolean stop flag is not enough for a deterministic winner —
@@ -67,7 +69,8 @@ let drive ?(claim = default_claim) ~workers ~max_iterations ?max_seconds
      possibly lower the bound further), so the winner is the lowest
      reporting iteration at every worker count. Batch claims are monotone,
      so every iteration below a reported one is already claimed by some
-     worker and will run to completion. *)
+     worker and will run to completion. A stop signal ([Final],
+     [Exhausted]) lowers the same bound. *)
   let stop_before = spaced_atomic max_int in
   let next = spaced_atomic 0 in (* batch-claim cursor *)
   let timed_out = Atomic.make false in
@@ -93,60 +96,45 @@ let drive ?(claim = default_claim) ~workers ~max_iterations ?max_seconds
     let acc = { results = []; execs = 0; steps = 0 } in
     locals.(w) <- Some acc;
     let flush () = match on_batch with Some f -> f state | None -> () in
+    let count steps =
+      acc.execs <- acc.execs + 1;
+      acc.steps <- acc.steps + steps
+    in
     let run_one g =
       (* Re-checked per iteration so a bound lowered mid-batch skips the
          claimed iterations above it (they cannot win) while iterations
          below it still run (they can). *)
-      if g < Atomic.get stop_before then begin
-        let r, steps = body state ~iteration:g in
-        acc.execs <- acc.execs + 1;
-        acc.steps <- acc.steps + steps;
-        match r with
-        | None -> ()
-        | Some v ->
+      if g < Atomic.get stop_before then
+        match body state ~iteration:g with
+        | Ran steps -> count steps
+        | Found (v, steps) ->
+          count steps;
           acc.results <- (v, g) :: acc.results;
           if stop_on_result then lower_stop_before g
-      end
+        | Final steps ->
+          count steps;
+          lower_stop_before (g + 1)
+        | Exhausted -> lower_stop_before g
     in
-    (match claim with
-     | Batch size ->
-       (* Claim [size] consecutive global iterations per shared-counter
-          bump; the wall clock is polled once per claimed batch. *)
-       let running = ref true in
-       while !running do
-         let base = Atomic.fetch_and_add next size in
-         if base >= max_iterations || base >= Atomic.get stop_before then
-           running := false
-         else if past_deadline () then begin
-           Atomic.set timed_out true;
-           running := false
-         end
-         else begin
-           let stop = min (base + size) max_iterations in
-           for g = base to stop - 1 do
-             run_one g
-           done;
-           flush ()
-         end
-       done
-     | Stride ->
-       (* Legacy static assignment: worker [w] of [n] runs w, w+n, w+2n...
-          Kept for the merge-equivalence tests; the schedule {e set} is the
-          same as under batch claiming for every worker count. *)
-       let g = ref w in
-       let running = ref true in
-       while !running do
-         if !g >= max_iterations || !g >= Atomic.get stop_before then
-           running := false
-         else if past_deadline () then begin
-           Atomic.set timed_out true;
-           running := false
-         end
-         else begin
-           run_one !g;
-           g := !g + workers
-         end
-       done);
+    (* Claim [batch] consecutive global iterations per shared-counter
+       bump; the wall clock is polled once per claimed batch. *)
+    let running = ref true in
+    while !running do
+      let base = Atomic.fetch_and_add next batch in
+      if base >= max_iterations || base >= Atomic.get stop_before then
+        running := false
+      else if past_deadline () then begin
+        Atomic.set timed_out true;
+        running := false
+      end
+      else begin
+        let stop = min (base + batch) max_iterations in
+        for g = base to stop - 1 do
+          run_one g
+        done;
+        flush ()
+      end
+    done;
     flush ()
   in
   let guarded w () =
@@ -182,16 +170,16 @@ let drive ?(claim = default_claim) ~workers ~max_iterations ?max_seconds
       timed_out = Atomic.get timed_out;
     } )
 
-let hunt ?claim ~workers ~max_iterations ?max_seconds ~init ?on_batch ~body ()
+let hunt ?batch ~workers ~max_iterations ?max_seconds ~init ?on_batch ~body ()
     =
   let collected, stats =
-    drive ?claim ~workers ~max_iterations ?max_seconds ~stop_on_result:true
+    drive ?batch ~workers ~max_iterations ?max_seconds ~stop_on_result:true
       ~init ?on_batch ~body ()
   in
   let winner = match collected with [] -> None | best :: _ -> Some best in
   (winner, stats)
 
-let sweep ?claim ~workers ~max_iterations ?max_seconds ~init ?on_batch ~body
+let sweep ?batch ~workers ~max_iterations ?max_seconds ~init ?on_batch ~body
     () =
-  drive ?claim ~workers ~max_iterations ?max_seconds ~stop_on_result:false
+  drive ?batch ~workers ~max_iterations ?max_seconds ~stop_on_result:false
     ~init ?on_batch ~body ()

@@ -26,7 +26,6 @@ let () =
       ("clock", Test_clock.suite);
       ("substrate-extra", Test_substrate_extra.suite);
       ("hb", Test_hb.suite);
-      ("reduction", Test_reduction.suite);
       ("linearizability", Test_linearizability.suite);
       ("shardkv", Test_shardkv.suite);
       ("witnesses", Test_witnesses.suite);

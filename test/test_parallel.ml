@@ -33,6 +33,19 @@ let clean_harness ctx =
 
 let config = { E.default_config with max_executions = 500; max_steps = 200 }
 
+(* A pool body's step from an optional result and a step count. *)
+let step result steps =
+  match result with Some v -> W.Found (v, steps) | None -> W.Ran steps
+
+(* The domain clamp would fold every worker onto this machine's cores;
+   lifting it exercises the real multi-domain machinery regardless of how
+   small the machine is. *)
+let with_oversubscribe f =
+  Unix.putenv "PSHARP_OVERSUBSCRIBE" "1";
+  Fun.protect
+    ~finally:(fun () -> Unix.putenv "PSHARP_OVERSUBSCRIBE" "0")
+    f
+
 (* --- Worker_pool ------------------------------------------------------- *)
 
 let test_resolve () =
@@ -48,7 +61,7 @@ let test_pool_sweep_collects_everything () =
     W.sweep ~workers:4 ~max_iterations:20
       ~init:(fun ~worker -> worker)
       ~body:(fun _worker ~iteration ->
-        ((if iteration mod 2 = 0 then Some iteration else None), 1))
+        step (if iteration mod 2 = 0 then Some iteration else None) 1)
       ()
   in
   Alcotest.(check int) "all iterations ran" 20 stats.W.executions;
@@ -63,7 +76,7 @@ let test_pool_hunt_stops_early () =
     W.hunt ~workers:4 ~max_iterations:10_000
       ~init:(fun ~worker:_ -> ())
       ~body:(fun () ~iteration ->
-        ((if iteration >= 10 then Some iteration else None), 1))
+        step (if iteration >= 10 then Some iteration else None) 1)
       ()
   in
   (match winner with
@@ -85,10 +98,10 @@ let test_pool_hunt_lowest_iteration_wins () =
       ~body:(fun () ~iteration ->
         if iteration = 3 then begin
           Unix.sleepf 0.05;
-          (Some iteration, 1)
+          W.Found (iteration, 1)
         end
-        else if iteration = 7 then (Some iteration, 1)
-        else (None, 1))
+        else if iteration = 7 then W.Found (iteration, 1)
+        else W.Ran 1)
       ()
   in
   match winner with
@@ -101,7 +114,7 @@ let test_pool_empty_budget () =
   let winner, stats =
     W.hunt ~workers:4 ~max_iterations:0
       ~init:(fun ~worker:_ -> ())
-      ~body:(fun () ~iteration -> (Some iteration, 1))
+      ~body:(fun () ~iteration -> W.Found (iteration, 1))
       ()
   in
   Alcotest.(check bool) "no winner" true (winner = None);
@@ -114,7 +127,7 @@ let test_pool_propagates_exceptions () =
         (W.sweep ~workers:2 ~max_iterations:50
            ~init:(fun ~worker:_ -> ())
            ~body:(fun () ~iteration ->
-             if iteration = 3 then failwith "boom" else (None, 1))
+             if iteration = 3 then failwith "boom" else W.Ran 1)
            ()))
 
 (* --- Engine parallel semantics ----------------------------------------- *)
@@ -220,7 +233,10 @@ let test_deadline_aborts_inside_an_execution () =
      so one long execution overshot the budget arbitrarily. The deadline
      is now threaded into the runtime step loop: a single execution that
      would run for ~half a minute aborts at the bound, and stats report
-     the timeout. *)
+     the timeout. The timed-out execution also ends the run: with one
+     worker it is the only one counted, and with several at most one per
+     worker — never the rest of a claimed batch. *)
+  with_oversubscribe @@ fun () ->
   let spinner ctx =
     let rec loop () =
       R.send ctx (R.self ctx) Token;
@@ -229,22 +245,45 @@ let test_deadline_aborts_inside_an_execution () =
     in
     loop ()
   in
-  let cfg =
-    {
-      E.default_config with
-      max_executions = 1;
-      max_steps = 50_000_000;
-      max_seconds = Some 0.2;
-    }
+  List.iter
+    (fun workers ->
+      let cfg =
+        {
+          E.default_config with
+          max_executions = 1_000;
+          max_steps = 50_000_000;
+          max_seconds = Some 0.2;
+          workers;
+        }
+      in
+      let started = Unix.gettimeofday () in
+      (match E.run cfg spinner with
+       | E.No_bug stats ->
+         Alcotest.(check bool) "stats report the timeout" true stats.E.timed_out;
+         Alcotest.(check bool) "at most one execution per worker" true
+           (stats.E.executions >= 1 && stats.E.executions <= workers)
+       | E.Bug_found (r, _) ->
+         Alcotest.failf "unexpected bug: %s" (Error.kind_to_string r.Error.kind));
+      Alcotest.(check bool) "aborted mid-execution at the bound" true
+        (Unix.gettimeofday () -. started < 5.0))
+    [ 1; 2 ]
+
+let test_pool_stop_signals_count_no_phantoms () =
+  (* [Final] counts its own iteration and stops the later ones; [Exhausted]
+     counts nothing. *)
+  let stop_at k last =
+    W.sweep ~workers:1 ~max_iterations:100
+      ~init:(fun ~worker:_ -> ())
+      ~body:(fun () ~iteration ->
+        if iteration < k then W.Ran 2 else if last then W.Final 2 else W.Exhausted)
+      ()
   in
-  let started = Unix.gettimeofday () in
-  (match E.run cfg spinner with
-   | E.No_bug stats ->
-     Alcotest.(check bool) "stats report the timeout" true stats.E.timed_out
-   | E.Bug_found (r, _) ->
-     Alcotest.failf "unexpected bug: %s" (Error.kind_to_string r.Error.kind));
-  Alcotest.(check bool) "aborted mid-execution at the bound" true
-    (Unix.gettimeofday () -. started < 5.0)
+  let _, final = stop_at 5 true in
+  Alcotest.(check int) "final: its iteration counts" 6 final.W.executions;
+  Alcotest.(check int) "final: its steps count" 12 final.W.total_steps;
+  let _, exhausted = stop_at 5 false in
+  Alcotest.(check int) "exhausted: nothing counted" 5 exhausted.W.executions;
+  Alcotest.(check int) "exhausted: no steps" 10 exhausted.W.total_steps
 
 let test_survey_partial_results_at_deadline () =
   let cfg =
@@ -265,17 +304,21 @@ let test_survey_partial_results_at_deadline () =
     found
 
 let test_survey_parallel_matches_sequential_kinds () =
-  let cfg =
-    { E.default_config with max_executions = 300; max_steps = 200; seed = 3L }
+  (* Worker-local survey tables merged after the join: the same kinds, the
+     same counts, and each kind's witness from its lowest iteration. *)
+  with_oversubscribe @@ fun () ->
+  let survey workers =
+    E.survey
+      { E.default_config with max_executions = 300; max_steps = 200; seed = 3L; workers }
+      racy_harness
+    |> List.map (fun (r, n) ->
+           (Error.kind_to_string r.Error.kind, n, Trace.to_string r.Error.trace))
   in
-  let kinds found =
-    List.map (fun (r, _) -> Error.kind_to_string r.Error.kind) found
-    |> List.sort compare
-  in
-  let seq = kinds (E.survey cfg racy_harness) in
-  let par = kinds (E.survey { cfg with E.workers = 4 } racy_harness) in
-  Alcotest.(check (list string)) "same distinct kinds" seq par;
-  Alcotest.(check bool) "found something" true (seq <> [])
+  let seq = survey 1 in
+  Alcotest.(check bool) "found something" true (seq <> []);
+  let rows = Alcotest.(list (triple string int string)) in
+  Alcotest.check rows "2-worker survey = sequential" seq (survey 2);
+  Alcotest.check rows "4-worker survey = sequential" seq (survey 4)
 
 (* --- Runtime.name_of bounds -------------------------------------------- *)
 
@@ -320,34 +363,20 @@ let test_replay_rejects_negative_int () =
     Alcotest.failf "wrong kind: %s" (Error.kind_to_string k)
   | None -> Alcotest.fail "negative int choice replayed as if valid"
 
-(* --- Claim-discipline equivalence (batched vs legacy stride) ------------ *)
+(* --- Batch-size and worker-count equivalence ----------------------------- *)
 
-(* The domain clamp would fold every worker onto this machine's cores;
-   lifting it exercises the real multi-domain machinery regardless of how
-   small the machine is. *)
-let with_oversubscribe f =
-  Unix.putenv "PSHARP_OVERSUBSCRIBE" "1";
-  Fun.protect
-    ~finally:(fun () -> Unix.putenv "PSHARP_OVERSUBSCRIBE" "0")
-    f
-
-let claim_modes =
-  [
-    ("batch1", W.Batch 1);
-    ("batch4", W.Batch 4);
-    ("batch16", W.Batch 16);
-    ("stride", W.Stride);
-  ]
+let batch_sizes = [ 1; 4; 16 ]
 
 let test_sweep_equivalent_across_claims_and_workers () =
-  (* Every claim granularity and worker count must cover exactly the same
+  (* Every batch size and worker count must cover exactly the same
      iteration set and fold the same stats — the invariant that lets the
-     engine swap claiming disciplines without moving any golden digest. *)
+     engine change either without moving any golden digest. *)
   with_oversubscribe @@ fun () ->
   let iterations = 60 in
   let body () ~iteration =
-    ( (if iteration mod 3 = 0 then Some (iteration * iteration) else None),
-      1 + (iteration mod 5) )
+    step
+      (if iteration mod 3 = 0 then Some (iteration * iteration) else None)
+      (1 + (iteration mod 5))
   in
   let expected_results =
     List.init iterations Fun.id
@@ -358,15 +387,15 @@ let test_sweep_equivalent_across_claims_and_workers () =
     List.fold_left ( + ) 0 (List.init iterations (fun i -> 1 + (i mod 5)))
   in
   List.iter
-    (fun (label, claim) ->
+    (fun batch ->
       List.iter
         (fun workers ->
           let results, stats =
-            W.sweep ~claim ~workers ~max_iterations:iterations
+            W.sweep ~batch ~workers ~max_iterations:iterations
               ~init:(fun ~worker:_ -> ())
               ~body ()
           in
-          let tag = Printf.sprintf "%s/%d-worker" label workers in
+          let tag = Printf.sprintf "batch%d/%d-worker" batch workers in
           Alcotest.(check (list (pair int int)))
             (tag ^ ": same results") expected_results results;
           Alcotest.(check int)
@@ -374,45 +403,48 @@ let test_sweep_equivalent_across_claims_and_workers () =
           Alcotest.(check int)
             (tag ^ ": same folded steps") expected_steps stats.W.total_steps)
         [ 1; 2; 4 ])
-    claim_modes
+    batch_sizes
 
 let test_hunt_winner_identical_across_claims_and_workers () =
   (* Two iterations report (13 and 27); the lowest must win under every
-     claim discipline, batch size and worker count. *)
+     batch size and worker count. *)
   with_oversubscribe @@ fun () ->
   let body () ~iteration =
-    ((if iteration = 13 || iteration = 27 then Some iteration else None), 1)
+    step (if iteration = 13 || iteration = 27 then Some iteration else None) 1
   in
   List.iter
-    (fun (label, claim) ->
+    (fun batch ->
       List.iter
         (fun workers ->
           let winner, _ =
-            W.hunt ~claim ~workers ~max_iterations:100
+            W.hunt ~batch ~workers ~max_iterations:100
               ~init:(fun ~worker:_ -> ())
               ~body ()
           in
           match winner with
           | Some (value, iteration) ->
-            let tag = Printf.sprintf "%s/%d-worker" label workers in
+            let tag = Printf.sprintf "batch%d/%d-worker" batch workers in
             Alcotest.(check int) (tag ^ ": lowest iteration wins") 13 iteration;
             Alcotest.(check int) (tag ^ ": value from that iteration") 13 value
           | None -> Alcotest.fail "expected a winner")
         [ 1; 2; 4 ])
-    claim_modes
+    batch_sizes
 
 let test_merged_coverage_identical_1_2_4_workers () =
   (* Batch-boundary shard merging must produce the same merged map as the
-     sequential accumulator — absorb is commutative, the iteration set is
-     identical — at every worker count, on real domains. *)
+     one-worker accumulator — absorb is commutative, the iteration set is
+     identical — at every worker count, on real domains. With hb tracking
+     each worker owns its recorder, and the merged partial orders (hb
+     fingerprints included in [Coverage.equal]) must match too. *)
   with_oversubscribe @@ fun () ->
-  let explore workers =
+  let explore reduce workers =
     let stats =
       E.explore
         {
           config with
           E.max_executions = 120;
           collect_coverage = true;
+          reduce;
           workers;
         }
         racy_harness
@@ -422,13 +454,19 @@ let test_merged_coverage_identical_1_2_4_workers () =
     | Some cov -> cov
     | None -> Alcotest.fail "explore returned no coverage"
   in
-  let seq = explore 1 in
-  Alcotest.(check bool)
-    "2-worker merged map = sequential" true
-    (Psharp.Coverage.equal seq (explore 2));
-  Alcotest.(check bool)
-    "4-worker merged map = sequential" true
-    (Psharp.Coverage.equal seq (explore 4))
+  List.iter
+    (fun (label, reduce) ->
+      let seq = explore reduce 1 in
+      Alcotest.(check bool)
+        (label ^ ": 2-worker merged map = sequential") true
+        (Psharp.Coverage.equal seq (explore reduce 2));
+      Alcotest.(check bool)
+        (label ^ ": 4-worker merged map = sequential") true
+        (Psharp.Coverage.equal seq (explore reduce 4)))
+    [ ("no reduction", E.No_reduction); ("hb track", E.Hb_track) ];
+  let tracked = Psharp.Coverage.totals (explore E.Hb_track 1) in
+  Alcotest.(check bool) "hb tracking filed partial orders" true
+    (tracked.Psharp.Coverage.partial_orders > 0)
 
 let test_hunt_witness_identical_1_2_4_workers () =
   with_oversubscribe @@ fun () ->
@@ -465,6 +503,8 @@ let suite =
       test_survey_honors_max_seconds;
     Alcotest.test_case "deadline aborts inside an execution" `Quick
       test_deadline_aborts_inside_an_execution;
+    Alcotest.test_case "pool: stop signals count no phantom iterations" `Quick
+      test_pool_stop_signals_count_no_phantoms;
     Alcotest.test_case "survey: partial results at deadline" `Quick
       test_survey_partial_results_at_deadline;
     Alcotest.test_case "survey: parallel matches sequential kinds" `Quick
