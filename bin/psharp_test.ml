@@ -1,35 +1,94 @@
-(* Command-line systematic-testing runner.
-
-   psharp_test list
-   psharp_test hunt BUG [--sch random|pct|rr|dfs|delay|fuzz] [--seed N]
-                        [--executions N] [--steps N] [--custom]
-                        [--trace-out FILE] [--log] [--workers N]
-                        [--coverage-report FILE] [--plateau N]
-                        [--plateau-family FAMILY]
-                        [--fuzz-energy] [--fuzz-mutate-faults]
-                        [--faults drop,dup,delay,crash] [--fault-budget N]
-                        [--check-lin auto|on|off] [--campaign DIR]
-   psharp_test replay BUG --trace FILE [--custom] [--check-lin MODE]
-                        [--history-out FILE]
-   psharp_test survey BUG [--executions N]     (all distinct violations)
-   psharp_test check BUG [--executions N] [--coverage-report FILE]
-                         [--plateau N] [--faults ...] [--fault-budget N]
-                                               (fixed variant, expect clean)
-   psharp_test explore BUG [--executions N] [--faults ...] [...]
-                                               (coverage, no bug expectation) *)
+(* Command-line systematic-testing runner. `psharp_test --help` lists the
+   commands; `psharp_test COMMAND --help` lists each command's flags. *)
 
 module E = Psharp.Engine
 module Error = Psharp.Error
 module Campaign = Psharp.Campaign
+module Exchange = Psharp.Fuzz_strategy.Exchange
 module Bug_catalog = Catalog.Bug_catalog
+module Scenario_catalog = Catalog.Scenario_catalog
 
 open Cmdliner
 
-(* --- shared arguments --------------------------------------------------- *)
+(* --- typed arguments ---------------------------------------------------- *)
+
+let find_bug name =
+  match Bug_catalog.find name with
+  | entry -> Ok entry
+  | exception Invalid_argument _ ->
+    Error (Printf.sprintf "unknown bug %s (see the list command)" name)
+
+let bug_conv =
+  Arg.conv'
+    (find_bug, fun ppf e -> Format.pp_print_string ppf e.Bug_catalog.name)
+
+let scenario_conv =
+  Arg.conv'
+    ( (fun name ->
+        match Scenario_catalog.find name with
+        | e -> Ok e
+        | exception Invalid_argument msg -> Error msg),
+      fun ppf e -> Format.pp_print_string ppf e.Scenario_catalog.name )
+
+let nonneg what =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 0 -> Ok n
+    | Some _ -> Error (what ^ " must be >= 0")
+    | None -> Error (Printf.sprintf "invalid %s %s" what s)
+  in
+  Arg.conv' (parse, Format.pp_print_int)
+
+let strategy_conv =
+  Arg.enum
+    [
+      ("random", E.Random);
+      ("pct", E.Pct { change_points = 2 });
+      ("rr", E.Round_robin);
+      ("dfs", E.Dfs { max_depth = 200; int_cap = 3 });
+      ("delay", E.Delay_bounded { delays = 2 });
+      ("fuzz", E.Fuzz { corpus_cap = 32 });
+    ]
+
+let reduce_conv = Arg.enum [ ("none", E.No_reduction); ("track", E.Hb_track) ]
+let check_lin_conv = Arg.enum [ ("auto", `Auto); ("on", `On); ("off", `Off) ]
+
+(* [`Auto] is the bug's own clock config; [`Set c] overrides it. *)
+let clock_conv =
+  let parse = function
+    | "auto" -> Ok `Auto
+    | "on" -> Ok (`Set (Some Psharp.Clock.default_config))
+    | "off" -> Ok (`Set None)
+    | s -> (
+      match int_of_string_opt s with
+      | Some max_time when max_time > 0 ->
+        Ok (`Set (Some { Psharp.Clock.max_time }))
+      | Some _ -> Error "clock horizon must be positive"
+      | None -> Error (Printf.sprintf "unknown clock mode %s" s))
+  in
+  let print ppf = function
+    | `Auto -> Format.pp_print_string ppf "auto"
+    | `Set None -> Format.pp_print_string ppf "off"
+    | `Set (Some c) -> Format.pp_print_int ppf c.Psharp.Clock.max_time
+  in
+  Arg.conv' (parse, print)
+
+let faults_conv =
+  Arg.conv'
+    ( Psharp.Fault.parse,
+      fun ppf s -> Format.pp_print_string ppf (Psharp.Fault.to_string s) )
+
+let family_conv =
+  Arg.enum
+    (List.map
+       (fun k -> (Psharp.Coverage.family_kind_to_string k, k))
+       Psharp.Coverage.all_family_kinds)
+
+(* --- flags -------------------------------------------------------------- *)
 
 let bug_arg =
   let doc = "Bug identifier (see the list command)." in
-  Arg.(required & pos 0 (some string) None & info [] ~docv:"BUG" ~doc)
+  Arg.(required & pos 0 (some bug_conv) None & info [] ~docv:"BUG" ~doc)
 
 let strategy_arg =
   let doc =
@@ -38,7 +97,7 @@ let strategy_arg =
   in
   Arg.(
     value
-    & opt string "random"
+    & opt strategy_conv E.Random
     & info [ "strategy"; "sch" ] ~docv:"NAME" ~doc)
 
 let seed_arg =
@@ -55,16 +114,8 @@ let workers_arg =
      Parallel runs cover the same schedules as sequential runs; stateful \
      strategies (dfs) fall back to sequential."
   in
-  let nonneg =
-    let parse s =
-      match Arg.conv_parser Arg.int s with
-      | Ok n when n >= 0 -> Ok n
-      | Ok _ -> Error (`Msg "worker count must be >= 0")
-      | Error _ as e -> e
-    in
-    Arg.conv (parse, Arg.conv_printer Arg.int)
-  in
-  Arg.(value & opt nonneg 1 & info [ "workers" ] ~docv:"N" ~doc)
+  Arg.(
+    value & opt (nonneg "worker count") 1 & info [ "workers" ] ~docv:"N" ~doc)
 
 let steps_arg =
   let doc = "Step bound per execution (0 = the bug's default)." in
@@ -120,21 +171,8 @@ let plateau_family_arg =
   in
   Arg.(
     value
-    & opt (some string) None
+    & opt (some family_conv) None
     & info [ "plateau-family" ] ~docv:"FAMILY" ~doc)
-
-(* --plateau-family is a refinement of --plateau: alone it would silently
-   do nothing, so reject the combination loudly. *)
-let parse_plateau_family ~plateau = function
-  | None -> Ok None
-  | Some s ->
-    if plateau = None then Error "--plateau-family requires --plateau"
-    else begin
-      match Psharp.Coverage.family_kind_of_string s with
-      | fam -> Ok (Some fam)
-      | exception Failure _ ->
-        Error (Printf.sprintf "unknown coverage family %s" s)
-    end
 
 let fuzz_energy_arg =
   let doc =
@@ -156,11 +194,24 @@ let fuzz_mutate_faults_arg =
 let faults_arg =
   let doc =
     "Comma-separated fault kinds to inject (drop, dup, delay, crash), \
-     e.g. --faults drop,crash. Defaults to the bug's own fault spec, so \
-     fault-only catalog bugs hunt correctly with no flags; pass --faults \
-     none to disable even those."
+     e.g. --faults drop,crash, with an optional budget suffix as in \
+     --faults 'drop,crash(budget=2)'. Defaults to the bug's own fault \
+     spec, so fault-only catalog bugs hunt correctly with no flags; pass \
+     --faults none to disable even those."
   in
-  Arg.(value & opt (some string) None & info [ "faults" ] ~docv:"KINDS" ~doc)
+  Arg.(
+    value & opt (some faults_conv) None & info [ "faults" ] ~docv:"KINDS" ~doc)
+
+let fault_budget_arg =
+  let doc =
+    "Maximum faults injected per execution. Overrides the budget of the \
+     fault spec in force (the bug's own or --faults); without it, that \
+     spec keeps its own budget."
+  in
+  Arg.(
+    value
+    & opt (some (nonneg "fault budget")) None
+    & info [ "fault-budget" ] ~docv:"N" ~doc)
 
 let reduce_arg =
   let doc =
@@ -168,19 +219,10 @@ let reduce_arg =
      execution's canonical partial order into coverage without changing \
      the schedule). Works with any --workers count."
   in
-  Arg.(value & opt string "none" & info [ "reduce" ] ~docv:"MODE" ~doc)
-
-let parse_reduce = function
-  | "none" -> Ok E.No_reduction
-  | "track" -> Ok E.Hb_track
-  | other ->
-    Error
-      (Printf.sprintf "unknown reduction mode %s (valid modes: none, track)"
-         other)
-
-let fault_budget_arg =
-  let doc = "Maximum faults injected per execution (with --faults)." in
-  Arg.(value & opt int 1 & info [ "fault-budget" ] ~docv:"N" ~doc)
+  Arg.(
+    value
+    & opt reduce_conv E.No_reduction
+    & info [ "reduce" ] ~docv:"MODE" ~doc)
 
 let campaign_arg =
   let doc =
@@ -202,64 +244,7 @@ let clock_arg =
      bugs), or a positive integer simulation horizon in virtual-time \
      units."
   in
-  Arg.(value & opt string "auto" & info [ "clock" ] ~docv:"MODE" ~doc)
-
-(* Mirrors [fault_spec_of]: the bug's own clock config is the default and
-   an explicit --clock overrides it. *)
-let clock_spec_of entry = function
-  | "auto" -> Ok entry.Bug_catalog.clock
-  | "on" -> Ok (Some Psharp.Clock.default_config)
-  | "off" -> Ok None
-  | s -> begin
-    match int_of_string_opt s with
-    | Some horizon when horizon > 0 -> Ok (Some { Psharp.Clock.max_time = horizon })
-    | Some _ -> Error "clock horizon must be positive"
-    | None -> Error (Printf.sprintf "unknown clock mode %s" s)
-  end
-
-(* The bug's own spec is the default, so `hunt ExtentNodeCrashLosesBinding`
-   injects crashes out of the box; an explicit --faults overrides it. *)
-let fault_spec_of entry ~faults ~fault_budget =
-  match faults with
-  | None -> Ok entry.Bug_catalog.faults
-  | Some "none" -> Ok Psharp.Fault.none
-  | Some kinds -> begin
-    match Psharp.Fault.parse kinds with
-    | Ok spec -> Ok { spec with Psharp.Fault.budget = fault_budget }
-    | Error _ as e -> e
-  end
-
-let parse_strategy = function
-  | "random" -> Ok E.Random
-  | "pct" -> Ok (E.Pct { change_points = 2 })
-  | "rr" -> Ok E.Round_robin
-  | "dfs" -> Ok (E.Dfs { max_depth = 200; int_cap = 3 })
-  | "delay" -> Ok (E.Delay_bounded { delays = 2 })
-  | "fuzz" -> Ok (E.Fuzz { corpus_cap = 32 })
-  | other -> Error (Printf.sprintf "unknown strategy %s" other)
-
-let config_of ?(workers = 1) ?(coverage = false) ?plateau ?plateau_family
-    ?(faults = Psharp.Fault.none) ?(reduce = E.No_reduction) ?clock ?scenario
-    ?(fuzz_energy = false) ?(fuzz_mutate_faults = false) entry ~strategy ~seed
-    ~executions ~steps ~log =
-  {
-    E.default_config with
-    strategy;
-    seed;
-    max_executions = executions;
-    max_steps = (if steps > 0 then steps else entry.Bug_catalog.max_steps);
-    collect_log_on_bug = log;
-    workers;
-    collect_coverage = coverage;
-    coverage_plateau = plateau;
-    plateau_family = Option.join plateau_family;
-    faults;
-    reduce;
-    clock = Option.join clock;
-    scenario;
-    fuzz_energy;
-    fuzz_mutate_faults;
-  }
+  Arg.(value & opt clock_conv `Auto & info [ "clock" ] ~docv:"MODE" ~doc)
 
 let scenario_arg =
   let doc =
@@ -269,28 +254,10 @@ let scenario_arg =
      admitted schedule satisfies the scenario's clauses. The bug's fault \
      spec is armed with whatever the clauses need."
   in
-  Arg.(value & opt (some string) None & info [ "scenario" ] ~docv:"NAME" ~doc)
-
-(* Resolve --scenario and arm the fault spec with what its clauses need
-   (kinds, budget, max latency). Arming happens exactly once, here. *)
-let scenario_spec_of name fault_spec =
-  match name with
-  | None -> Ok (None, fault_spec)
-  | Some n -> begin
-    match Catalog.Scenario_catalog.find n with
-    | exception Invalid_argument msg -> Error msg
-    | e ->
-      let s = e.Catalog.Scenario_catalog.scenario in
-      Ok (Some s, Psharp.Scenario.arm s fault_spec)
-  end
-
-let harness_of entry ~custom =
-  if custom then
-    match entry.Bug_catalog.custom_harness with
-    | Some h -> Ok h
-    | None ->
-      Error (Printf.sprintf "%s has no custom test case" entry.Bug_catalog.name)
-  else Ok entry.Bug_catalog.harness
+  Arg.(
+    value
+    & opt (some scenario_conv) None
+    & info [ "scenario" ] ~docv:"NAME" ~doc)
 
 let check_lin_arg =
   let doc =
@@ -300,47 +267,469 @@ let check_lin_arg =
      recorded client history, for harnesses that record one), or off (the \
      legacy oracle only; rejected for harnesses that have no other)."
   in
-  Arg.(value & opt string "auto" & info [ "check-lin" ] ~docv:"MODE" ~doc)
+  Arg.(
+    value & opt check_lin_conv `Auto & info [ "check-lin" ] ~docv:"MODE" ~doc)
 
-(* Mirrors [clock_spec_of]: the entry's own oracle is the default and an
-   explicit --check-lin overrides it. Draw-identical harnesses, so a mode
-   switch never changes the schedule space being searched. *)
-let lin_harness_of entry ~custom ~check_lin ~fixed =
+let history_out_arg =
+  let doc =
+    "Write the client operation history recorded during the replay to \
+     $(docv) (harnesses with a generic-checker oracle only; implies the \
+     history-recording harness)."
+  in
+  Arg.(
+    value & opt (some string) None & info [ "history-out" ] ~docv:"FILE" ~doc)
+
+(* --- one resolution for every run subcommand ---------------------------- *)
+
+type run = {
+  entry : Bug_catalog.entry;
+  harness : Psharp.Runtime.ctx -> unit;
+  config : E.config;
+  coverage_report : string option;
+  campaign : (string * Campaign.t) option;
+  history_out : string option;
+}
+
+(* The harness the oracle flags select. The entry's own oracle is the
+   default and an explicit --check-lin overrides it; the harnesses draw
+   identically, so a mode switch never changes the schedule space. Dumping
+   a history (replay --history-out) needs the history-recording harness:
+   a trace hunted under the legacy oracle must be replayed under
+   --check-lin on too, or a mid-run legacy assert would abort before the
+   history is complete. *)
+let harness_of entry ~fixed ~custom ~check_lin ~history_out =
+  let name = entry.Bug_catalog.name in
   let default () =
     if fixed then Ok entry.Bug_catalog.fixed_harness
-    else harness_of entry ~custom
+    else if custom then
+      Option.to_result entry.Bug_catalog.custom_harness
+        ~none:(Printf.sprintf "%s has no custom test case" name)
+    else Ok entry.Bug_catalog.harness
   in
-  match check_lin with
-  | "auto" -> default ()
-  | "on" ->
-    if custom then Error "--check-lin on is not available with --custom"
-    else begin
-      match entry.Bug_catalog.lin with
-      | Some l ->
-        Ok
-          ((if fixed then l.Bug_catalog.lin_fixed
-            else l.Bug_catalog.lin_harness)
-             ~history_out:None)
-      | None ->
-        Error
-          (Printf.sprintf
-             "%s records no client history; the generic checker does not \
-              apply"
-             entry.Bug_catalog.name)
-    end
-  | "off" -> begin
-    match entry.Bug_catalog.lin with
-    | Some l when l.Bug_catalog.lin_default ->
-      Error
-        (Printf.sprintf
-           "%s is judged only by the generic linearizability oracle; \
-            --check-lin off is not available"
-           entry.Bug_catalog.name)
-    | _ -> default ()
-  end
-  | other -> Error (Printf.sprintf "unknown check-lin mode %s" other)
+  match (history_out, check_lin, entry.Bug_catalog.lin) with
+  | Some _, _, _ when custom ->
+    Error "--history-out is not available with --custom"
+  | Some path, _, Some l when l.Bug_catalog.lin_default || check_lin = `On ->
+    Ok (l.Bug_catalog.lin_harness ~history_out:(Some path))
+  | Some _, _, Some _ ->
+    Error
+      (Printf.sprintf
+         "--history-out needs --check-lin on for %s (its default oracle does \
+          not record histories)"
+         name)
+  | Some _, _, None ->
+    Error (Printf.sprintf "%s records no client history" name)
+  | None, `Auto, _ -> default ()
+  | None, `On, _ when custom ->
+    Error "--check-lin on is not available with --custom"
+  | None, `On, Some l ->
+    Ok
+      ((if fixed then l.Bug_catalog.lin_fixed else l.Bug_catalog.lin_harness)
+         ~history_out:None)
+  | None, `On, None ->
+    Error
+      (Printf.sprintf
+         "%s records no client history; the generic checker does not apply"
+         name)
+  | None, `Off, Some l when l.Bug_catalog.lin_default ->
+    Error
+      (Printf.sprintf
+         "%s is judged only by the generic linearizability oracle; \
+          --check-lin off is not available"
+         name)
+  | None, `Off, _ -> default ()
 
-(* --- list --------------------------------------------------------------- *)
+(* Load (or initialize) the campaign bound to [dir], strictly: a
+   corrupted campaign or one belonging to a different harness is an
+   error, not a silent fresh start. *)
+let campaign_state_of ~dir ~bug ~seed =
+  match Campaign.load_opt ~dir with
+  | exception Failure msg -> Error msg
+  | None -> Ok (Campaign.create ~harness:bug ~seed)
+  | Some c when c.Campaign.harness <> bug ->
+    Error
+      (Printf.sprintf "campaign in %s hunts %s, not %s" dir c.Campaign.harness
+         bug)
+  | Some c ->
+    if c.Campaign.seed <> seed then
+      Format.printf "campaign seed %Ld overrides --seed %Ld@." c.Campaign.seed
+        seed;
+    Format.printf "resuming %a@." Campaign.pp c;
+    Ok c
+
+(* A resumed campaign continues at its own seed and iteration, with its
+   coverage as prior novelty. Under --sch fuzz its corpus flows through an
+   Exchange hub: the run's novel schedules collect there and the hub's
+   snapshot becomes the next invocation's corpus. *)
+let resume config = function
+  | None -> config
+  | Some (_, c) ->
+    let exchange =
+      match config.E.strategy with
+      | E.Fuzz _ -> Some (Exchange.of_entries c.Campaign.corpus)
+      | _ -> None
+    in
+    {
+      config with
+      E.seed = c.Campaign.seed;
+      start_iteration = c.Campaign.executions;
+      prior_coverage = Some c.Campaign.coverage;
+      collect_coverage = true;
+      (* the corpus reaches the workers through the hub when one exists;
+         passing it twice would double-fill each corpus *)
+      fuzz_initial =
+        (if Option.is_none exchange then c.Campaign.corpus else []);
+      fuzz_exchange = exchange;
+    }
+
+type flag =
+  | Strategy
+  | Seed
+  | Executions
+  | Steps
+  | Custom
+  | Log
+  | Workers
+  | Coverage
+  | Plateau
+  | Plateau_family
+  | Faults
+  | Reduce
+  | Clock
+  | Check_lin
+  | Campaign
+  | Fuzz_v2
+  | Scenario
+  | History_out
+
+(* The run of a subcommand that takes [flags]; a flag it does not take
+   keeps its default. [target] is the bug and scenario to run: by default
+   the BUG argument and --scenario. The bug's config is the default and
+   explicit flags override it. The fault spec in force is the bug's own or
+   --faults, with its budget replaced by an explicit --fault-budget; a
+   scenario then arms what its clauses need (kinds, budget, max latency),
+   exactly once, here. *)
+let run_term ?(fixed = false) ?target flags =
+  let on flag arg default =
+    if List.mem flag flags then arg else Term.const default
+  in
+  let target =
+    match target with
+    | Some t -> t
+    | None ->
+      Term.(
+        const (fun e s -> Ok (e, s)) $ bug_arg $ on Scenario scenario_arg None)
+  in
+  let open Term.Syntax in
+  let+ target = target
+  and+ strategy = on Strategy strategy_arg E.Random
+  and+ seed = on Seed seed_arg 0L
+  and+ executions = on Executions executions_arg 10_000
+  and+ steps = on Steps steps_arg 0
+  and+ custom = on Custom custom_arg false
+  and+ log = on Log log_arg false
+  and+ workers = on Workers workers_arg 1
+  and+ coverage_report = on Coverage coverage_report_arg None
+  and+ plateau = on Plateau plateau_arg None
+  and+ plateau_family = on Plateau_family plateau_family_arg None
+  and+ faults = on Faults faults_arg None
+  and+ fault_budget = on Faults fault_budget_arg None
+  and+ reduce = on Reduce reduce_arg E.No_reduction
+  and+ clock = on Clock clock_arg `Auto
+  and+ check_lin = on Check_lin check_lin_arg `Auto
+  and+ campaign = on Campaign campaign_arg None
+  and+ fuzz_energy = on Fuzz_v2 fuzz_energy_arg false
+  and+ fuzz_mutate_faults = on Fuzz_v2 fuzz_mutate_faults_arg false
+  and+ history_out = on History_out history_out_arg None in
+  let ( let* ) = Result.bind in
+  let* entry, scenario = target in
+  let* () =
+    if plateau_family <> None && plateau = None then
+      Error "--plateau-family requires --plateau"
+    else Ok ()
+  in
+  let* harness = harness_of entry ~fixed ~custom ~check_lin ~history_out in
+  let* campaign =
+    match campaign with
+    | None -> Ok None
+    | Some dir ->
+      Result.map
+        (fun c -> Some (dir, c))
+        (campaign_state_of ~dir ~bug:entry.Bug_catalog.name ~seed)
+  in
+  let base = Bug_catalog.config entry in
+  let faults = Option.value faults ~default:base.E.faults in
+  let faults =
+    match fault_budget with
+    | Some budget -> { faults with Psharp.Fault.budget }
+    | None -> faults
+  in
+  let scenario = Option.map (fun e -> e.Scenario_catalog.scenario) scenario in
+  let config =
+    {
+      base with
+      E.strategy;
+      seed;
+      max_executions = executions;
+      max_steps = (if steps > 0 then steps else base.E.max_steps);
+      collect_log_on_bug = log;
+      workers;
+      collect_coverage = coverage_report <> None;
+      coverage_plateau = plateau;
+      plateau_family;
+      faults =
+        Option.fold scenario ~none:faults ~some:(fun s ->
+            Psharp.Scenario.arm s faults);
+      reduce;
+      clock = (match clock with `Auto -> base.E.clock | `Set c -> c);
+      scenario;
+      fuzz_energy;
+      fuzz_mutate_faults;
+    }
+  in
+  Ok
+    {
+      entry;
+      harness;
+      config = resume config campaign;
+      coverage_report;
+      campaign;
+      history_out;
+    }
+
+(* A run subcommand: resolve its flags, print the fault spec and clock the
+   run arms, and hand the run to [body]. The one exit for usage errors the
+   argument converters cannot see (flag combinations, harness choice,
+   campaign state). *)
+let run_cmd name ~doc ?fixed ?target flags body =
+  let go resolved body =
+    match resolved with
+    | Error msg ->
+      prerr_endline msg;
+      2
+    | Ok run ->
+      Format.printf "faults: %s, clock: %s@."
+        (Psharp.Fault.to_string run.config.E.faults)
+        (match run.config.E.clock with
+         | None -> "off"
+         | Some c -> Printf.sprintf "horizon %d" c.Psharp.Clock.max_time);
+      body run
+  in
+  Cmd.v (Cmd.info name ~doc)
+    Term.(const go $ run_term ?fixed ?target flags $ body)
+
+(* --- run subcommands ---------------------------------------------------- *)
+
+let print_throughput (stats : E.stats) =
+  if stats.E.elapsed > 0. then
+    Format.printf "throughput: %.0f executions/sec, %.0f steps/sec@."
+      (float_of_int stats.E.executions /. stats.E.elapsed)
+      (float_of_int stats.E.total_steps /. stats.E.elapsed)
+
+(* The coverage summary, and the JSON report when --coverage-report asks
+   for one; [table] prints the summary even without a report. *)
+let report_coverage ?(table = false) run (stats : E.stats) =
+  match stats.E.coverage with
+  | Some cov when table || run.coverage_report <> None ->
+    Format.printf "%a@." Psharp.Coverage.pp_table cov;
+    Option.iter
+      (fun path ->
+        Out_channel.with_open_text path (fun oc ->
+            output_string oc (Psharp.Coverage.to_json cov));
+        Format.printf "coverage report written to %s@." path)
+      run.coverage_report
+  | _ -> ()
+
+let finish_campaign ?witness run (stats : E.stats) =
+  match run.campaign with
+  | None -> ()
+  | Some (dir, c) ->
+    let coverage = Option.value stats.E.coverage ~default:c.Campaign.coverage in
+    let corpus =
+      match run.config.E.fuzz_exchange with
+      | Some e ->
+        (* no silent caps: say what the hub accepted and dropped *)
+        let st = Exchange.stats e in
+        Format.printf
+          "exchange: %d corpus entr%s pooled, %d duplicate push(es) dropped, \
+           %d push(es) dropped at cap@."
+          st.Exchange.accepted
+          (if st.Exchange.accepted = 1 then "y" else "ies")
+          st.Exchange.dropped_dup st.Exchange.dropped_cap;
+        Exchange.snapshot e
+      | None -> c.Campaign.corpus
+    in
+    let c =
+      Campaign.advance c ~executions:stats.E.executions ~coverage ~corpus
+    in
+    let c =
+      match witness with
+      | Some (kind, trace) -> Campaign.record_witness c ~kind ~trace
+      | None -> c
+    in
+    Campaign.save ~dir c;
+    Format.printf "%a@.campaign saved to %s@." Campaign.pp c dir
+
+let hunt trace_out shrink run =
+  let monitors = run.entry.Bug_catalog.monitors in
+  match E.run ~monitors run.config run.harness with
+  | E.Bug_found (first, stats) ->
+    let report =
+      if shrink then begin
+        Format.printf "shrinking the %d-choice witness...@."
+          (Psharp.Trace.length first.Error.trace);
+        Psharp.Shrinker.shrink ~monitors run.config first run.harness
+      end
+      else first
+    in
+    Format.printf "%a@." Error.pp_report report;
+    Format.printf "found after %d execution(s) in %.2fs (%d total steps)@."
+      stats.E.executions stats.E.elapsed stats.E.total_steps;
+    print_throughput stats;
+    if run.config.E.collect_log_on_bug then
+      List.iter (Format.printf "%s@.") report.Error.log;
+    Option.iter
+      (fun path ->
+        Psharp.Trace.save ~path report.Error.trace;
+        Format.printf "trace written to %s@." path)
+      trace_out;
+    report_coverage run stats;
+    finish_campaign
+      ~witness:(Error.kind_to_string report.Error.kind, report.Error.trace)
+      run stats;
+    0
+  | E.No_bug stats ->
+    Format.printf "no bug found in %d execution(s) (%.2fs%s%s%s)@."
+      stats.E.executions stats.E.elapsed
+      (if stats.E.search_exhausted then ", search exhausted" else "")
+      (if stats.E.plateaued then ", coverage plateau" else "")
+      (if stats.E.timed_out then ", stopped at the time budget" else "");
+    print_throughput stats;
+    report_coverage run stats;
+    finish_campaign run stats;
+    1
+
+(* The run's fault spec, clock and scenario are the ones the trace was
+   found under: a fault-found trace replays its recorded injection draws
+   only under the spec that produced them, a clock-found trace only under
+   the same time model, and a scenario-found trace only under the same
+   --scenario. *)
+let replay trace_file run =
+  let trace = Psharp.Trace.load ~path:trace_file in
+  let result =
+    E.replay ~monitors:run.entry.Bug_catalog.monitors run.config trace
+      run.harness
+  in
+  let note_history () =
+    match run.history_out with
+    | Some path when Sys.file_exists path ->
+      Format.printf "history written to %s@." path
+    | Some path ->
+      Format.printf
+        "no history written to %s (the replay aborted before the workload \
+         completed)@."
+        path
+    | None -> ()
+  in
+  match result.Psharp.Runtime.bug with
+  | Some kind ->
+    Format.printf "replay reproduced: %s at step %d@."
+      (Error.kind_to_string kind) result.Psharp.Runtime.bug_step;
+    if run.config.E.collect_log_on_bug then
+      List.iter (Format.printf "%s@.") result.Psharp.Runtime.log;
+    note_history ();
+    0
+  | None ->
+    Format.printf "replay completed without a bug (stale trace?)@.";
+    note_history ();
+    1
+
+let survey run =
+  let executions = run.config.E.max_executions in
+  let monitors = run.entry.Bug_catalog.monitors in
+  match E.survey ~monitors run.config run.harness with
+  | [] ->
+    Format.printf "no violations in %d executions@." executions;
+    1
+  | found ->
+    Format.printf "%d distinct violation(s) over %d executions:@."
+      (List.length found) executions;
+    List.iter
+      (fun (report, n) ->
+        Format.printf "  %6d x  %s (first witness: %d choices)@." n
+          (Error.kind_to_string report.Error.kind)
+          (Psharp.Trace.length report.Error.trace))
+      found;
+    0
+
+let check run =
+  let config = { run.config with E.collect_log_on_bug = true } in
+  match E.run ~monitors:run.entry.Bug_catalog.monitors config run.harness with
+  | E.No_bug stats ->
+    Format.printf "fixed variant clean over %d execution(s) (%.2fs%s)@."
+      stats.E.executions stats.E.elapsed
+      (if stats.E.plateaued then ", coverage plateau" else "");
+    report_coverage run stats;
+    0
+  | E.Bug_found (report, stats) ->
+    Format.printf "UNEXPECTED bug in fixed variant after %d execution(s):@.%a@."
+      stats.E.executions Error.pp_report report;
+    List.iter (Format.printf "%s@.") report.Error.log;
+    report_coverage run stats;
+    1
+
+let explore run =
+  let config = { run.config with E.collect_coverage = true } in
+  let stats =
+    E.explore ~monitors:run.entry.Bug_catalog.monitors config run.harness
+  in
+  report_coverage ~table:true run stats;
+  Format.printf "explored %d execution(s) in %.2fs (%d total steps%s%s)@."
+    stats.E.executions stats.E.elapsed stats.E.total_steps
+    (if stats.E.plateaued then ", coverage plateau" else "")
+    (if stats.E.timed_out then ", stopped at the time budget" else "");
+  0
+
+let hunt_cmd =
+  run_cmd "hunt" ~doc:"Systematically search for a catalog bug."
+    [
+      Strategy; Seed; Executions; Steps; Custom; Log; Workers; Coverage;
+      Plateau; Plateau_family; Faults; Reduce; Clock; Check_lin; Campaign;
+      Fuzz_v2; Scenario;
+    ]
+    Term.(const hunt $ trace_out_arg $ shrink_arg)
+
+let replay_cmd =
+  run_cmd "replay" ~doc:"Replay a recorded buggy schedule."
+    [ Custom; Log; Check_lin; History_out; Scenario ]
+    Term.(const replay $ trace_in_arg)
+
+let survey_cmd =
+  run_cmd "survey"
+    ~doc:
+      "Explore the whole execution budget and report every distinct \
+       violation with its frequency."
+    [ Strategy; Seed; Executions; Custom; Workers; Faults; Clock ]
+    (Term.const survey)
+
+let check_cmd =
+  run_cmd "check" ~fixed:true
+    ~doc:"Run the bug's fixed variant and expect no violations."
+    [ Seed; Executions; Coverage; Plateau; Faults; Reduce; Clock; Check_lin ]
+    (Term.const check)
+
+let explore_cmd =
+  run_cmd "explore"
+    ~doc:
+      "Run the whole execution budget with coverage on, without stopping at \
+       bugs, and report the coverage reached."
+    [
+      Strategy; Seed; Executions; Steps; Custom; Workers; Coverage; Plateau;
+      Plateau_family; Faults; Reduce; Clock; Fuzz_v2;
+    ]
+    (Term.const explore)
+
+(* --- list, scenario ----------------------------------------------------- *)
 
 let list_cmd =
   let run () =
@@ -362,579 +751,62 @@ let list_cmd =
   Cmd.v (Cmd.info "list" ~doc:"List the re-introducible bugs.")
     Term.(const run $ const ())
 
-(* --- hunt --------------------------------------------------------------- *)
-
-let emit_coverage_report ~path (stats : E.stats) =
-  match stats.E.coverage with
-  | None -> ()
-  | Some cov ->
-    let oc = open_out path in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () -> output_string oc (Psharp.Coverage.to_json cov));
-    Format.printf "%a@." Psharp.Coverage.pp_table cov;
-    Format.printf "coverage report written to %s@." path
-
-(* Load (or initialize) the campaign bound to [dir], strictly: a
-   corrupted campaign or one belonging to a different harness is an
-   error, not a silent fresh start. *)
-let campaign_state_of ~dir ~bug ~seed =
-  match Campaign.load_opt ~dir with
-  | exception Failure msg -> Error msg
-  | None -> Ok (Campaign.create ~harness:bug ~seed)
-  | Some c ->
-    if c.Campaign.harness <> bug then
-      Error
-        (Printf.sprintf "campaign in %s hunts %s, not %s" dir
-           c.Campaign.harness bug)
-    else begin
-      if c.Campaign.seed <> seed then
-        Format.printf "campaign seed %Ld overrides --seed %Ld@."
-          c.Campaign.seed seed;
-      Format.printf "resuming %a@." Campaign.pp c;
-      Ok c
-    end
-
-let hunt bug strategy seed executions steps custom trace_out log shrink
-    workers coverage_report plateau plateau_family faults fault_budget reduce
-    clock check_lin campaign fuzz_energy fuzz_mutate_faults scenario_name =
-  match
-    Result.bind (parse_strategy strategy) (fun s ->
-        Result.bind (parse_reduce reduce) (fun r ->
-            Result.map
-              (fun pf -> (s, r, pf))
-              (parse_plateau_family ~plateau plateau_family)))
-  with
-  | Error msg ->
-    prerr_endline msg;
-    2
-  | Ok (strategy, reduce, plateau_family) -> begin
-    match Bug_catalog.find bug with
-    | exception Invalid_argument msg ->
-      prerr_endline msg;
-      2
-    | entry -> begin
-      match
-        Result.bind (fault_spec_of entry ~faults ~fault_budget) (fun spec ->
-            Result.bind (scenario_spec_of scenario_name spec)
-              (fun (scen, spec) ->
-                Result.bind (clock_spec_of entry clock) (fun ck ->
-                    Result.bind
-                      (lin_harness_of entry ~custom ~check_lin ~fixed:false)
-                      (fun h ->
-                        match campaign with
-                        | None -> Ok (scen, spec, ck, h, None)
-                        | Some dir ->
-                          Result.map
-                            (fun c -> (scen, spec, ck, h, Some (dir, c)))
-                            (campaign_state_of ~dir ~bug ~seed)))))
-      with
-      | Error msg ->
-        prerr_endline msg;
-        2
-      | Ok (scenario, fault_spec, clock_spec, harness, campaign_state) -> begin
-        let config =
-          config_of ~workers
-            ~coverage:(coverage_report <> None)
-            ?plateau ~plateau_family ~faults:fault_spec ~reduce
-            ~clock:clock_spec ?scenario ~fuzz_energy ~fuzz_mutate_faults entry
-            ~strategy ~seed ~executions ~steps ~log
-        in
-        (* With --sch fuzz the campaign's corpus flows through an Exchange
-           hub: the run's novel schedules collect there and the snapshot
-           below becomes the corpus of the next invocation. *)
-        let exchange =
-          match (campaign_state, strategy) with
-          | Some (_, c), E.Fuzz _ ->
-            Some (Psharp.Fuzz_strategy.Exchange.of_entries c.Campaign.corpus)
-          | _ -> None
-        in
-        let config =
-          match campaign_state with
-          | None -> config
-          | Some (_, c) ->
-            {
-              config with
-              E.seed = c.Campaign.seed;
-              start_iteration = c.Campaign.executions;
-              prior_coverage = Some c.Campaign.coverage;
-              collect_coverage = true;
-              (* the corpus reaches the workers through the hub when one
-                 exists; passing it twice would double-fill each corpus *)
-              fuzz_initial =
-                (if Option.is_none exchange then c.Campaign.corpus else []);
-              fuzz_exchange = exchange;
-            }
-        in
-        let finish_campaign ?witness (stats : E.stats) =
-          match campaign_state with
-          | None -> ()
-          | Some (dir, c) ->
-            let coverage =
-              match stats.E.coverage with
-              | Some cov -> cov
-              | None -> c.Campaign.coverage
-            in
-            let corpus =
-              match exchange with
-              | Some e ->
-                (* no silent caps: say what the hub accepted and dropped *)
-                let st = Psharp.Fuzz_strategy.Exchange.stats e in
-                Format.printf
-                  "exchange: %d corpus entr%s pooled, %d duplicate push(es) \
-                   dropped, %d push(es) dropped at cap@."
-                  st.Psharp.Fuzz_strategy.Exchange.accepted
-                  (if st.Psharp.Fuzz_strategy.Exchange.accepted = 1 then "y"
-                   else "ies")
-                  st.Psharp.Fuzz_strategy.Exchange.dropped_dup
-                  st.Psharp.Fuzz_strategy.Exchange.dropped_cap;
-                Psharp.Fuzz_strategy.Exchange.snapshot e
-              | None -> c.Campaign.corpus
-            in
-            let c =
-              Campaign.advance c ~executions:stats.E.executions ~coverage
-                ~corpus
-            in
-            let c =
-              match witness with
-              | Some (kind, trace) -> Campaign.record_witness c ~kind ~trace
-              | None -> c
-            in
-            Campaign.save ~dir c;
-            Format.printf "%a@.campaign saved to %s@." Campaign.pp c dir
-        in
-        let finish_coverage stats =
-          match coverage_report with
-          | Some path -> emit_coverage_report ~path stats
-          | None -> ()
-        in
-        match E.run ~monitors:entry.Bug_catalog.monitors config harness with
-        | E.Bug_found (first_report, stats) ->
-          let report =
-            if shrink then begin
-              Format.printf "shrinking the %d-choice witness...@."
-                (Psharp.Trace.length first_report.Error.trace);
-              Psharp.Shrinker.shrink ~monitors:entry.Bug_catalog.monitors
-                config first_report harness
-            end
-            else first_report
-          in
-          Format.printf "%a@." Error.pp_report report;
-          Format.printf
-            "found after %d execution(s) in %.2fs (%d total steps)@."
-            stats.E.executions stats.E.elapsed stats.E.total_steps;
-          if stats.E.elapsed > 0. then
-            Format.printf "throughput: %.0f executions/sec, %.0f steps/sec@."
-              (float_of_int stats.E.executions /. stats.E.elapsed)
-              (float_of_int stats.E.total_steps /. stats.E.elapsed);
-          if log then
-            List.iter (fun line -> Format.printf "%s@." line) report.Error.log;
-          (match trace_out with
-           | Some path ->
-             Psharp.Trace.save ~path report.Error.trace;
-             Format.printf "trace written to %s@." path
-           | None -> ());
-          finish_coverage stats;
-          finish_campaign
-            ~witness:(Error.kind_to_string report.Error.kind, report.Error.trace)
-            stats;
-          0
-        | E.No_bug stats ->
-          Format.printf "no bug found in %d execution(s) (%.2fs%s%s%s)@."
-            stats.E.executions stats.E.elapsed
-            (if stats.E.search_exhausted then ", search exhausted" else "")
-            (if stats.E.plateaued then ", coverage plateau" else "")
-            (if stats.E.timed_out then ", stopped at the time budget" else "");
-          if stats.E.elapsed > 0. then
-            Format.printf "throughput: %.0f executions/sec, %.0f steps/sec@."
-              (float_of_int stats.E.executions /. stats.E.elapsed)
-              (float_of_int stats.E.total_steps /. stats.E.elapsed);
-          finish_coverage stats;
-          finish_campaign stats;
-          1
-      end
-    end
-  end
-
-let hunt_cmd =
-  Cmd.v
-    (Cmd.info "hunt" ~doc:"Systematically search for a catalog bug.")
-    Term.(
-      const hunt $ bug_arg $ strategy_arg $ seed_arg $ executions_arg
-      $ steps_arg $ custom_arg $ trace_out_arg $ log_arg $ shrink_arg
-      $ workers_arg $ coverage_report_arg $ plateau_arg $ plateau_family_arg
-      $ faults_arg $ fault_budget_arg $ reduce_arg $ clock_arg $ check_lin_arg
-      $ campaign_arg $ fuzz_energy_arg $ fuzz_mutate_faults_arg
-      $ scenario_arg)
-
-(* --- replay ------------------------------------------------------------- *)
-
-let replay bug trace_file custom log check_lin history_out scenario_name =
-  match Bug_catalog.find bug with
-  | exception Invalid_argument msg ->
-    prerr_endline msg;
-    2
-  | entry -> begin
-    let resolved =
-      match history_out with
-      | None -> lin_harness_of entry ~custom ~check_lin ~fixed:false
-      | Some path ->
-        (* dumping the recorded history requires the history-recording
-           harness; for entries whose default oracle doesn't record one,
-           the trace must have been hunted under --check-lin on, and the
-           replay must say so too (the two oracles draw identically, but
-           an abort at a mid-run legacy assert would leave no history
-           file to write) *)
-        if custom then Error "--history-out is not available with --custom"
-        else begin
-          match entry.Bug_catalog.lin with
-          | Some l when l.Bug_catalog.lin_default || check_lin = "on" ->
-            Ok (l.Bug_catalog.lin_harness ~history_out:(Some path))
-          | Some _ ->
-            Error
-              (Printf.sprintf
-                 "--history-out needs --check-lin on for %s (its default \
-                  oracle does not record histories)"
-                 entry.Bug_catalog.name)
-          | None ->
-            Error
-              (Printf.sprintf "%s records no client history"
-                 entry.Bug_catalog.name)
-        end
-    in
-    match resolved with
-    | Error msg ->
-      prerr_endline msg;
-      2
-    | Ok harness ->
-      match scenario_spec_of scenario_name entry.Bug_catalog.faults with
-      | Error msg ->
-        prerr_endline msg;
-        2
-      | Ok (scenario, fault_spec) ->
-      let trace = Psharp.Trace.load ~path:trace_file in
-      (* The bug's own fault spec and clock config: a fault-found trace
-         replays its recorded injection draws only under the spec that
-         produced them, and a clock-found trace only under the same time
-         model. A scenario-found trace additionally needs the same
-         --scenario, so the fault driver takes its steered branch and the
-         armed spec matches the recorded draw vocabulary. *)
-      let config =
-        config_of ~faults:fault_spec ~clock:entry.Bug_catalog.clock ?scenario
-          entry ~strategy:E.Random ~seed:0L ~executions:1 ~steps:0 ~log:true
-      in
-      let result =
-        E.replay ~monitors:entry.Bug_catalog.monitors config trace harness
-      in
-      let note_history () =
-        match history_out with
-        | Some path when Sys.file_exists path ->
-          Format.printf "history written to %s@." path
-        | Some path ->
-          Format.printf
-            "no history written to %s (the replay aborted before the \
-             workload completed)@."
-            path
-        | None -> ()
-      in
-      (match result.Psharp.Runtime.bug with
-       | Some kind ->
-         Format.printf "replay reproduced: %s at step %d@."
-           (Error.kind_to_string kind) result.Psharp.Runtime.bug_step;
-         if log then
-           List.iter
-             (fun line -> Format.printf "%s@." line)
-             result.Psharp.Runtime.log;
-         note_history ();
-         0
-       | None ->
-         Format.printf "replay completed without a bug (stale trace?)@.";
-         note_history ();
-         1)
-  end
-
-let history_out_arg =
-  let doc =
-    "Write the client operation history recorded during the replay to \
-     $(docv) (harnesses with a generic-checker oracle only; implies the \
-     history-recording harness)."
-  in
+let scenario_pos_arg =
+  let doc = "Scenario name (see `scenario list')." in
   Arg.(
-    value & opt (some string) None & info [ "history-out" ] ~docv:"FILE" ~doc)
+    required & pos 0 (some scenario_conv) None & info [] ~docv:"SCENARIO" ~doc)
 
-let replay_cmd =
-  Cmd.v
-    (Cmd.info "replay" ~doc:"Replay a recorded buggy schedule.")
-    Term.(
-      const replay $ bug_arg $ trace_in_arg $ custom_arg $ log_arg
-      $ check_lin_arg $ history_out_arg $ scenario_arg)
-
-(* --- survey --------------------------------------------------------------- *)
-
-let survey bug strategy seed executions custom workers faults fault_budget
-    clock =
-  match parse_strategy strategy with
-  | Error msg ->
-    prerr_endline msg;
-    2
-  | Ok strategy -> begin
-    match Bug_catalog.find bug with
-    | exception Invalid_argument msg ->
-      prerr_endline msg;
-      2
-    | entry -> begin
-      match
-        Result.bind (fault_spec_of entry ~faults ~fault_budget) (fun spec ->
-            Result.bind (clock_spec_of entry clock) (fun ck ->
-                Result.map (fun h -> (spec, ck, h)) (harness_of entry ~custom)))
-      with
-      | Error msg ->
-        prerr_endline msg;
-        2
-      | Ok (fault_spec, clock_spec, harness) ->
-        let config =
-          config_of ~workers ~faults:fault_spec ~clock:clock_spec entry
-            ~strategy ~seed ~executions ~steps:0 ~log:false
+(* scenario run SCENARIO [BUG] is hunt BUG --scenario SCENARIO; the target
+   defaults to the scenario's first (most characteristic) catalog bug. *)
+let scenario_target =
+  let bug_arg =
+    let doc = "Target bug (defaults to the scenario's first target)." in
+    Arg.(value & pos 1 (some bug_conv) None & info [] ~docv:"BUG" ~doc)
+  in
+  Term.(
+    const (fun s bug ->
+        let bug =
+          match bug with
+          | Some e -> Ok e
+          | None -> find_bug (List.hd s.Scenario_catalog.targets)
         in
-        let found =
-          E.survey ~monitors:entry.Bug_catalog.monitors config harness
-        in
-        if found = [] then begin
-          Format.printf "no violations in %d executions@." executions;
-          1
-        end
-        else begin
-          Format.printf "%d distinct violation(s) over %d executions:@."
-            (List.length found) executions;
-          List.iter
-            (fun (report, n) ->
-              Format.printf "  %6d x  %s (first witness: %d choices)@." n
-                (Error.kind_to_string report.Error.kind)
-                (Psharp.Trace.length report.Error.trace))
-            found;
-          0
-        end
-    end
-  end
+        Result.map (fun e -> (e, Some s)) bug)
+    $ scenario_pos_arg $ bug_arg)
 
-let survey_cmd =
-  Cmd.v
-    (Cmd.info "survey"
-       ~doc:
-         "Explore the whole execution budget and report every distinct \
-          violation with its frequency.")
-    Term.(
-      const survey $ bug_arg $ strategy_arg $ seed_arg $ executions_arg
-      $ custom_arg $ workers_arg $ faults_arg $ fault_budget_arg $ clock_arg)
-
-(* --- check (fixed variant) ---------------------------------------------- *)
-
-let check bug seed executions coverage_report plateau faults fault_budget
-    reduce clock check_lin =
-  match parse_reduce reduce with
-  | Error msg ->
-    prerr_endline msg;
-    2
-  | Ok reduce -> begin
-    match Bug_catalog.find bug with
-  | exception Invalid_argument msg ->
-    prerr_endline msg;
-    2
-  | entry -> begin
-    match
-      Result.bind (fault_spec_of entry ~faults ~fault_budget) (fun spec ->
-          Result.bind (clock_spec_of entry clock) (fun ck ->
-              Result.map
-                (fun h -> (spec, ck, h))
-                (lin_harness_of entry ~custom:false ~check_lin ~fixed:true)))
-    with
-    | Error msg ->
-      prerr_endline msg;
-      2
-    | Ok (fault_spec, clock_spec, fixed_harness) -> begin
-    let config =
-      config_of
-        ~coverage:(coverage_report <> None)
-        ?plateau ~faults:fault_spec ~reduce ~clock:clock_spec entry
-        ~strategy:E.Random ~seed ~executions ~steps:0 ~log:true
-    in
-    let finish_coverage stats =
-      match coverage_report with
-      | Some path -> emit_coverage_report ~path stats
-      | None -> ()
-    in
-    match E.run ~monitors:entry.Bug_catalog.monitors config fixed_harness with
-    | E.No_bug stats ->
-      Format.printf "fixed variant clean over %d execution(s) (%.2fs%s)@."
-        stats.E.executions stats.E.elapsed
-        (if stats.E.plateaued then ", coverage plateau" else "");
-      finish_coverage stats;
-      0
-    | E.Bug_found (report, stats) ->
-      Format.printf "UNEXPECTED bug in fixed variant after %d execution(s):@.%a@."
-        stats.E.executions Error.pp_report report;
-      List.iter (fun line -> Format.printf "%s@." line) report.Error.log;
-      finish_coverage stats;
-      1
-    end
-  end
-  end
-
-let check_cmd =
-  Cmd.v
-    (Cmd.info "check"
-       ~doc:"Run the bug's fixed variant and expect no violations.")
-    Term.(
-      const check $ bug_arg $ seed_arg $ executions_arg $ coverage_report_arg
-      $ plateau_arg $ faults_arg $ fault_budget_arg $ reduce_arg $ clock_arg
-      $ check_lin_arg)
-
-(* --- explore (coverage, no bug expectation) ----------------------------- *)
-
-let explore bug strategy seed executions steps custom workers coverage_report
-    plateau plateau_family faults fault_budget reduce clock fuzz_energy
-    fuzz_mutate_faults =
-  match
-    Result.bind (parse_strategy strategy) (fun s ->
-        Result.bind (parse_reduce reduce) (fun r ->
-            Result.map
-              (fun pf -> (s, r, pf))
-              (parse_plateau_family ~plateau plateau_family)))
-  with
-  | Error msg ->
-    prerr_endline msg;
-    2
-  | Ok (strategy, reduce, plateau_family) -> begin
-    match Bug_catalog.find bug with
-    | exception Invalid_argument msg ->
-      prerr_endline msg;
-      2
-    | entry -> begin
-      match
-        Result.bind (fault_spec_of entry ~faults ~fault_budget) (fun spec ->
-            Result.bind (clock_spec_of entry clock) (fun ck ->
-                Result.map (fun h -> (spec, ck, h)) (harness_of entry ~custom)))
-      with
-      | Error msg ->
-        prerr_endline msg;
-        2
-      | Ok (fault_spec, clock_spec, harness) ->
-        let config =
-          config_of ~workers ~coverage:true ?plateau ~plateau_family
-            ~faults:fault_spec ~reduce ~clock:clock_spec ~fuzz_energy
-            ~fuzz_mutate_faults entry ~strategy ~seed ~executions ~steps
-            ~log:false
-        in
-        let stats = E.explore ~monitors:entry.Bug_catalog.monitors config harness in
-        (match stats.E.coverage with
-         | Some cov ->
-           Format.printf "%a@." Psharp.Coverage.pp_table cov;
-           (match coverage_report with
-            | Some path ->
-              let oc = open_out path in
-              Fun.protect
-                ~finally:(fun () -> close_out oc)
-                (fun () -> output_string oc (Psharp.Coverage.to_json cov));
-              Format.printf "coverage report written to %s@." path
-            | None -> ())
-         | None -> ());
-        Format.printf "explored %d execution(s) in %.2fs (%d total steps%s%s)@."
-          stats.E.executions stats.E.elapsed stats.E.total_steps
-          (if stats.E.plateaued then ", coverage plateau" else "")
-          (if stats.E.timed_out then ", stopped at the time budget" else "");
-        0
-    end
-  end
-
-let explore_cmd =
-  Cmd.v
-    (Cmd.info "explore"
-       ~doc:
-         "Run the whole execution budget with coverage on, without \
-          stopping at bugs, and report the coverage reached.")
-    Term.(
-      const explore $ bug_arg $ strategy_arg $ seed_arg $ executions_arg
-      $ steps_arg $ custom_arg $ workers_arg $ coverage_report_arg
-      $ plateau_arg $ plateau_family_arg $ faults_arg $ fault_budget_arg
-      $ reduce_arg $ clock_arg $ fuzz_energy_arg $ fuzz_mutate_faults_arg)
-
-(* --- scenario (list / describe / run) ------------------------------------ *)
-
-module Scenario_catalog = Catalog.Scenario_catalog
-
-let scenario_list () =
-  Printf.printf "%-20s %-55s %s\n" "Scenario" "Summary" "Targets";
-  List.iter
-    (fun e ->
-      Printf.printf "%-20s %-55s %s\n" e.Scenario_catalog.name
-        e.Scenario_catalog.summary
-        (String.concat "," e.Scenario_catalog.targets))
-    Scenario_catalog.all;
-  0
-
-let scenario_describe name =
-  match Scenario_catalog.find name with
-  | exception Invalid_argument msg ->
-    prerr_endline msg;
-    2
-  | e ->
+let scenario_cmd =
+  let list () =
+    Printf.printf "%-20s %-55s %s\n" "Scenario" "Summary" "Targets";
+    List.iter
+      (fun e ->
+        Printf.printf "%-20s %-55s %s\n" e.Scenario_catalog.name
+          e.Scenario_catalog.summary
+          (String.concat "," e.Scenario_catalog.targets))
+      Scenario_catalog.all;
+    0
+  in
+  let describe e =
     Printf.printf "%s — %s\n\n%stargets: %s\n" e.Scenario_catalog.name
       e.Scenario_catalog.summary e.Scenario_catalog.text
       (String.concat ", " e.Scenario_catalog.targets);
     0
-
-(* Delegates to [hunt] with the scenario pinned; the target defaults to
-   the entry's first (most characteristic) catalog bug. *)
-let scenario_run name bug strategy seed executions steps trace_out log shrink
-    workers faults fault_budget clock =
-  match Scenario_catalog.find name with
-  | exception Invalid_argument msg ->
-    prerr_endline msg;
-    2
-  | e ->
-    let bug =
-      match bug with
-      | Some b -> b
-      | None -> List.hd e.Scenario_catalog.targets
-    in
-    hunt bug strategy seed executions steps false trace_out log shrink workers
-      None None None faults fault_budget "none" clock "auto" None false false
-      (Some name)
-
-let scenario_pos_arg =
-  let doc = "Scenario name (see `scenario list')." in
-  Arg.(required & pos 0 (some string) None & info [] ~docv:"SCENARIO" ~doc)
-
-let scenario_bug_arg =
-  let doc = "Target bug (defaults to the scenario's first target)." in
-  Arg.(value & pos 1 (some string) None & info [] ~docv:"BUG" ~doc)
-
-let scenario_cmd =
-  let list_c =
-    Cmd.v
-      (Cmd.info "list" ~doc:"List the scenario catalog.")
-      Term.(const scenario_list $ const ())
-  in
-  let describe_c =
-    Cmd.v
-      (Cmd.info "describe"
-         ~doc:"Print a scenario's canonical text and target bugs.")
-      Term.(const scenario_describe $ scenario_pos_arg)
-  in
-  let run_c =
-    Cmd.v
-      (Cmd.info "run"
-         ~doc:
-           "Hunt a target bug under a scenario (equivalent to `hunt BUG \
-            --scenario SCENARIO').")
-      Term.(
-        const scenario_run $ scenario_pos_arg $ scenario_bug_arg $ strategy_arg
-        $ seed_arg $ executions_arg $ steps_arg $ trace_out_arg $ log_arg
-        $ shrink_arg $ workers_arg $ faults_arg $ fault_budget_arg $ clock_arg)
   in
   Cmd.group
     (Cmd.info "scenario" ~doc:"List, describe and run catalog scenarios.")
-    [ list_c; describe_c; run_c ]
+    [
+      Cmd.v
+        (Cmd.info "list" ~doc:"List the scenario catalog.")
+        Term.(const list $ const ());
+      Cmd.v
+        (Cmd.info "describe"
+           ~doc:"Print a scenario's canonical text and target bugs.")
+        Term.(const describe $ scenario_pos_arg);
+      run_cmd "run" ~target:scenario_target
+        ~doc:
+          "Hunt a target bug under a scenario (equivalent to `hunt BUG \
+           --scenario SCENARIO')."
+        [ Strategy; Seed; Executions; Steps; Log; Workers; Faults; Clock ]
+        Term.(const hunt $ trace_out_arg $ shrink_arg);
+    ]
 
 let () =
   let info =

@@ -336,6 +336,14 @@ let all =
 
 let table2 = List.filter (fun e -> e.in_table2) all
 
+let config e =
+  {
+    Psharp.Engine.default_config with
+    max_steps = e.max_steps;
+    faults = e.faults;
+    clock = e.clock;
+  }
+
 let find name =
   match List.find_opt (fun e -> e.name = name) all with
   | Some e -> e

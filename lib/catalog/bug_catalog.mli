@@ -65,3 +65,8 @@ val all : entry list
 val table2 : entry list
 
 val find : string -> entry
+
+(** {!Psharp.Engine.default_config} with the entry's [max_steps], [faults]
+    and [clock]: the config every run of this bug starts from, before the
+    caller sets its strategy, seed and budget. *)
+val config : entry -> Psharp.Engine.config
