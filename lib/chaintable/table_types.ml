@@ -11,12 +11,28 @@ let key_to_string k = Printf.sprintf "%s/%s" k.pk k.rk
 
 type props = (string * string) list
 
+let rec strictly_sorted = function
+  | (a, _) :: ((b, _) :: _ as rest) ->
+    String.compare a b < 0 && strictly_sorted rest
+  | [ _ ] | [] -> true
+
+(* Keep the first entry of each run of equal names. *)
+let rec dedupe = function
+  | ((a, _) as first) :: (b, _) :: rest when String.equal a b ->
+    dedupe (first :: rest)
+  | first :: rest -> first :: dedupe rest
+  | [] -> []
+
 let norm_props props =
-  (* Last write wins per name, then sort by name. *)
-  let tbl = Hashtbl.create 8 in
-  List.iter (fun (name, v) -> Hashtbl.replace tbl name v) props;
-  Hashtbl.fold (fun name v acc -> (name, v) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+  (* Last write wins per name, then sort by name: a stable sort of the
+     reversed list puts each name's last write first among its entries.
+     Stored rows are already normal, so they come back as they are. *)
+  if strictly_sorted props then props
+  else
+    dedupe
+      (List.stable_sort
+         (fun (a, _) (b, _) -> String.compare a b)
+         (List.rev props))
 
 let merge_props ~base ~update = norm_props (base @ update)
 

@@ -207,29 +207,9 @@ let branch_int t ~machine ~bound v =
 let fault t ~kind ~target = family_bump t.faults (sym t kind) (sym t target) 0
 let history t ~point = family_bump t.histories (sym t point) 0 0
 
-(* FNV-1a over the choice sequence; tags keep [Schedule 1] and [Int 1]
-   from colliding. *)
 let fnv_prime = 0x100000001b3L
 let fnv_offset = 0xcbf29ce484222325L
-
-let[@inline] mix h x = Int64.mul (Int64.logxor h (Int64.of_int x)) fnv_prime
-
-(* The running hash stays unboxed in 8 bytes: an [int64] accumulator
-   threaded through the fold would box a fresh value per choice. *)
-external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
-external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
-
-let fingerprint trace =
-  let h = Bytes.create 8 in
-  set64 h 0 fnv_offset;
-  Trace.fold
-    (fun () c ->
-      match c with
-      | Trace.Schedule i -> set64 h 0 (mix (mix (get64 h 0) 1) i)
-      | Trace.Bool b -> set64 h 0 (mix (mix (get64 h 0) 2) (if b then 1 else 0))
-      | Trace.Int i -> set64 h 0 (mix (mix (get64 h 0) 3) i))
-    () trace;
-  get64 h 0
+let fingerprint = Trace.hash
 
 (* One 64-bit digest of the whole schedule-fingerprint multiset: FNV-1a
    over the sorted (fingerprint, count) pairs. Two maps have the same

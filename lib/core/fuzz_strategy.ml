@@ -1,41 +1,3 @@
-(* Follow the mutated prefix while it stays valid for the unfolding
-   execution; at the first mismatch (or exhaustion) abandon it and continue
-   with seeded random choices, like Shrinker's lenient replay. *)
-let guided ~seed ~(prefix : Trace.choice array) : Strategy.t =
-  let cursor = ref 0 in
-  let diverged = ref false in
-  let rng = Prng.create ~seed in
-  let next () =
-    if !diverged || !cursor >= Array.length prefix then None
-    else begin
-      let c = prefix.(!cursor) in
-      incr cursor;
-      Some c
-    end
-  in
-  let next_schedule ~enabled ~n ~step:_ =
-    match next () with
-    | Some (Trace.Schedule m) when Strategy.enabled_mem enabled n m -> m
-    | Some _ | None ->
-      diverged := true;
-      enabled.(Prng.int rng n)
-  in
-  let next_bool ~step:_ =
-    match next () with
-    | Some (Trace.Bool b) -> b
-    | Some _ | None ->
-      diverged := true;
-      Prng.bool rng
-  in
-  let next_int ~bound ~step:_ =
-    match next () with
-    | Some (Trace.Int i) when i >= 0 && i < bound -> i
-    | Some _ | None ->
-      diverged := true;
-      Prng.int rng bound
-  in
-  { Strategy.name = "fuzz"; next_schedule; next_bool; next_int }
-
 (* Corpus entries carry the typed novelty that admitted them: which
    coverage families the trace was the first to reach, and the mutation
    energy derived from those tags. Partial-order ([Hb]) and fault-point
@@ -55,11 +17,11 @@ let entry_of_trace trace = { trace; energy = 1; tags = [] }
    [0, total) with [draw] and walk the prefix sums. Exposed so tests can
    drive it with a counting draw and check the resulting distribution. *)
 let weighted_pick ~draw (energies : int array) =
-  let total = Array.fold_left (fun a e -> a + max 1 e) 0 energies in
+  let total = Array.fold_left (fun a e -> a + Int.max 1 e) 0 energies in
   if total <= 0 then invalid_arg "Fuzz_strategy.weighted_pick: empty corpus";
   let r = draw total in
   let rec go i acc =
-    let acc = acc + max 1 energies.(i) in
+    let acc = acc + Int.max 1 energies.(i) in
     if r < acc || i = Array.length energies - 1 then i else go (i + 1) acc
   in
   go 0 0
@@ -80,65 +42,52 @@ type op = Truncate | Rewindow | Splice | Fault_tune
    the entry (plus one) over-approximates the machine count without
    peeking at the harness. *)
 let schedule_bound a =
-  Array.fold_left
-    (fun acc c -> match c with Trace.Schedule m -> max acc (m + 1) | _ -> acc)
+  Trace.fold
+    (fun acc c ->
+      match c with Trace.Schedule m -> Int.max acc (m + 1) | _ -> acc)
     1 a
 
 let apply_op rng ~pick op =
   let a = pick () in
   (* A cut point in [1, len]: mutants always keep a non-empty prefix. *)
-  let cut a = 1 + Prng.int rng (Array.length a) in
+  let cut a = 1 + Prng.int rng (Trace.length a) in
   match op with
   | Truncate ->
     (* keep a uniformly short prefix, explore randomly after it *)
-    Array.sub a 0 (cut a)
+    Trace.sub a 0 (cut a)
   | Rewindow ->
     (* re-draw a bounded window in place; prefix and suffix survive *)
-    let len = Array.length a in
+    let len = Trace.length a in
     let start = Prng.int rng len in
     let width = 1 + Prng.int rng (min 8 (len - start)) in
     let smax = schedule_bound a in
-    let b = Array.copy a in
-    for i = start to start + width - 1 do
-      b.(i) <-
-        (match a.(i) with
-        | Trace.Schedule _ -> Trace.Schedule (Prng.int rng smax)
-        | Trace.Bool _ -> Trace.Bool (Prng.bool rng)
-        | Trace.Int v -> Trace.Int (Prng.int rng (v + 2)))
-    done;
-    b
+    Trace.map_range a ~pos:start ~len:width (function
+      | Trace.Schedule _ -> Trace.Schedule (Prng.int rng smax)
+      | Trace.Bool _ -> Trace.Bool (Prng.bool rng)
+      | Trace.Int v -> Trace.Int (Prng.int rng (v + 2)))
   | Splice ->
     (* prefix of a continued by a suffix of b *)
     let b = pick () in
-    let i = cut a and j = Prng.int rng (Array.length b) in
-    Array.append (Array.sub a 0 i) (Array.sub b j (Array.length b - j))
+    let i = cut a and j = Prng.int rng (Trace.length b) in
+    Trace.append (Trace.sub a 0 i) (Trace.sub b j (Trace.length b - j))
   | Fault_tune ->
     (* perturb value draws only; the Schedule spine is untouched *)
-    let b = Array.copy a in
-    Array.iteri
-      (fun i c ->
+    Trace.map_range a ~pos:0 ~len:(Trace.length a) (fun c ->
         match c with
-        | Trace.Schedule _ -> ()
-        | Trace.Bool v -> if Prng.int rng 4 = 0 then b.(i) <- Trace.Bool (not v)
+        | Trace.Schedule _ -> c
+        | Trace.Bool v -> if Prng.int rng 4 = 0 then Trace.Bool (not v) else c
         | Trace.Int v ->
-          if Prng.int rng 4 = 0 then b.(i) <- Trace.Int (Prng.int rng (v + 2)))
-      a;
-    b
+          if Prng.int rng 4 = 0 then Trace.Int (Prng.int rng (v + 2)) else c)
 
 let mutate_for_test ~seed ~corpus op =
-  let arrs =
-    Array.of_list
-      (List.filter_map
-         (fun t ->
-           let a = Array.of_list (Trace.to_list t) in
-           if Array.length a = 0 then None else Some a)
-         corpus)
+  let traces =
+    Array.of_list (List.filter (fun t -> Trace.length t > 0) corpus)
   in
-  if Array.length arrs = 0 then
+  if Array.length traces = 0 then
     invalid_arg "Fuzz_strategy.mutate_for_test: empty corpus";
   let rng = Prng.create ~seed in
-  let pick () = arrs.(Prng.int rng (Array.length arrs)) in
-  Trace.of_list (Array.to_list (apply_op rng ~pick op))
+  let pick () = traces.(Prng.int rng (Array.length traces)) in
+  apply_op rng ~pick op
 
 (* Cross-worker novelty hub: an append-only, bounded pool of
    coverage-novel schedules shared by the per-worker corpora of a
@@ -155,7 +104,7 @@ let mutate_for_test ~seed ~corpus op =
    surfaced through {!stats}. *)
 module Exchange = struct
   type slot = {
-    s_choices : Trace.choice array;
+    s_trace : Trace.t;
     s_energy : int;
     s_tags : Coverage.family_kind list;
   }
@@ -191,9 +140,7 @@ module Exchange = struct
      storage keeps the pull cursors valid — but every rejection is
      counted, never silent. *)
   let push_locked t slot =
-    let fp =
-      Coverage.fingerprint (Trace.of_list (Array.to_list slot.s_choices))
-    in
+    let fp = Coverage.fingerprint slot.s_trace in
     if Hashtbl.mem t.seen fp then t.dropped_dup <- t.dropped_dup + 1
     else if t.len >= t.cap then t.dropped_cap <- t.dropped_cap + 1
     else begin
@@ -214,7 +161,7 @@ module Exchange = struct
         List.init t.len (fun i ->
             let s = t.entries.(i) in
             {
-              trace = Trace.of_list (Array.to_list s.s_choices);
+              trace = s.s_trace;
               energy = s.s_energy;
               tags = s.s_tags;
             }))
@@ -227,10 +174,9 @@ module Exchange = struct
     let t = create ?cap () in
     List.iter
       (fun e ->
-        let choices = Array.of_list (Trace.to_list e.trace) in
-        if Array.length choices > 0 then
+        if Trace.length e.trace > 0 then
           push_locked t
-            { s_choices = choices; s_energy = e.energy; s_tags = e.tags })
+            { s_trace = e.trace; s_energy = e.energy; s_tags = e.tags })
       entries;
     t
 
@@ -247,17 +193,23 @@ let factory ~seed ?(corpus_cap = 32) ?(random_bias = 4) ?(initial = [])
      strategies, so the random tail of each execution is independent of
      how many corpus decisions were made before it. *)
   let rng = Prng.create ~seed:(Int64.logxor seed 0x9e3779b97f4a7c15L) in
-  (* Corpus slots pair the choice array with the entry's mutation energy;
-     with [energy] off every slot holds 1 and selection stays uniform. *)
-  let corpus : (Trace.choice array * int) array ref = ref [||] in
-  let add_choices ?(entry_energy = 1) choices =
-    if Array.length choices = 0 then ()
-    else if Array.length !corpus < corpus_cap then
-      corpus := Array.append !corpus [| (choices, entry_energy) |]
-    else !corpus.(Prng.int rng corpus_cap) <- (choices, entry_energy)
-  in
-  let add ?entry_energy trace =
-    add_choices ?entry_energy (Array.of_list (Trace.to_list trace))
+  (* The corpus: slot [i] holds a trace in [traces] and its mutation
+     energy in [energies], kept side by side so an energy pick reads the
+     weights without building them; with [energy] off every slot holds 1
+     and selection stays uniform. *)
+  let traces : Trace.t array ref = ref [||] in
+  let energies : int array ref = ref [||] in
+  let add ?(entry_energy = 1) trace =
+    if Trace.length trace = 0 then ()
+    else if Array.length !traces < corpus_cap then begin
+      traces := Array.append !traces [| trace |];
+      energies := Array.append !energies [| entry_energy |]
+    end
+    else begin
+      let i = Prng.int rng corpus_cap in
+      !traces.(i) <- trace;
+      !energies.(i) <- entry_energy
+    end
   in
   (* A campaign resume re-seeds the corpus with the entries a previous
      invocation found novel — energy metadata included — so mutation
@@ -272,7 +224,7 @@ let factory ~seed ?(corpus_cap = 32) ?(random_bias = 4) ?(initial = [])
   let pull_locked (ex : Exchange.t) =
     for i = !synced to ex.Exchange.len - 1 do
       let s = ex.Exchange.entries.(i) in
-      add_choices ~entry_energy:s.Exchange.s_energy s.Exchange.s_choices
+      add ~entry_energy:s.Exchange.s_energy s.Exchange.s_trace
     done;
     synced := ex.Exchange.len
   in
@@ -286,14 +238,13 @@ let factory ~seed ?(corpus_cap = 32) ?(random_bias = 4) ?(initial = [])
     match exchange with
     | None -> ()
     | Some ex ->
-      let choices = Array.of_list (Trace.to_list entry.trace) in
-      if Array.length choices > 0 then
+      if Trace.length entry.trace > 0 then
         Mutex.protect ex.Exchange.mu (fun () ->
             (* catch up before pushing so [synced] may skip our own entry *)
             pull_locked ex;
             Exchange.push_locked ex
               {
-                Exchange.s_choices = choices;
+                Exchange.s_trace = entry.trace;
                 s_energy = entry.energy;
                 s_tags = entry.tags;
               };
@@ -304,13 +255,9 @@ let factory ~seed ?(corpus_cap = 32) ?(random_bias = 4) ?(initial = [])
      discovered new partial orders or fault points get proportionally
      more mutation attempts (AFL-style power schedule). *)
   let pick () =
-    let n = Array.length !corpus in
-    if not energy then fst !corpus.(Prng.int rng n)
-    else begin
-      let energies = Array.map snd !corpus in
-      let i = weighted_pick ~draw:(fun total -> Prng.int rng total) energies in
-      fst !corpus.(i)
-    end
+    if not energy then !traces.(Prng.int rng (Array.length !traces))
+    else
+      !traces.(weighted_pick ~draw:(fun total -> Prng.int rng total) !energies)
   in
   let mutate () =
     let n_ops = if mutate_faults then 4 else 3 in
@@ -335,10 +282,13 @@ let factory ~seed ?(corpus_cap = 32) ?(random_bias = 4) ?(initial = [])
         pull_if_news ();
         let exec_seed = Int64.add seed (Int64.of_int (iteration * 2 + 1)) in
         let prefix =
-          if Array.length !corpus = 0 || Prng.int rng random_bias = 0 then [||]
+          if Array.length !traces = 0 || Prng.int rng random_bias = 0 then
+            Trace.empty
           else mutate ()
         in
-        Some (guided ~seed:exec_seed ~prefix));
+        (* Follow the mutated prefix while it stays valid for the unfolding
+           execution, then continue with seeded random choices. *)
+        Some (Replay_strategy.lenient ~name:"fuzz" ~seed:exec_seed prefix));
     feedback =
       Some
         (fun ~trace ~novelty ->

@@ -2,15 +2,15 @@ let diverged ~step message =
   raise (Error.Bug (Error.Replay_divergence { step; message }))
 
 let make trace : Strategy.t =
-  let choices = Trace.to_list trace |> Array.of_list in
+  let n = Trace.length trace in
   let cursor = ref 0 in
   let next ~step expected =
-    if !cursor >= Array.length choices then
+    if !cursor >= n then
       diverged ~step
         (Printf.sprintf "trace exhausted after %d choices but a %s choice \
                          was requested"
-           (Array.length choices) expected);
-    let c = choices.(!cursor) in
+           n expected);
+    let c = Trace.get trace !cursor in
     incr cursor;
     c
   in
@@ -40,6 +40,48 @@ let make trace : Strategy.t =
       diverged ~step "expected an int choice"
   in
   { name = "replay"; next_schedule; next_bool; next_int }
+
+let lenient ~name ~seed trace : Strategy.t =
+  let len = Trace.length trace in
+  let cursor = ref 0 in
+  let rng = Prng.create ~seed in
+  (* Off the trace (spent, or abandoned at a mismatch) [next] answers
+     [off], which no request accepts, so no option is allocated per
+     choice. *)
+  let off = Trace.Int (-1) in
+  let next () =
+    if !cursor >= len then off
+    else begin
+      let c = Trace.get trace !cursor in
+      incr cursor;
+      c
+    end
+  in
+  let abandon () = cursor := len in
+  let next_schedule ~enabled ~n ~step:_ =
+    match next () with
+    | Trace.Schedule m when Strategy.enabled_mem enabled n m -> m
+    | _ ->
+      abandon ();
+      enabled.(Prng.int rng n)
+  in
+  let next_bool ~step:_ =
+    match next () with
+    | Trace.Bool b -> b
+    | _ ->
+      abandon ();
+      Prng.bool rng
+  in
+  let next_int ~bound ~step:_ =
+    match next () with
+    (* A corrupted or hand-edited trace can carry a negative choice; treat
+       it as a mismatch rather than propagating an invalid value. *)
+    | Trace.Int i when i >= 0 && i < bound -> i
+    | _ ->
+      abandon ();
+      Prng.int rng bound
+  in
+  { Strategy.name; next_schedule; next_bool; next_int }
 
 let factory trace : Strategy.factory =
   {

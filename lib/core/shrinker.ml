@@ -1,43 +1,3 @@
-(* Lenient replay: follow the recorded choices while they remain valid;
-   afterwards (exhaustion or a stale schedule choice) continue randomly. *)
-let lenient_strategy trace ~seed : Strategy.t =
-  let choices = Array.of_list (Trace.to_list trace) in
-  let cursor = ref 0 in
-  let diverged = ref false in
-  let rng = Prng.create ~seed in
-  let next () =
-    if !diverged || !cursor >= Array.length choices then None
-    else begin
-      let c = choices.(!cursor) in
-      incr cursor;
-      Some c
-    end
-  in
-  let next_schedule ~enabled ~n ~step:_ =
-    match next () with
-    | Some (Trace.Schedule m) when Strategy.enabled_mem enabled n m -> m
-    | Some _ | None ->
-      diverged := true;
-      enabled.(Prng.int rng n)
-  in
-  let next_bool ~step:_ =
-    match next () with
-    | Some (Trace.Bool b) -> b
-    | Some _ | None ->
-      diverged := true;
-      Prng.bool rng
-  in
-  let next_int ~bound ~step:_ =
-    match next () with
-    (* A corrupted or hand-edited trace can carry a negative choice; treat
-       it as a divergence rather than propagating an invalid value. *)
-    | Some (Trace.Int i) when i >= 0 && i < bound -> i
-    | Some _ | None ->
-      diverged := true;
-      Prng.int rng bound
-  in
-  { Strategy.name = "lenient-replay"; next_schedule; next_bool; next_int }
-
 let same_kind (a : Error.kind) (b : Error.kind) =
   match (a, b) with
   | Error.Safety_violation x, Error.Safety_violation y -> x.monitor = y.monitor
@@ -54,7 +14,9 @@ let same_kind (a : Error.kind) (b : Error.kind) =
 (* Execute once under lenient replay of [candidate]; if the same bug kind
    fires, return the executed run's exact trace. *)
 let attempt config ~monitors ~kind ~seed body candidate =
-  let strategy = lenient_strategy candidate ~seed in
+  let strategy =
+    Replay_strategy.lenient ~name:"lenient-replay" ~seed candidate
+  in
   let result =
     Runtime.execute
       (Engine.runtime_config
@@ -67,8 +29,12 @@ let attempt config ~monitors ~kind ~seed body candidate =
     Some (found, result.Runtime.bug_step, result.Runtime.choices)
   | Some _ | None -> None
 
-let drop_chunk list ~from_ ~len =
-  List.filteri (fun i _ -> i < from_ || i >= from_ + len) list
+(* [trace] without its choices in [[from_, from_ + len)], clipped to the
+   trace. *)
+let drop_chunk trace ~from_ ~len =
+  let n = Trace.length trace in
+  let stop = min n (from_ + len) in
+  Trace.append (Trace.sub trace 0 from_) (Trace.sub trace stop (n - stop))
 
 let shrink ?(rounds = 3) ?(monitors = fun () -> []) config
     (report : Error.report) body =
@@ -79,23 +45,20 @@ let shrink ?(rounds = 3) ?(monitors = fun () -> []) config
   while !improved && !round < rounds do
     improved := false;
     incr round;
-    let choices = Trace.to_list !best.Error.trace in
-    let n = List.length choices in
+    let n = Trace.length !best.Error.trace in
     let chunk = ref (max 1 (n / 4)) in
     while !chunk >= 1 do
       let pos = ref 0 in
-      while !pos < List.length (Trace.to_list !best.Error.trace) do
-        let current = Trace.to_list !best.Error.trace in
-        let candidate =
-          Trace.of_list (drop_chunk current ~from_:!pos ~len:!chunk)
-        in
+      while !pos < Trace.length !best.Error.trace do
+        let current = !best.Error.trace in
+        let candidate = drop_chunk current ~from_:!pos ~len:!chunk in
         (match
            attempt config ~monitors ~kind
              ~seed:(Int64.of_int (!round * 1_000 + !pos))
              body candidate
          with
          | Some (found_kind, step, exact_trace)
-           when Trace.length exact_trace < List.length current ->
+           when Trace.length exact_trace < Trace.length current ->
            best :=
              {
                Error.kind = found_kind;

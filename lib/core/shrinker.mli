@@ -13,13 +13,6 @@
     This is an extension over the paper (P# reports the original witness);
     it composes with [Engine.replay]. *)
 
-(** The lenient replay strategy backing the shrinker, exposed for tooling
-    and tests: recorded choices are followed while they remain valid
-    (schedule picks must be enabled, int picks must lie in
-    [\[0, bound)]); at the first invalid or missing choice the run
-    diverges and continues under a PRNG seeded with [seed]. *)
-val lenient_strategy : Trace.t -> seed:int64 -> Strategy.t
-
 (** [shrink config ~monitors report body] returns a report whose trace is
     no longer than the original (and usually much shorter), still failing
     with the same kind of bug. [rounds] bounds the delta-debugging passes

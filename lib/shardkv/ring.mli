@@ -29,9 +29,17 @@ type t = private {
     or non-positive [replicas]. *)
 val create : n_shards:int -> replicas:int -> string list -> t
 
-(** [add_node t name] joins a node: same shards, version bumped.
+(** [add_node t name] joins a node: same shards, version bumped. The
+    result is remembered, so joining the same node to a ring with the
+    same membership again returns the ring already built (safe across
+    domains).
     @raise Invalid_argument if [name] is already a member. *)
 val add_node : t -> string -> t
+
+(** The ring's hash: 64-bit FNV-1a with a murmur3-style finalizer,
+    truncated to a non-negative [int]. Keys, vnodes (["N1#0"]) and shards
+    (["shard3"]) are placed on the circle by it. *)
+val fnv : string -> int
 
 (** The shard a key hashes to, in [0, n_shards). *)
 val shard_of_key : t -> string -> int

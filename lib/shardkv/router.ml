@@ -65,6 +65,8 @@ let machine ~ring ~directory ctx =
        (* one ring change in flight at a time; the harness drives a
           single join *)
        assert (m.next = None);
+       (* remembered by [Ring.add_node]: the harness joins the same node
+          to the same initial ring in every execution *)
        let next = Ring.add_node m.ring name in
        let moved = Ring.moved_shards ~before:m.ring ~after:next in
        if moved = [] then begin

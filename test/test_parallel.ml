@@ -343,9 +343,8 @@ let test_name_of_forged_negative_id () =
 
 let test_lenient_strategy_rejects_negative_int () =
   let strategy =
-    Psharp.Shrinker.lenient_strategy
+    Psharp.Replay_strategy.lenient ~name:"lenient" ~seed:42L
       (Trace.of_list [ Trace.Int (-5) ])
-      ~seed:42L
   in
   let v = strategy.Psharp.Strategy.next_int ~bound:10 ~step:0 in
   Alcotest.(check bool) "diverged to a valid value" true (v >= 0 && v < 10);

@@ -82,6 +82,90 @@ let prop_cached_placement =
       in
       grow ring 0)
 
+(* The ring hash, pinned to values recorded before [fnv] was rewritten as
+   a loop: every placement and key-to-shard mapping rests on it. *)
+let test_fnv_pins () =
+  List.iter
+    (fun (s, h) ->
+      Alcotest.(check int) (Printf.sprintf "fnv %S" s) h (Ring.fnv s))
+    [
+      ("", 3445288215246350630);
+      ("a", 189900332573052507);
+      ("k0", 381096947850851785);
+      ("k17", 3463996043437360565);
+      ("N1#0", 4199694744695399149);
+      ("N2#7", 2675815177826562274);
+      ("shard3", 615512934326046869);
+      ("hello world", 4354290353267729877);
+      ("\xff\x00\x80", 555574342603804160);
+    ]
+
+(* [add_node] remembers its joins; what it returns must be the ring a
+   fresh build of the same membership gives. [Ring.create] builds
+   placements from scratch (at version 0), and [compute_placement] walks
+   the circle without the cache. *)
+let same_as_fresh before name after =
+  let fresh =
+    Ring.create ~n_shards:before.Ring.n_shards ~replicas:before.Ring.replicas
+      (before.Ring.nodes @ [ name ])
+  in
+  after.Ring.version = before.Ring.version + 1
+  && after.Ring.n_shards = fresh.Ring.n_shards
+  && after.Ring.replicas = fresh.Ring.replicas
+  && after.Ring.nodes = fresh.Ring.nodes
+  && after.Ring.placements = fresh.Ring.placements
+  && List.for_all
+       (fun s -> Ring.placement after s = Ring.compute_placement after s)
+       (List.init after.Ring.n_shards Fun.id)
+
+let test_ring_join_memo () =
+  let before = harness_ring () in
+  let a = Ring.add_node before "N2" and b = Ring.add_node before "N2" in
+  Alcotest.(check bool) "remembered join = fresh ring" true
+    (same_as_fresh before "N2" a);
+  Alcotest.(check bool) "asked twice, built once" true (a == b);
+  (* a structurally equal ring built apart hits the same entry *)
+  Alcotest.(check bool) "equal membership, same join" true
+    (Ring.add_node (harness_ring ()) "N2" == a);
+  (* a different newcomer or membership gets its own ring *)
+  let c = Ring.add_node before "N3" in
+  Alcotest.(check (list string)) "other newcomer" [ "N0"; "N1"; "N3" ]
+    c.Ring.nodes;
+  Alcotest.(check bool) "other newcomer = fresh ring" true
+    (same_as_fresh before "N3" c);
+  Alcotest.(check bool) "join of the joined ring" true
+    (same_as_fresh a "N3" (Ring.add_node a "N3"))
+
+(* Domains that miss at once each build the ring; all of them must get a
+   ring equal to a fresh build, and every later ask the published one. *)
+let test_ring_join_two_domains () =
+  for round = 0 to 19 do
+    (* a membership no earlier test (or round) has joined to *)
+    let before =
+      Ring.create ~n_shards:(3 + round) ~replicas:2
+        [ Printf.sprintf "race%d-a" round; Printf.sprintf "race%d-b" round ]
+    in
+    let name = Printf.sprintf "race%d-c" round in
+    let start = Atomic.make false in
+    let ask () =
+      while not (Atomic.get start) do
+        Domain.cpu_relax ()
+      done;
+      Ring.add_node before name
+    in
+    let other = Domain.spawn ask in
+    Atomic.set start true;
+    let mine = ask () in
+    let theirs = Domain.join other in
+    Alcotest.(check bool) "main domain's ring = fresh" true
+      (same_as_fresh before name mine);
+    Alcotest.(check bool) "spawned domain's ring = fresh" true
+      (same_as_fresh before name theirs);
+    let later = Ring.add_node before name in
+    Alcotest.(check bool) "later asks get the published ring" true
+      (later == mine || later == theirs)
+  done
+
 let test_ring_add_node () =
   let before = harness_ring () in
   let after = Ring.add_node before "N2" in
@@ -231,6 +315,11 @@ let suite =
     Alcotest.test_case "ring placement properties" `Quick
       test_ring_placement_properties;
     Alcotest.test_case "ring add_node" `Quick test_ring_add_node;
+    Alcotest.test_case "ring hash pins" `Quick test_fnv_pins;
+    Alcotest.test_case "remembered join = fresh ring" `Quick
+      test_ring_join_memo;
+    Alcotest.test_case "join remembered from two domains" `Quick
+      test_ring_join_two_domains;
     QCheck_alcotest.to_alcotest prop_cached_placement;
     Alcotest.test_case "ring moved_shards" `Quick test_ring_moved_shards;
     Alcotest.test_case "moving and stable keys" `Quick

@@ -65,7 +65,7 @@ let test_lenient_divergence_abandons_stale_tape () =
      something else proves the tape was dropped. *)
   let recorded = Trace.of_list [ Trace.Int 20; Trace.Int 5 ] in
   let differs seed =
-    let s = Psharp.Shrinker.lenient_strategy recorded ~seed in
+    let s = Psharp.Replay_strategy.lenient ~name:"lenient" ~seed recorded in
     let v0 = s.Psharp.Strategy.next_int ~bound:10 ~step:0 in
     Alcotest.(check bool) "diverged draw in range" true (v0 >= 0 && v0 < 10);
     let v1 = s.Psharp.Strategy.next_int ~bound:6 ~step:1 in

@@ -75,6 +75,30 @@ let test_norm_props_last_wins () =
     [ ("a", "2"); ("b", "1") ]
     (T.norm_props [ ("b", "1"); ("a", "1"); ("a", "2") ])
 
+(* The Hashtbl normaliser [T.norm_props] used to be: the slow reference
+   its list version is checked against. *)
+let norm_props_ref props =
+  let tbl = Hashtbl.create 8 in
+  List.iter (fun (name, v) -> Hashtbl.replace tbl name v) props;
+  Hashtbl.fold (fun name v acc -> (name, v) :: acc) tbl []
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+
+(* Few names and values, so most lists repeat a name, and some are
+   already normal (the fast path). *)
+let prop_norm_props_reference =
+  let open QCheck in
+  let entry =
+    Gen.(pair (map (Printf.sprintf "p%d") (int_range 0 5))
+           (map string_of_int (int_range 0 9)))
+  in
+  Test.make ~name:"norm_props = Hashtbl reference" ~count:500
+    (make
+       ~print:Print.(list (pair string string))
+       Gen.(list_size (0 -- 12) entry))
+    (fun props ->
+      let expected = norm_props_ref props in
+      T.norm_props props = expected && T.norm_props expected = expected)
+
 let test_merge_props () =
   Alcotest.(check (list (pair string string)))
     "update wins"
@@ -234,6 +258,7 @@ let suite =
     Alcotest.test_case "vnext bug found with loss" `Slow
       test_vnext_bug_found_with_loss;
     Alcotest.test_case "norm props" `Quick test_norm_props_last_wins;
+    QCheck_alcotest.to_alcotest prop_norm_props_reference;
     Alcotest.test_case "merge props" `Quick test_merge_props;
     Alcotest.test_case "key compare" `Quick test_key_compare;
     Alcotest.test_case "outcome equivalence" `Quick test_outcome_equivalence;
