@@ -29,10 +29,10 @@ let () =
   Format.printf "=== the checker on a hand-written history ===@.";
   let h = History.create () in
   let invoke client op =
-    History.invoke h ~client ~at:0 ~repr:(Shardkv.Model.op_repr op) op
+    History.invoke h ~client ~at:0 ~repr:(lazy (Shardkv.Model.op_repr op)) op
   in
   let respond id res =
-    History.respond h ~id ~at:0 ~repr:(Shardkv.Model.res_repr res) res
+    History.respond h ~id ~at:0 ~repr:(lazy (Shardkv.Model.res_repr res)) res
   in
   let w = invoke "C0" (Shardkv.Model.Put ("k", 1)) in
   let r1 = invoke "C1" (Shardkv.Model.Get "k") in

@@ -45,12 +45,17 @@ let apply s op =
     in
     (s, T.Rows rows)
 
-let repr_state s =
-  Printf.sprintf "e%d|%s" s.next_etag
-    (String.concat ";"
-       (List.map
-          (fun (_, row) -> T.row_to_string row)
-          (Key_map.bindings s.rows)))
+(* Every row carries the etag it was written with, and [next_etag] only
+   grows, so etags tell rows apart well enough to hash on them alone:
+   the hash reads ints, never a key's strings. *)
+let hash_state s =
+  Key_map.fold (fun _ row h -> (h * 31) + row.T.etag) s.rows s.next_etag
+
+let equal_row (a : T.row) (b : T.row) =
+  a.T.etag = b.T.etag && a.T.props = b.T.props
+
+let equal_state a b =
+  a.next_etag = b.next_etag && Key_map.equal equal_row a.rows b.rows
 
 let model initial_rows :
   (state, Linearize.pending, T.outcome) Psharp.Linearizability.model =
@@ -62,7 +67,8 @@ let model initial_rows :
        the same equivalence the legacy per-operation assert used. *)
     match_res = T.outcome_equivalent;
     repr_res = T.outcome_to_string;
-    repr_state;
+    hash_state;
+    equal_state;
     (* queries span keys, so the history cannot be partitioned per key *)
     key_of = None;
   }

@@ -14,7 +14,10 @@
     streamed reads remain validated by {!Spec_check}, as interval reads
     are outside a point-operation checker's vocabulary. *)
 
-type state
+type state = private {
+  rows : Table_types.row Reference_table.Key_map.t;
+  next_etag : int;  (** the etag the next write gets *)
+}
 
 (** [model initial_rows] is the sequential spec, starting from the same
     seeded state the Tables machine gives its reference table. *)

@@ -34,14 +34,14 @@ let record_invoke s pending =
     Some
       (Psharp.History.invoke h ~client:s.name
          ~at:s.stash.Remote_backend.last_at
-         ~repr:(Linearize.pending_to_string pending)
+         ~repr:(lazy (Linearize.pending_to_string pending))
          pending)
 
 let record_respond s id outcome =
   match (s.history, id) with
   | Some h, Some id ->
     Psharp.History.respond h ~id ~at:s.stash.Remote_backend.last_at
-      ~repr:(T.outcome_to_string outcome) outcome
+      ~repr:(lazy (T.outcome_to_string outcome)) outcome
   | _ -> ()
 
 let observed s key = Option.value (Key_map.find_opt key s.pairs) ~default:[]

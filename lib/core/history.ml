@@ -2,36 +2,25 @@ type ('op, 'res) operation = {
   id : int;
   client : string;
   op : 'op;
-  op_repr : string;
+  op_repr : string Lazy.t;
   invoked_at : int;
   invoke_seq : int;
-  mutable result : ('res * string * int * int) option;
+  mutable result : ('res * string Lazy.t * int * int) option;
 }
 
-(* Events in recording order, kept for serialization. The ops table is
-   the checker-facing view; both reference the same operation records. *)
-type ('op, 'res) event =
-  | Ev_invoke of ('op, 'res) operation
-  | Ev_respond of { op : ('op, 'res) operation; seq : int }
-
+(* Operations indexed by id. Recording order needs no event list of its
+   own: every event's sequence number is on its operation, so
+   serialization puts them back in order. *)
 type ('op, 'res) t = {
   mutable ops : ('op, 'res) operation array;  (* indexed by id; grows *)
   mutable n_ops : int;
-  mutable events_rev : ('op, 'res) event list;
   mutable next_seq : int;
   mutable n_completed : int;
-  on_complete : (string -> unit) option;
+  on_complete : (string Lazy.t -> unit) option;
 }
 
 let create ?on_complete () =
-  {
-    ops = [||];
-    n_ops = 0;
-    events_rev = [];
-    next_seq = 0;
-    n_completed = 0;
-    on_complete;
-  }
+  { ops = [||]; n_ops = 0; next_seq = 0; n_completed = 0; on_complete }
 
 let check_repr ~what s =
   if String.contains s '\n' then
@@ -41,6 +30,21 @@ let check_client s =
   check_repr ~what:"client" s;
   if s = "" || String.contains s ' ' then
     invalid_arg (Printf.sprintf "History: bad client name %S" s)
+
+let render_op o =
+  let s = Lazy.force o.op_repr in
+  check_repr ~what:"op repr" s;
+  s
+
+let render_result o =
+  match o.result with
+  | Some (_, repr, _, _) ->
+    let s = Lazy.force repr in
+    check_repr ~what:"result repr" s;
+    s
+  | None ->
+    invalid_arg
+      (Printf.sprintf "History.render_result: operation %d is pending" o.id)
 
 let grow t =
   let cap = Array.length t.ops in
@@ -53,7 +57,6 @@ let grow t =
 
 let invoke t ~client ~at ~repr op =
   check_client client;
-  check_repr ~what:"op repr" repr;
   let id = t.n_ops in
   let o =
     {
@@ -70,11 +73,9 @@ let invoke t ~client ~at ~repr op =
   if Array.length t.ops = 0 then t.ops <- Array.make 8 o else grow t;
   t.ops.(id) <- o;
   t.n_ops <- t.n_ops + 1;
-  t.events_rev <- Ev_invoke o :: t.events_rev;
   id
 
 let respond t ~id ~at ~repr res =
-  check_repr ~what:"result repr" repr;
   if id < 0 || id >= t.n_ops then
     invalid_arg (Printf.sprintf "History.respond: unknown operation id %d" id);
   let o = t.ops.(id) in
@@ -87,10 +88,12 @@ let respond t ~id ~at ~repr res =
   t.next_seq <- t.next_seq + 1;
   o.result <- Some (res, repr, at, seq);
   t.n_completed <- t.n_completed + 1;
-  t.events_rev <- Ev_respond { op = o; seq } :: t.events_rev;
   match t.on_complete with
   | None -> ()
-  | Some f -> f (Printf.sprintf "%s %s -> %s" o.client o.op_repr repr)
+  | Some f ->
+    f
+      (lazy
+        (Printf.sprintf "%s %s -> %s" o.client (render_op o) (render_result o)))
 
 let operations t = Array.to_list (Array.sub t.ops 0 t.n_ops)
 let size t = t.n_ops
@@ -98,22 +101,34 @@ let completed t = t.n_completed
 
 (* --- serialization --- *)
 
-let render_event buf = function
-  | Ev_invoke o ->
-      Buffer.add_string buf
-        (Printf.sprintf "i %d %d %d %s %s\n" o.id o.invoke_seq o.invoked_at
-           o.client o.op_repr)
-  | Ev_respond { op = o; seq } ->
-      let repr, at =
-        match o.result with
-        | Some (_, repr, at, _) -> (repr, at)
-        | None -> assert false
-      in
-      Buffer.add_string buf (Printf.sprintf "r %d %d %d %s\n" o.id seq at repr)
-
+(* Events back in recording order: slot [seq] holds the operation the
+   event with that sequence number belongs to; it is the invocation when
+   [seq] is the operation's [invoke_seq], its response otherwise. *)
 let to_string t =
+  let by_seq = Array.make t.next_seq None in
+  for id = 0 to t.n_ops - 1 do
+    let o = t.ops.(id) in
+    by_seq.(o.invoke_seq) <- Some o;
+    match o.result with
+    | Some (_, _, _, seq) -> by_seq.(seq) <- Some o
+    | None -> ()
+  done;
   let buf = Buffer.create 256 in
-  List.iter (render_event buf) (List.rev t.events_rev);
+  Array.iteri
+    (fun seq slot ->
+      match slot with
+      | None -> assert false
+      | Some o when seq = o.invoke_seq ->
+        Buffer.add_string buf
+          (Printf.sprintf "i %d %d %d %s %s\n" o.id seq o.invoked_at o.client
+             (render_op o))
+      | Some o ->
+        let at =
+          match o.result with Some (_, _, at, _) -> at | None -> assert false
+        in
+        Buffer.add_string buf
+          (Printf.sprintf "r %d %d %d %s\n" o.id seq at (render_result o)))
+    by_seq;
   Buffer.contents buf
 
 let fail line msg =
@@ -168,7 +183,10 @@ let of_string s =
                    if seq <> !expect_seq then fail line "out-of-order seq";
                    incr expect_seq;
                    if repr = "" then fail line "empty op repr";
-                   (try ignore (invoke t ~client ~at ~repr repr : int)
+                   (try
+                      ignore
+                        (invoke t ~client ~at ~repr:(Lazy.from_val repr) repr
+                          : int)
                     with Invalid_argument m -> fail line m)
                | _ -> fail line "bad invoke record")
            | 'r' -> (
@@ -180,7 +198,7 @@ let of_string s =
                    if seq <> !expect_seq then fail line "out-of-order seq";
                    incr expect_seq;
                    if repr = "" then fail line "empty result repr";
-                   (try respond t ~id ~at ~repr repr
+                   (try respond t ~id ~at ~repr:(Lazy.from_val repr) repr
                     with Invalid_argument m -> fail line m)
                | _ -> fail line "bad respond record")
            | _ -> fail line "expected \"i \" or \"r \" prefix");

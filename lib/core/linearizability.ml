@@ -3,7 +3,8 @@ type ('state, 'op, 'res) model = {
   apply : 'state -> 'op -> 'state * 'res;
   match_res : 'res -> 'res -> bool;
   repr_res : 'res -> string;
-  repr_state : 'state -> string;
+  hash_state : 'state -> int;
+  equal_state : 'state -> 'state -> bool;
   key_of : ('op -> string) option;
 }
 
@@ -15,18 +16,35 @@ let verdict_to_string = function
 
 exception Found of int list
 
-type stuck = {
+(* The deepest point the search got stuck at, kept unrendered: reprs are
+   forced only if the verdict turns out to be a violation. *)
+type 'res stuck = {
   s_depth : int;  (* complete ops linearized when the search got stuck *)
-  s_client : string;
-  s_op : string;
-  s_recorded : string;
-  s_model : string;
+  s_index : int;  (* the operation no candidate could explain *)
+  s_model : 'res;  (* what the model would have answered *)
 }
+
+(* A memo entry: the remaining set as bits, the model state, and the
+   hash of both, computed once. *)
+type 'state node = { rem : int array; state : 'state; hash : int }
+
+let mix h =
+  let h = h * 0x1E3779B97F4A7C15 in
+  h lxor (h lsr 29)
 
 (* Core WGL search on one (sub-)history. Returns a witness order or a
    deterministic description of the deepest point no candidate could
    pass. *)
-let search model (ops : (_, _) History.operation array) =
+let search (type s) (model : (s, _, _) model)
+    (ops : (_, _) History.operation array) =
+  let module Memo = Hashtbl.Make (struct
+    type t = s node
+
+    let equal a b =
+      a.hash = b.hash && a.rem = b.rem && model.equal_state a.state b.state
+
+    let hash a = a.hash
+  end) in
   let n = Array.length ops in
   let invoke_seq = Array.map (fun o -> o.History.invoke_seq) ops in
   let respond_seq =
@@ -42,48 +60,37 @@ let search model (ops : (_, _) History.operation array) =
     Array.fold_left (fun acc c -> if c then acc + 1 else acc) 0 complete
   in
   let in_rem = Array.make n true in
-  (* bitset mirror of in_rem, used as the memo key prefix *)
-  let bits = Bytes.make ((n + 8) / 8) '\000' in
-  let set_bit i =
-    Bytes.unsafe_set bits (i lsr 3)
-      (Char.chr (Char.code (Bytes.unsafe_get bits (i lsr 3)) lor (1 lsl (i land 7))))
-  in
-  let clear_bit i =
-    Bytes.unsafe_set bits (i lsr 3)
-      (Char.chr
-         (Char.code (Bytes.unsafe_get bits (i lsr 3)) land lnot (1 lsl (i land 7))))
+  (* bitset mirror of in_rem, the memo key's remaining set, with a hash
+     kept up to date as operations leave and re-enter it *)
+  let w = Sys.int_size in
+  let rem = Array.make ((n + w - 1) / w) 0 in
+  let rem_hash = ref 0 in
+  let toggle i =
+    rem.(i / w) <- rem.(i / w) lxor (1 lsl (i mod w));
+    rem_hash := !rem_hash lxor mix (i + 1)
   in
   for i = 0 to n - 1 do
-    set_bit i
+    toggle i
   done;
-  let memo = Hashtbl.create 64 in
-  let best : stuck option ref = ref None in
-  let record_stuck ~depth i model_repr =
+  let memo = Memo.create 16 in
+  let best = ref None in
+  let record_stuck ~depth i r =
     let keep =
       match !best with None -> true | Some s -> depth > s.s_depth
     in
-    if keep then
-      let o = ops.(i) in
-      let recorded =
-        match o.History.result with
-        | Some (_, repr, _, _) -> repr
-        | None -> assert false
-      in
-      best :=
-        Some
-          {
-            s_depth = depth;
-            s_client = o.History.client;
-            s_op = o.History.op_repr;
-            s_recorded = recorded;
-            s_model = model_repr;
-          }
+    if keep then best := Some { s_depth = depth; s_index = i; s_model = r }
   in
   let rec dfs st done_complete acc =
     if done_complete = total_complete then raise (Found (List.rev acc));
-    let key = Bytes.to_string bits ^ "\000" ^ model.repr_state st in
-    if not (Hashtbl.mem memo key) then begin
-      Hashtbl.add memo key ();
+    let node =
+      {
+        rem = Array.copy rem;
+        state = st;
+        hash = mix (!rem_hash + model.hash_state st);
+      }
+    in
+    if not (Memo.mem memo node) then begin
+      Memo.add memo node ();
       let min_resp = ref max_int in
       for i = 0 to n - 1 do
         if in_rem.(i) && respond_seq.(i) < !min_resp then
@@ -102,21 +109,21 @@ let search model (ops : (_, _) History.operation array) =
             in
             if model.match_res r recorded then begin
               in_rem.(i) <- false;
-              clear_bit i;
+              toggle i;
               dfs st' (done_complete + 1) (ops.(i).History.id :: acc);
               in_rem.(i) <- true;
-              set_bit i
+              toggle i
             end
-            else record_stuck ~depth:done_complete i (model.repr_res r)
+            else record_stuck ~depth:done_complete i r
           end
           else begin
             (* pending: may have taken effect (linearize it, any result)
                or not (simply never pick it) *)
             in_rem.(i) <- false;
-            clear_bit i;
+            toggle i;
             dfs st' done_complete (ops.(i).History.id :: acc);
             in_rem.(i) <- true;
-            set_bit i
+            toggle i
           end
         end
       done
@@ -127,10 +134,12 @@ let search model (ops : (_, _) History.operation array) =
       let msg =
         match !best with
         | Some s ->
+            let o = ops.(s.s_index) in
             Printf.sprintf
               "history not linearizable: linearized %d/%d complete ops; no \
                order explains %s %s -> %s (model would produce %s)"
-              s.s_depth total_complete s.s_client s.s_op s.s_recorded s.s_model
+              s.s_depth total_complete o.History.client (History.render_op o)
+              (History.render_result o) (model.repr_res s.s_model)
         | None -> "history not linearizable"
       in
       Error msg

@@ -7,7 +7,9 @@
 
     - {b memoized state caching}: a (remaining-operations, model-state)
       configuration is explored at most once, which collapses the
-      factorial search on histories whose operations commute;
+      factorial search on histories whose operations commute. The memo
+      is a hash table over the model's own [hash_state] and
+      [equal_state], so a search node renders nothing;
     - {b partition by key}: when the model declares that operations on
       distinct keys are independent ([key_of]), each key's sub-history is
       checked on its own (P-compositionality) — the dominant cost then
@@ -19,7 +21,10 @@
     never perturbs the schedule under test. Operations that never got a
     response ({e pending}) are treated soundly: each may have taken
     effect (it can be linearized anywhere after its invocation, with any
-    result) or not (it can be left out entirely). *)
+    result) or not (it can be left out entirely).
+
+    Reprs are read only to word a violation: a history the model
+    explains is checked without forcing any of its reprs. *)
 
 (** A sequential specification. States must be immutable values —
     [apply] returns the successor rather than mutating — because the
@@ -34,9 +39,13 @@ type ('state, 'op, 'res) model = {
           account for what the client observed? Usually equality; looser
           for specs with nondeterministic response detail (e.g. etags). *)
   repr_res : 'res -> string;  (** for violation messages *)
-  repr_state : 'state -> string;
-      (** canonical rendering of a state; memoization keys on it, so
-          equal states must render equally *)
+  hash_state : 'state -> int;
+      (** memo hash: states [equal_state] calls equal must hash equally *)
+  equal_state : 'state -> 'state -> bool;
+      (** memo equality. It must be sound: two states it calls equal must
+          answer every remaining operation alike. The verdict, witness and
+          violation string do not depend on the hash; a stricter equality
+          only explores more. *)
   key_of : ('op -> string) option;
       (** when [Some f], operations with distinct [f op] commute and the
           checker partitions the history per key *)

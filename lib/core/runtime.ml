@@ -112,6 +112,10 @@ and t = {
          the bound, granting a bounded drain before the liveness verdict *)
   mutable draining : bool;
   mutable next_wakeup : int;  (* fresh tokens for [sleep] wakeup events *)
+  mutable crashed : (Event.t, unit) Effect.Deep.continuation list;
+      (* continuations [crash] took from its victims, released with the
+         waiting machines' when the execution ends *)
+  mutable releasing : bool;  (* see [release] *)
 }
 
 and ctx = { rt : t; me : machine }
@@ -128,6 +132,16 @@ type exec_result = {
 }
 
 exception Halt_exn
+
+(* Raised into every fiber [release] unwinds, and again by any runtime
+   call such a fiber makes on its way out. *)
+exception Released
+
+(* Every runtime call that could record something (a draw, a trace entry,
+   a send, an hb, coverage or scenario event, a log line, a bug) starts
+   here, so a machine unwinding after its execution ended records
+   nothing. *)
+let live rt = if rt.releasing then raise Released
 
 type _ Effect.t += Receive_eff : (Event.t -> bool) option -> Event.t Effect.t
 
@@ -216,6 +230,7 @@ let name_of ctx id =
   else "<unknown>"
 
 let create ?persistent ctx ~name body =
+  live ctx.rt;
   let m = add_machine ?persistent ctx.rt ~name body in
   (match ctx.rt.config.hb with
    | Some h ->
@@ -228,6 +243,7 @@ let create ?persistent ctx ~name body =
 
 let send ctx target e =
   let rt = ctx.rt in
+  live rt;
   if Id.index target < 0 || Id.index target >= rt.n_machines then
     invalid_arg "Runtime.send: unknown target machine";
   let m = rt.machines.(Id.index target) in
@@ -250,6 +266,7 @@ let send ctx target e =
 
 let send_unless_pending ?same ctx target e =
   let rt = ctx.rt in
+  live rt;
   if Id.index target < 0 || Id.index target >= rt.n_machines then
     invalid_arg "Runtime.send_unless_pending: unknown target machine";
   let m = rt.machines.(Id.index target) in
@@ -270,12 +287,17 @@ let send_unless_pending ?same ctx target e =
   end
   else send ctx target e
 
-let receive _ctx = Effect.perform receive_any
+let receive ctx =
+  live ctx.rt;
+  Effect.perform receive_any
 
-let receive_where _ctx pred = Effect.perform (Receive_eff (Some pred))
+let receive_where ctx pred =
+  live ctx.rt;
+  Effect.perform (Receive_eff (Some pred))
 
 let nondet ctx =
   let rt = ctx.rt in
+  live rt;
   let b = rt.strategy.next_bool ~step:rt.steps in
   Trace.Builder.add_bool rt.trace b;
   (match rt.config.hb with Some h -> Hb.on_bool h b | None -> ());
@@ -289,6 +311,7 @@ let nondet ctx =
 let nondet_int ctx bound =
   if bound <= 0 then invalid_arg "Runtime.nondet_int: bound must be positive";
   let rt = ctx.rt in
+  live rt;
   let i = rt.strategy.next_int ~bound ~step:rt.steps in
   Trace.Builder.add_int rt.trace i;
   (match rt.config.hb with Some h -> Hb.on_int h i | None -> ());
@@ -314,10 +337,12 @@ let halt _ctx = raise Halt_exn
 
 (* Draw-free, like all coverage recording: harnesses wire this into
    [History.create ~on_complete] so completed client operations land in
-   the coverage [history] family. *)
+   the coverage [history] family. The line is rendered only here, so
+   with coverage off a completed operation costs no string. *)
 let history_point ctx point =
+  live ctx.rt;
   match ctx.rt.config.coverage with
-  | Some cov -> Coverage.history cov ~point
+  | Some cov -> Coverage.history cov ~point:(Lazy.force point)
   | None -> ()
 
 (* --- Fault injection --- *)
@@ -338,6 +363,7 @@ let record_fault rt ~kind ~target =
    more schedule. *)
 let send_faulty ctx target e =
   let rt = ctx.rt in
+  live rt;
   if not rt.msg_faults_on || rt.faults_remaining <= 0 then send ctx target e
   else begin
     if Id.index target < 0 || Id.index target >= rt.n_machines then
@@ -436,13 +462,14 @@ let send_faulty ctx target e =
 (* Crash a persistent machine: its inbox and volatile state (the captured
    continuation) are discarded and it restarts as [Not_started] on the body
    its restart hook builds from durable state. The dropped continuation is
-   never resumed nor discontinued — its fiber is simply abandoned to the
-   GC, which is safe because crashed machines hold no external resources.
-   Crashing an already-halted machine is a no-op (it "crashed" after
-   finishing — nothing to lose), which keeps fault drivers from
-   resurrecting machines that failed or completed gracefully. *)
+   never resumed; it is kept in [rt.crashed] so the end of the execution
+   can release its fiber (see [release]). Crashing an already-halted
+   machine is a no-op (it "crashed" after finishing — nothing to lose),
+   which keeps fault drivers from resurrecting machines that failed or
+   completed gracefully. *)
 let crash ctx target =
   let rt = ctx.rt in
+  live rt;
   if Id.index target < 0 || Id.index target >= rt.n_machines then
     invalid_arg "Runtime.crash: unknown target machine";
   if Id.index target = Id.index ctx.me.id then
@@ -455,6 +482,9 @@ let crash ctx target =
     (match m.persistent with
      | None -> invalid_arg "Runtime.crash: target has no restart hook"
      | Some restart ->
+       (match m.status with
+        | Waiting k -> rt.crashed <- k :: rt.crashed
+        | _ -> ());
        Inbox.clear m.inbox;
        rt.delayed <-
          List.filter (fun d -> d.d_target <> Id.index target) rt.delayed;
@@ -495,6 +525,7 @@ let scenario_crash_slots ctx =
   | None -> 0
 
 let scenario_crash_tick ctx ~victims =
+  live ctx.rt;
   match ctx.rt.config.scenario with
   | Some o -> Scenario.Obs.pre_crash_tick o ~step:ctx.rt.steps ~victims
   | None -> ()
@@ -517,6 +548,7 @@ let now ctx =
    keep their exact pre-clock schedules). *)
 let send_after ctx target e ~after =
   let rt = ctx.rt in
+  live rt;
   match rt.clock with
   | None -> send ctx target e
   | Some ck ->
@@ -542,6 +574,7 @@ let send_after ctx target e ~after =
    what will make it progress. *)
 let sleep ctx d =
   let rt = ctx.rt in
+  live rt;
   match rt.clock with
   | None -> invalid_arg "Runtime.sleep: virtual time is off"
   | Some ck ->
@@ -602,6 +635,7 @@ let update_monitor_temperature (rt : t) mon =
 
 let notify ctx monitor_name e =
   let rt = ctx.rt in
+  live rt;
   match List.find_opt (fun m -> Monitor.name m = monitor_name) rt.monitors with
   | None -> ()
   | Some mon ->
@@ -619,6 +653,7 @@ let notify ctx monitor_name e =
         (if Monitor.is_hot mon then " (hot)" else "")
 
 let assert_here ctx cond msg =
+  live ctx.rt;
   if not cond then
     raise
       (Error.Bug
@@ -626,6 +661,7 @@ let assert_here ctx cond msg =
             { machine = Id.to_string ctx.me.id; message = msg }))
 
 let set_state_name ctx state =
+  live ctx.rt;
   let m = ctx.me in
   let same = m.state_name == state in
   m.state_name <- state;
@@ -642,6 +678,7 @@ let set_state_name ctx state =
 let logging ctx = ctx.rt.log_on
 
 let log ctx s =
+  live ctx.rt;
   if ctx.rt.log_on then
     logf ctx.rt "[%d] %s: %s" ctx.rt.steps (Id.to_string ctx.me.id) s
 
@@ -762,14 +799,17 @@ let start_machine rt m =
     {
       retc =
         (fun () ->
-          m.status <- Halted;
-          mark_dirty m;
-          Inbox.clear m.inbox;
-          if rt.log_on then
-            logf rt "[%d] %s finished" rt.steps (Id.to_string m.id));
+          if not rt.releasing then begin
+            m.status <- Halted;
+            mark_dirty m;
+            Inbox.clear m.inbox;
+            if rt.log_on then
+              logf rt "[%d] %s finished" rt.steps (Id.to_string m.id)
+          end);
       exnc =
         (fun e ->
           match e with
+          | _ when rt.releasing -> ()
           | Halt_exn ->
             m.status <- Halted;
             mark_dirty m;
@@ -910,6 +950,27 @@ let check_end_of_execution (rt : t) ~ending =
       end
   end
 
+(* End an execution's fibers. OCaml keeps the stack of a continuation
+   that is never resumed for as long as the continuation is reachable,
+   and a finished execution's machines are not garbage until the caller
+   drops the result of [execute]: without this, every machine still
+   blocked in [receive] (and every continuation [crash] took) would pin
+   its stack across a whole hunt. Every machine is marked halted first,
+   then each fiber is discontinued with [Released]. Its finalisers run,
+   but any runtime call they make raises [Released] again before it
+   records anything, and the handler swallows whatever escapes: the
+   result built before this call is final. *)
+let release rt =
+  rt.releasing <- true;
+  let waiting = ref rt.crashed in
+  rt.crashed <- [];
+  for i = rt.n_machines - 1 downto 0 do
+    let m = rt.machines.(i) in
+    (match m.status with Waiting k -> waiting := k :: !waiting | _ -> ());
+    m.status <- Halted
+  done;
+  List.iter (fun k -> Effect.Deep.discontinue k Released) !waiting
+
 (* Extra steps granted when delayed messages are flushed at the step
    bound: enough for the cut-off messages (and their immediate
    consequences) to be processed before the liveness verdict, while
@@ -946,6 +1007,8 @@ let execute config strategy ~monitors ~name body =
       step_limit = config.max_steps;
       draining = false;
       next_wakeup = 0;
+      crashed = [];
+      releasing = false;
     }
   in
   (match config.scenario with
@@ -1040,13 +1103,17 @@ let execute config strategy ~monitors ~name body =
     end
   in
   loop ();
-  {
-    bug = rt.bug;
-    bug_step = (if rt.bug = None then rt.steps else rt.bug_step);
-    steps = rt.steps;
-    choices = Trace.Builder.finish rt.trace;
-    log = List.rev rt.log_rev;
-    timed_out = rt.timed_out;
-    faults_injected = rt.faults_injected;
-    final_time = (match rt.clock with Some ck -> Clock.now ck | None -> 0);
-  }
+  let result =
+    {
+      bug = rt.bug;
+      bug_step = (if rt.bug = None then rt.steps else rt.bug_step);
+      steps = rt.steps;
+      choices = Trace.Builder.finish rt.trace;
+      log = List.rev rt.log_rev;
+      timed_out = rt.timed_out;
+      faults_injected = rt.faults_injected;
+      final_time = (match rt.clock with Some ck -> Clock.now ck | None -> 0);
+    }
+  in
+  release rt;
+  result

@@ -95,7 +95,13 @@ type exec_result = {
 (** [execute config strategy ~monitors ~name body] runs one execution from
     scratch: a root machine called [name] running [body] is created, and the
     system runs until all machines halt, a bug is found, or [max_steps] is
-    reached. [monitors] must be freshly created for this execution. *)
+    reached. [monitors] must be freshly created for this execution.
+
+    Once the result is built, every machine still blocked (and every
+    continuation {!crash} discarded) is unwound, so its fiber stack is
+    freed. A [Fun.protect] finaliser runs then, but any runtime call it
+    makes raises before recording anything: the result, coverage, hb and
+    log are those of the execution proper. *)
 val execute :
   config ->
   Strategy.t ->
@@ -241,9 +247,10 @@ val logging : ctx -> bool
 
 (** [history_point ctx point] files one completed client operation into
     the coverage [history] family ({!Coverage.history}); no-op without a
-    coverage map. Draw-free, so recording a {!History} never perturbs the
-    schedule. Harnesses pass it to [History.create ~on_complete]. *)
-val history_point : ctx -> string -> unit
+    coverage map, and [point] is forced only when there is one. Draw-free,
+    so recording a {!History} never perturbs the schedule. Harnesses pass
+    it to [History.create ~on_complete]. *)
+val history_point : ctx -> string Lazy.t -> unit
 
 (** Current scheduling step (useful as a logical clock in models). *)
 val step_count : ctx -> int

@@ -22,7 +22,7 @@ type m = {
 let run_op ctx m op =
   let id =
     Psharp.History.invoke m.history ~client:m.name ~at:(R.now ctx)
-      ~repr:(Model.op_repr op) op
+      ~repr:(lazy (Model.op_repr op)) op
   in
   let seq = m.next_seq in
   m.next_seq <- seq + 1;
@@ -49,7 +49,7 @@ let run_op ctx m op =
     with
     | Events.Client_reply { res; _ } ->
       Psharp.History.respond m.history ~id ~at:(R.now ctx)
-        ~repr:(Model.res_repr res) res
+        ~repr:(lazy (Model.res_repr res)) res
     | Events.Wrong_owner { ring; _ } ->
       if ring.Ring.version > m.ring.Ring.version then begin
         m.ring <- ring;

@@ -70,7 +70,7 @@ let test ?(bugs = Bug_flags.none) ?on_history ?history_out () ctx =
     Psharp.History.create
       ~on_complete:(fun line ->
         R.history_point ctx line;
-        match on_history with Some f -> f line | None -> ())
+        match on_history with Some f -> f (Lazy.force line) | None -> ())
       ()
   in
   let root = R.self ctx in

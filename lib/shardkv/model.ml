@@ -14,8 +14,8 @@ let res_repr = function
   | Put_ok -> "ok"
   | Added v -> Printf.sprintf "added %d" v
 
-(* Sorted insertion keeps states canonical: equal stores render equally,
-   which the checker's memoization relies on. *)
+(* Sorted insertion keeps states canonical: equal stores are equal
+   lists, so the checker's memo can compare them structurally. *)
 let rec set st k v =
   match st with
   | [] -> [ (k, v) ]
@@ -30,15 +30,13 @@ let apply st = function
     let v = (match List.assoc_opt k st with Some v -> v | None -> 0) + d in
     (set st k v, Added v)
 
-let repr_state st =
-  String.concat ";" (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) st)
-
 let lin_model =
   {
     Psharp.Linearizability.init = [];
     apply;
     match_res = ( = );
     repr_res = res_repr;
-    repr_state;
+    hash_state = Hashtbl.hash;
+    equal_state = ( = );
     key_of = Some key_of;
   }

@@ -290,6 +290,107 @@ let test_create_ids_sequential () =
   Alcotest.(check bool) "no bug" true (result.R.bug = None);
   Alcotest.(check (list int)) "sequential indices" [ 1; 2; 3 ] (List.rev !ids)
 
+(* --- releasing fibers at the end of an execution ------------------------ *)
+
+type Event.t += Never | Started
+
+(* The root leaves behind a machine blocked for good in a filtered
+   [receive] under [Fun.protect]. With [noisy], its finaliser tries a
+   send, a draw and a log line, each of which must raise instead of
+   recording. *)
+let blocked_harness ~unwound ~refused ~noisy ctx =
+  let root = R.self ctx in
+  let stuck =
+    R.create ctx ~name:"Stuck" (fun sctx ->
+        Fun.protect
+          ~finally:(fun () ->
+            incr unwound;
+            if noisy then begin
+              (try R.send sctx root Never with _ -> incr refused);
+              (try ignore (R.nondet sctx : bool) with _ -> incr refused);
+              try R.log sctx "unwinding" with _ -> incr refused
+            end)
+          (fun () ->
+            if R.nondet sctx then R.send sctx root Started;
+            ignore
+              (R.receive_where sctx (function Never -> true | _ -> false))))
+  in
+  ignore (R.nondet ctx : bool);
+  R.send ctx stuck Ping
+
+let run_blocked ~noisy =
+  let unwound = ref 0 and refused = ref 0 in
+  let cov = Psharp.Coverage.create () in
+  let runs =
+    List.init 10 (fun iteration ->
+        let hb = Psharp.Hb.create () in
+        let strategy =
+          Option.get
+            ((Psharp.Random_strategy.factory ~seed:3L).Psharp.Strategy.fresh
+               ~iteration)
+        in
+        let r =
+          R.execute
+            {
+              config with
+              R.deadlock_is_bug = false;
+              collect_log = true;
+              coverage = Some cov;
+              hb = Some hb;
+            }
+            strategy ~monitors:[] ~name:"Root"
+            (blocked_harness ~unwound ~refused ~noisy)
+        in
+        ( Trace.to_string r.R.choices,
+          r.R.log,
+          r.R.bug = None,
+          Psharp.Hb.canonical_fingerprint hb ))
+  in
+  (runs, cov, !unwound, !refused)
+
+let test_release_blocked () =
+  let quiet, quiet_cov, quiet_unwound, _ = run_blocked ~noisy:false in
+  let noisy, noisy_cov, noisy_unwound, refused = run_blocked ~noisy:true in
+  Alcotest.(check int) "one unwind per execution" 10 quiet_unwound;
+  Alcotest.(check int) "one unwind per execution (noisy)" 10 noisy_unwound;
+  Alcotest.(check int) "every runtime call in a finaliser raises" 30 refused;
+  List.iter2
+    (fun (trace, log, clean, hb) (trace', log', clean', hb') ->
+      Alcotest.(check bool) "clean" true (clean && clean');
+      Alcotest.(check string) "same trace" trace trace';
+      Alcotest.(check (list string)) "same log" log log';
+      Alcotest.(check int64) "same hb fingerprint" hb hb')
+    quiet noisy;
+  Alcotest.(check bool) "same coverage" true
+    (Psharp.Coverage.equal quiet_cov noisy_cov)
+
+let test_release_crashed () =
+  let unwound = ref 0 and during = ref (-1) in
+  let result =
+    execute ~cfg:{ config with R.deadlock_is_bug = false } (fun ctx ->
+        let root = R.self ctx in
+        let body () pctx =
+          R.send pctx root Started;
+          Fun.protect
+            ~finally:(fun () -> incr unwound)
+            (fun () ->
+              ignore
+                (R.receive_where pctx (function Never -> true | _ -> false)))
+        in
+        let p = R.create ctx ~name:"P" ~persistent:body (body ()) in
+        let started () =
+          ignore (R.receive_where ctx (function Started -> true | _ -> false))
+        in
+        started ();
+        R.crash ctx p;
+        started ();
+        during := !unwound)
+  in
+  Alcotest.(check bool) "clean" true (result.R.bug = None);
+  Alcotest.(check int) "a crash does not unwind its victim" 0 !during;
+  Alcotest.(check int) "crashed and restarted continuations both unwind" 2
+    !unwound
+
 let suite =
   [
     Alcotest.test_case "clean completion" `Quick test_clean_completion;
@@ -312,4 +413,8 @@ let suite =
     Alcotest.test_case "liveness grace suppresses fresh hot" `Quick
       test_liveness_grace_suppresses_fresh_hot;
     Alcotest.test_case "machine ids sequential" `Quick test_create_ids_sequential;
+    Alcotest.test_case "blocked fibers released inertly" `Quick
+      test_release_blocked;
+    Alcotest.test_case "crashed continuations released" `Quick
+      test_release_crashed;
   ]
