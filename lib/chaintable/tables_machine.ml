@@ -160,43 +160,39 @@ let machine ?(bugs = Bug_flags.none) ~initial_rows ctx =
       | Ok _, Ok _ -> ()
       | _ -> R.assert_here ctx false "initial row seeding failed")
     initial_rows;
-  let rec loop () =
-    (match R.receive ctx with
-     | Events.Backend_request { reply_to; seq; table; call; lin } ->
-       let duplicate =
-         (not bugs.Bug_flags.backend_no_dedup)
-         &&
-         match Hashtbl.find_opt m.last_seq (Psharp.Id.index reply_to) with
-         | Some s -> seq <= s
-         | None -> false
-       in
-       if duplicate then
-         (* ChaintableDuplicateBackendRequest: without this dedup a request
-            duplicated in flight executes twice — the second run of a
-            linearized call finds no pending logical operation and trips
-            the double-linearization assert. *)
-         (if R.logging ctx then
-            R.log ctx
-              (Printf.sprintf "discarded duplicate backend request seq=%d"
-                 seq))
-       else begin
-         Hashtbl.replace m.last_seq (Psharp.Id.index reply_to) seq;
-         handle_backend_request ctx m ~reply_to ~seq ~table ~call ~lin
-       end
-     | Events.Begin_op { reply_to; pending } ->
-       handle_begin ctx m ~reply_to ~pending
-     | Events.End_op { service } -> handle_end ctx m ~service
-     | Events.Phase_request { reply_to } ->
-       R.send ctx reply_to
-         (Events.Phase_reply { phase = m.phase; at = m.vclock })
-     | Events.Advance_request { reply_to; target } ->
-       handle_advance ctx m ~reply_to ~target
-     | Events.Validate_stream
-         { reply_to; started_at; finished_at; filter; emissions } ->
-       handle_validate ctx m ~reply_to ~started_at ~finished_at ~filter
-         ~emissions
-     | Events.Tables_shutdown -> R.halt ctx
-     | _ -> ());
-    loop ()
-  in
-  loop ()
+  R.serve ctx (function
+    | Events.Backend_request { reply_to; seq; table; call; lin } ->
+      let duplicate =
+        (not bugs.Bug_flags.backend_no_dedup)
+        &&
+        match Hashtbl.find_opt m.last_seq (Psharp.Id.index reply_to) with
+        | Some s -> seq <= s
+        | None -> false
+      in
+      if duplicate then
+        (* ChaintableDuplicateBackendRequest: without this dedup a request
+           duplicated in flight executes twice — the second run of a
+           linearized call finds no pending logical operation and trips
+           the double-linearization assert. *)
+        (if R.logging ctx then
+           R.log ctx
+             (Printf.sprintf "discarded duplicate backend request seq=%d"
+                seq))
+      else begin
+        Hashtbl.replace m.last_seq (Psharp.Id.index reply_to) seq;
+        handle_backend_request ctx m ~reply_to ~seq ~table ~call ~lin
+      end
+    | Events.Begin_op { reply_to; pending } ->
+      handle_begin ctx m ~reply_to ~pending
+    | Events.End_op { service } -> handle_end ctx m ~service
+    | Events.Phase_request { reply_to } ->
+      R.send ctx reply_to
+        (Events.Phase_reply { phase = m.phase; at = m.vclock })
+    | Events.Advance_request { reply_to; target } ->
+      handle_advance ctx m ~reply_to ~target
+    | Events.Validate_stream
+        { reply_to; started_at; finished_at; filter; emissions } ->
+      handle_validate ctx m ~reply_to ~started_at ~finished_at ~filter
+        ~emissions
+    | Events.Tables_shutdown -> R.halt ctx
+    | _ -> ())

@@ -1,12 +1,18 @@
 (* Persistent campaign state: what a hunt knows that outlives one
-   invocation. A campaign directory holds a strict, versioned metadata
-   file, the merged coverage of every execution so far, the fuzz corpus,
-   and the archive of found witnesses:
+   invocation. Each save writes a fresh generation directory holding a
+   strict, versioned metadata file, the merged coverage of every
+   execution so far, the fuzz corpus, and the archive of found witnesses,
+   and then publishes it by renaming one pointer file over the old one:
 
-     DIR/campaign.meta      version, harness, seed, spent budget, witness kinds
-     DIR/coverage           Coverage.to_save of the merged map
-     DIR/corpus/NNNNN.trace corpus entries (Trace.save format)
-     DIR/witnesses/NNNNN.trace  one witness per distinct bug kind
+     DIR/CURRENT                    "gen-NNNNN": the published generation
+     DIR/gen-NNNNN/campaign.meta    version, harness, seed, spent budget,
+                                    witness kinds
+     DIR/gen-NNNNN/coverage         Coverage.to_save of the merged map
+     DIR/gen-NNNNN/corpus/NNNNN.trace     corpus entries (Trace.save format)
+     DIR/gen-NNNNN/witnesses/NNNNN.trace  one witness per distinct bug kind
+
+   A campaign saved before generations existed has no CURRENT and keeps
+   the generation's files in DIR itself; it still loads.
 
    Every component parses strictly (Trace.of_string / Coverage.of_save
    discipline): resuming from a corrupted campaign must fail loudly, not
@@ -79,6 +85,8 @@ let unescape s =
 
 (* --- Paths -------------------------------------------------------------- *)
 
+let pointer_file dir = Filename.concat dir "CURRENT"
+let generation_name g = Printf.sprintf "gen-%05d" g
 let meta_file dir = Filename.concat dir "campaign.meta"
 let coverage_file dir = Filename.concat dir "coverage"
 let corpus_dir dir = Filename.concat dir "corpus"
@@ -92,6 +100,53 @@ let rec mkdir_p dir =
     try Unix.mkdir dir 0o755
     with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
   end
+
+let rec rm_rf path =
+  if Sys.file_exists path then
+    if Sys.is_directory path then begin
+      Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+      Sys.rmdir path
+    end
+    else Sys.remove path
+
+let read_file path =
+  let ic =
+    try open_in_bin path
+    with Sys_error msg -> failwith (Printf.sprintf "Campaign.load: %s" msg)
+  in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () ->
+      let len = in_channel_length ic in
+      really_input_string ic len)
+
+let write_file path data =
+  let oc = open_out_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_out oc)
+    (fun () -> output_string oc data)
+
+(* The published generation's number, strictly parsed; [None] when [dir]
+   has no pointer. *)
+let read_pointer dir =
+  let path = pointer_file dir in
+  if not (Sys.file_exists path) then None
+  else
+    let data = read_file path in
+    let n = String.length data in
+    let g =
+      if n > 5 && String.sub data 0 4 = "gen-" && data.[n - 1] = '\n' then
+        int_of_string_opt (String.sub data 4 (n - 5))
+      else None
+    in
+    match g with
+    | Some g when g >= 1 && generation_name g ^ "\n" = data -> Some g
+    | _ -> failwith (Printf.sprintf "Campaign.load: bad pointer %S" data)
+
+let live_dir ~dir =
+  match read_pointer dir with
+  | Some g -> Filename.concat dir (generation_name g)
+  | None -> dir
 
 (* --- Save --------------------------------------------------------------- *)
 
@@ -132,25 +187,42 @@ let to_meta t =
   Buffer.add_string buf "end:campaign\n";
   Buffer.contents buf
 
-let save ~dir t =
+(* Nothing the published generation holds is written: the new one goes
+   to a directory no pointer names yet, and the rename of the pointer,
+   atomic in POSIX, is what publishes it. A save that stops before the
+   rename (a crash, a full disk, a torn file) leaves the previous
+   campaign loadable as it was; the next save clears what it left. Files
+   are not fsynced: this survives the process dying, not the machine
+   losing power. *)
+let save_with ~write ~dir t =
   mkdir_p dir;
-  mkdir_p (corpus_dir dir);
-  mkdir_p (witness_dir dir);
-  Coverage.save ~path:(coverage_file dir) t.coverage;
+  let next = match read_pointer dir with Some g -> g + 1 | None -> 1 in
+  let gen = Filename.concat dir (generation_name next) in
+  rm_rf gen;
+  mkdir_p (corpus_dir gen);
+  mkdir_p (witness_dir gen);
+  let trace tr = Trace.to_string tr ^ "\n" in
+  write (coverage_file gen) (Coverage.to_save t.coverage);
   List.iteri
     (fun i e ->
-      Trace.save ~path:(numbered (corpus_dir dir) i) e.Fuzz_strategy.trace)
+      write (numbered (corpus_dir gen) i) (trace e.Fuzz_strategy.trace))
     t.corpus;
   List.iteri
-    (fun i (_, tr) -> Trace.save ~path:(numbered (witness_dir dir) i) tr)
+    (fun i (_, tr) -> write (numbered (witness_dir gen) i) (trace tr))
     t.witnesses;
-  (* The meta file is written last: it is the load-bearing manifest, so an
-     interrupted save leaves the previous campaign intact rather than a
-     manifest pointing at half-written state. *)
-  let oc = open_out (meta_file dir) in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_meta t))
+  write (meta_file gen) (to_meta t);
+  let tmp = pointer_file dir ^ ".tmp" in
+  write tmp (generation_name next ^ "\n");
+  Sys.rename tmp (pointer_file dir);
+  (* every other generation is unreachable now *)
+  Array.iter
+    (fun f ->
+      if String.length f > 4 && String.sub f 0 4 = "gen-"
+         && f <> generation_name next
+      then rm_rf (Filename.concat dir f))
+    (Sys.readdir dir)
+
+let save ~dir t = save_with ~write:write_file ~dir t
 
 (* --- Load --------------------------------------------------------------- *)
 
@@ -263,22 +335,12 @@ let of_meta data =
      failwith (Printf.sprintf "Campaign.load: unexpected meta line %S" line));
   (unescape harness, seed, executions, centries, kinds)
 
-let read_file path =
-  let ic =
-    try open_in path
-    with Sys_error msg -> failwith (Printf.sprintf "Campaign.load: %s" msg)
-  in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let len = in_channel_length ic in
-      really_input_string ic len)
-
 let load_trace path =
   try Trace.of_string (read_file path)
   with Failure msg -> failwith (Printf.sprintf "%s (in %s)" msg path)
 
 let load ~dir =
+  let dir = live_dir ~dir in
   let harness, seed, executions, centries, kinds =
     of_meta (read_file (meta_file dir))
   in
@@ -304,7 +366,8 @@ let load ~dir =
   { harness; seed; executions; coverage; corpus; witnesses }
 
 let load_opt ~dir =
-  if Sys.file_exists (meta_file dir) then Some (load ~dir) else None
+  if Sys.file_exists (meta_file (live_dir ~dir)) then Some (load ~dir)
+  else None
 
 let pp fmt t =
   Format.fprintf fmt

@@ -3,14 +3,20 @@
     A {e campaign} is a bug hunt that accumulates knowledge across process
     invocations: the merged {!Coverage} of every execution spent so far,
     the fuzz corpus of coverage-novel schedules, and an archive holding
-    one witness trace per distinct bug kind found. Saved as a directory:
+    one witness trace per distinct bug kind found. Saved as a directory
+    holding generations, one per save, and a pointer to the published
+    one:
 
     {v
-    DIR/campaign.meta          strict versioned manifest
-    DIR/coverage               Coverage save format
-    DIR/corpus/NNNNN.trace     corpus entries (Trace save format)
-    DIR/witnesses/NNNNN.trace  one witness per distinct bug kind
+    DIR/CURRENT                          names the published generation
+    DIR/gen-NNNNN/campaign.meta          strict versioned manifest
+    DIR/gen-NNNNN/coverage               Coverage save format
+    DIR/gen-NNNNN/corpus/NNNNN.trace     corpus entries (Trace save format)
+    DIR/gen-NNNNN/witnesses/NNNNN.trace  one witness per distinct bug kind
     v}
+
+    A directory with no [CURRENT] but a [campaign.meta] (the layout before
+    generations) loads from [DIR] itself.
 
     A resumed invocation seeds the engine with the stored state
     ({!Engine.config}[.start_iteration], [.prior_coverage],
@@ -57,10 +63,23 @@ val advance :
     unchanged (the first witness wins). *)
 val record_witness : t -> kind:string -> trace:Trace.t -> t
 
-(** [save ~dir t] writes the campaign directory (created if missing,
-    overwritten if present). The manifest is written last, so an
-    interrupted save leaves the previously saved campaign loadable. *)
+(** [save ~dir t] writes [t] as a new generation of the campaign directory
+    (created if missing), publishes it by renaming [CURRENT] over the old
+    pointer, then deletes the older generations. A save interrupted
+    anywhere before that rename leaves the previously saved campaign
+    loadable exactly as it was. *)
 val save : dir:string -> t -> unit
+
+(** [save_with ~write ~dir t] is {!save} with every file write going
+    through [write path data]. Crash tests pass a [write] that raises part
+    way. *)
+val save_with :
+  write:(string -> string -> unit) -> dir:string -> t -> unit
+
+(** The directory {!load} reads the components from: the published
+    generation, or [dir] itself for the layout before generations.
+    @raise Failure on a malformed pointer. *)
+val live_dir : dir:string -> string
 
 (** Strict inverse of {!save}.
     @raise Failure on any malformed or missing component. *)

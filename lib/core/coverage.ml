@@ -699,20 +699,6 @@ let of_save data =
    | [] -> failwith "Coverage.of_save: empty input");
   t
 
-let save ~path t =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_save t))
-
-let load ~path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let len = in_channel_length ic in
-      of_save (really_input_string ic len))
-
 (* --- Reporting --------------------------------------------------------- *)
 
 let pp_totals fmt t =

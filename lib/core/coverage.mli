@@ -208,9 +208,6 @@ val to_save : t -> string
     @raise Failure on malformed input. *)
 val of_save : string -> t
 
-val save : path:string -> t -> unit
-val load : path:string -> t
-
 (** {1 Reading} *)
 
 type totals = {

@@ -25,8 +25,7 @@ let body ~max_crashes ~max_ticks ctx =
   let crash_at =
     ref (if steered then 0 else 1 + Runtime.nondet_int ctx max_ticks)
   in
-  let rec loop () =
-    match Runtime.receive ctx with
+  Runtime.serve ctx (function
     | Fault_tick ->
       incr ticks;
       if
@@ -52,8 +51,7 @@ let body ~max_crashes ~max_ticks ctx =
              Runtime.crash ctx (Runtime.choose ctx victims);
              incr crashes;
              crash_at := !ticks + 1 + Runtime.nondet_int ctx max_ticks);
-        Runtime.send ctx (Runtime.self ctx) Fault_tick;
-        loop ()
+        Runtime.send ctx (Runtime.self ctx) Fault_tick
       end
     | e ->
       raise
@@ -63,9 +61,7 @@ let body ~max_crashes ~max_ticks ctx =
                 machine = Id.to_string (Runtime.self ctx);
                 state = "-";
                 event = Event.to_string e;
-              }))
-  in
-  loop ()
+              })))
 
 let install ?(max_crashes = 1) ?(max_ticks = 40) ctx =
   if max_crashes <= 0 then

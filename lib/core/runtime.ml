@@ -25,14 +25,19 @@ let default_config =
     scenario = None;
   }
 
-(* A machine blocked on [receive] is a captured continuation expecting the
-   dequeued event. The whole handled computation produces [unit]: both the
-   effect branch (after stashing the continuation) and the return/exception
-   branches just fall back to the scheduler. *)
+(* A machine is one of two kinds. A fiber machine blocked on [receive] is
+   a captured continuation expecting the dequeued event; the whole handled
+   computation produces [unit]: both the effect branch (after stashing the
+   continuation) and the return/exception branches just fall back to the
+   scheduler. A served machine ([serve]) has no fiber once its body has
+   parked it: each delivery calls its handler directly, and the machine
+   stays [Serving] while the handler runs, which is how [receive] and
+   [sleep] tell a handler from a fiber. *)
 type status =
   | Not_started of (ctx -> unit)
   | Waiting of (Event.t, unit) Effect.Deep.continuation
       (* the receive's filter, if any, is in [machine.wait_pred] *)
+  | Serving of (Event.t -> unit)
   | Running
   | Halted
 
@@ -49,13 +54,14 @@ and machine = {
          (-1 when coverage is off): interned once, at creation and at each
          state change, so recording a delivery hashes no string *)
   mutable enabled_cache : bool;
-      (* last computed [machine_enabled], valid while not [dirty]. A
+      (* last computed [machine_enabled], valid while not [dirty]; a
+         machine is in the enabled prefix exactly when this is set. A
          waiting machine's enabledness is monotone between status changes
          (events are only ever added to its inbox until it runs), so the
          cache stays valid until a send or a status transition marks it
          dirty — which is what keeps filtered receives ([wait_pred =
          Some pred]) from re-running [Inbox.exists pred] every step. *)
-  mutable dirty : bool;
+  mutable dirty : bool;  (* queued in [rt.dirty_q] *)
   mutable wait_pred : (Event.t -> bool) option;
       (* the filter of the receive a [Waiting] machine is blocked on; a
          field rather than a [Waiting] argument so the effect branch that
@@ -90,8 +96,15 @@ and t = {
   mutable machines : machine array;
   mutable n_machines : int;
   mutable enabled_buf : int array;
-      (* scratch for the enabled prefix passed to the strategy; reused
-         across steps, grown with the machine array *)
+      (* the enabled machines' creation indices, ascending, in the first
+         [n_enabled] slots: passed to the strategy as is, and updated in
+         place only for machines whose enabledness flipped *)
+  mutable n_enabled : int;
+  mutable dirty_q : int array;
+      (* indices of the machines marked dirty since the last
+         [compute_enabled], each at most once; the first [n_dirty] slots *)
+  mutable n_dirty : int;
+  audit : bool;  (* [Enabled_audit] was on when the execution started *)
   mutable steps : int;
   trace : Trace.Builder.t;
   mutable log_rev : string list;
@@ -132,6 +145,10 @@ type exec_result = {
 }
 
 exception Halt_exn
+
+(* Raised by [serve] to park its machine: the fiber unwinds to the handler
+   in [start_machine], which keeps the served handler. *)
+exception Serve_exn of (Event.t -> unit)
 
 (* Raised into every fiber [release] unwinds, and again by any runtime
    call such a fiber makes on its way out. *)
@@ -178,7 +195,12 @@ let set_bug (rt : t) kind =
       logf rt "[%d] BUG: %s" rt.steps (Error.kind_to_string kind)
   end
 
-let mark_dirty m = m.dirty <- true
+let mark_dirty rt m =
+  if not m.dirty then begin
+    m.dirty <- true;
+    rt.dirty_q.(rt.n_dirty) <- Id.index m.id;
+    rt.n_dirty <- rt.n_dirty + 1
+  end
 
 let add_machine ?persistent rt ~name body =
   if rt.n_machines = Array.length rt.machines then begin
@@ -195,9 +217,15 @@ let add_machine ?persistent rt ~name body =
           wait_pred = None;
           persistent = None }
     in
+    let grow a =
+      let b = Array.make (Array.length bigger) 0 in
+      Array.blit a 0 b 0 (Array.length a);
+      b
+    in
     Array.blit rt.machines 0 bigger 0 rt.n_machines;
     rt.machines <- bigger;
-    rt.enabled_buf <- Array.make (Array.length bigger) 0
+    rt.enabled_buf <- grow rt.enabled_buf;
+    rt.dirty_q <- grow rt.dirty_q
   end;
   let id = Id.make ~index:rt.n_machines ~name in
   let name_sym =
@@ -205,11 +233,12 @@ let add_machine ?persistent rt ~name body =
   in
   let m =
     { id; inbox = Inbox.create (); status = Not_started body; state_name = "-";
-      name_sym; state_sym = rt.dash_sym; enabled_cache = true; dirty = false;
+      name_sym; state_sym = rt.dash_sym; enabled_cache = false; dirty = false;
       wait_pred = None; persistent }
   in
   rt.machines.(rt.n_machines) <- m;
   rt.n_machines <- rt.n_machines + 1;
+  mark_dirty rt m;
   (match rt.config.coverage with
    | Some cov -> Coverage.visit_state_sym cov ~machine:name_sym ~state:rt.dash_sym
    | None -> ());
@@ -252,14 +281,14 @@ let send ctx target e =
      if rt.log_on then
        logf rt "[%d] %s -> %s: %s (dropped: target halted)" rt.steps
          (Id.to_string ctx.me.id) (Id.to_string target) (Event.to_string e)
-   | Not_started _ | Waiting _ | Running ->
+   | Not_started _ | Waiting _ | Serving _ | Running ->
      let stamp =
        match rt.config.hb with
        | Some h -> Hb.on_send h ~target:(Id.index target)
        | None -> -1
      in
      Inbox.push m.inbox ~sender:(Id.index ctx.me.id) ~stamp e;
-     mark_dirty m;
+     mark_dirty rt m;
      if rt.log_on then
        logf rt "[%d] %s -> %s: %s" rt.steps (Id.to_string ctx.me.id)
          (Id.to_string target) (Event.to_string e))
@@ -287,13 +316,28 @@ let send_unless_pending ?same ctx target e =
   end
   else send ctx target e
 
+(* A served handler runs on the scheduler's stack, where no handler
+   catches [Receive_eff]: blocking there is a named error, reported as the
+   machine's exception, not an [Effect.Unhandled]. *)
+let not_in_handler ctx fn =
+  match ctx.me.status with
+  | Serving _ ->
+    invalid_arg (fn ^ ": a served machine's handler cannot block")
+  | _ -> ()
+
 let receive ctx =
   live ctx.rt;
+  not_in_handler ctx "Runtime.receive";
   Effect.perform receive_any
 
 let receive_where ctx pred =
   live ctx.rt;
+  not_in_handler ctx "Runtime.receive_where";
   Effect.perform (Receive_eff (Some pred))
+
+let serve ctx handler =
+  live ctx.rt;
+  raise (Serve_exn handler)
 
 let nondet ctx =
   let rt = ctx.rt in
@@ -478,7 +522,7 @@ let crash ctx target =
   match m.status with
   | Halted -> ()
   | Running -> assert false (* only one machine runs at a time: the caller *)
-  | Not_started _ | Waiting _ ->
+  | Not_started _ | Waiting _ | Serving _ ->
     (match m.persistent with
      | None -> invalid_arg "Runtime.crash: target has no restart hook"
      | Some restart ->
@@ -494,7 +538,7 @@ let crash ctx target =
        m.status <- Not_started (restart ());
        m.state_name <- "-";
        m.state_sym <- rt.dash_sym;
-       mark_dirty m;
+       mark_dirty rt m;
        (match rt.config.hb with
         | Some h -> Hb.on_crash h ~target:(Id.index target)
         | None -> ());
@@ -579,6 +623,7 @@ let sleep ctx d =
   | None -> invalid_arg "Runtime.sleep: virtual time is off"
   | Some ck ->
     if d <= 0 then invalid_arg "Runtime.sleep: duration must be positive";
+    not_in_handler ctx "Runtime.sleep";
     let stamp =
       match rt.config.hb with
       | Some h -> Hb.on_send_delayed h ~target:(Id.index ctx.me.id)
@@ -695,13 +740,13 @@ let deliver_delayed rt d =
     if rt.log_on then
       logf rt "[%d] delayed -> %s: %s (dropped: target halted)" rt.steps
         (Id.to_string m.id) (Event.to_string d.d_event)
-  | Not_started _ | Waiting _ | Running ->
+  | Not_started _ | Waiting _ | Serving _ | Running ->
     (match rt.config.hb with
      | Some h when d.d_stamp >= 0 ->
        Hb.on_delayed_delivery h ~target:d.d_target ~msg:d.d_stamp
      | _ -> ());
     Inbox.push m.inbox ~sender:d.d_sender ~stamp:d.d_stamp d.d_event;
-    mark_dirty m;
+    mark_dirty rt m;
     if rt.log_on then
       logf rt "[%d] delayed -> %s: %s (delivered)" rt.steps (Id.to_string m.id)
         (Event.to_string d.d_event)
@@ -742,14 +787,14 @@ let deliver_clock rt (e : Clock.entry) =
     if rt.log_on then
       logf rt "[%d] clock -> %s: %s (dropped: target halted)" rt.steps
         (Id.to_string m.id) (Event.to_string e.Clock.event)
-  | Not_started _ | Waiting _ | Running ->
+  | Not_started _ | Waiting _ | Serving _ | Running ->
     (match rt.config.hb with
      | Some h when e.Clock.stamp >= 0 ->
        Hb.on_delayed_delivery h ~target:e.Clock.target ~msg:e.Clock.stamp
      | _ -> ());
     Inbox.push m.inbox ~sender:e.Clock.sender ~stamp:e.Clock.stamp
       e.Clock.event;
-    mark_dirty m;
+    mark_dirty rt m;
     if rt.log_on then
       logf rt "[%d] clock -> %s: %s (fired)" rt.steps (Id.to_string m.id)
         (Event.to_string e.Clock.event)
@@ -761,30 +806,94 @@ let machine_enabled m =
     match m.wait_pred with
     | None -> not (Inbox.is_empty m.inbox)
     | Some pred -> Inbox.exists m.inbox pred)
+  | Serving _ -> not (Inbox.is_empty m.inbox)
   | Running | Halted -> false
 
-(* Refresh dirty machines and compact the enabled creation indices
-   (ascending) into [rt.enabled_buf]; returns how many are enabled.
-   Allocation-free: the buffer is reused across steps. *)
-let compute_enabled rt =
-  let buf = rt.enabled_buf in
+(* Test hook: see [Enabled_audit] in the interface. *)
+let audit_on = Atomic.make false
+let audit_checks = Atomic.make 0
+
+(* The slow reference: every machine scanned, none trusted to be clean. *)
+let audit_enabled rt =
   let n = ref 0 in
   for i = 0 to rt.n_machines - 1 do
-    let m = Array.unsafe_get rt.machines i in
-    if m.dirty then begin
-      m.enabled_cache <- machine_enabled m;
-      m.dirty <- false
-    end;
-    if m.enabled_cache then begin
-      Array.unsafe_set buf !n i;
+    if machine_enabled rt.machines.(i) then begin
+      if !n >= rt.n_enabled || rt.enabled_buf.(!n) <> i then
+        failwith
+          (Printf.sprintf
+             "Runtime: enabled set out of date at step %d (machine %d)"
+             rt.steps i);
       incr n
     end
   done;
-  !n
+  if !n <> rt.n_enabled then
+    failwith
+      (Printf.sprintf "Runtime: enabled set out of date at step %d (%d vs %d)"
+         rt.steps rt.n_enabled !n);
+  Atomic.incr audit_checks
 
-(* Run [m] until it blocks, halts, or finishes. The deep handler persists
-   across resumptions, so exceptions and returns are funnelled here no
-   matter how many receives the machine has performed. *)
+(* Refresh the machines marked dirty since the last call and keep the
+   enabled prefix of [rt.enabled_buf] (ascending creation indices) up to
+   date, moving only the machines whose enabledness flipped; returns how
+   many are enabled. Allocation-free. *)
+let compute_enabled rt =
+  let buf = rt.enabled_buf in
+  for j = 0 to rt.n_dirty - 1 do
+    let i = Array.unsafe_get rt.dirty_q j in
+    let m = Array.unsafe_get rt.machines i in
+    m.dirty <- false;
+    let e = machine_enabled m in
+    if e <> m.enabled_cache then begin
+      m.enabled_cache <- e;
+      if e then begin
+        (* insert, shifting the larger indices up *)
+        let k = ref rt.n_enabled in
+        while !k > 0 && Array.unsafe_get buf (!k - 1) > i do
+          Array.unsafe_set buf !k (Array.unsafe_get buf (!k - 1));
+          decr k
+        done;
+        Array.unsafe_set buf !k i;
+        rt.n_enabled <- rt.n_enabled + 1
+      end
+      else begin
+        let k = ref 0 in
+        while Array.unsafe_get buf !k <> i do incr k done;
+        Array.blit buf (!k + 1) buf !k (rt.n_enabled - !k - 1);
+        rt.n_enabled <- rt.n_enabled - 1
+      end
+    end
+  done;
+  rt.n_dirty <- 0;
+  if rt.audit then audit_enabled rt;
+  rt.n_enabled
+
+(* How a machine's step ends when its code raises, whether it ran in a
+   fiber (the handler's exception branch) or as a served handler. *)
+let raised rt m = function
+  | _ when rt.releasing -> ()
+  | Serve_exn h ->
+    m.status <- Serving h;
+    m.wait_pred <- None;
+    mark_dirty rt m
+  | Halt_exn ->
+    m.status <- Halted;
+    mark_dirty rt m;
+    Inbox.clear m.inbox;
+    if rt.log_on then logf rt "[%d] %s halted" rt.steps (Id.to_string m.id)
+  | Error.Bug kind ->
+    m.status <- Halted;
+    mark_dirty rt m;
+    set_bug rt kind
+  | e ->
+    m.status <- Halted;
+    mark_dirty rt m;
+    set_bug rt
+      (Error.Machine_exception
+         { machine = Id.to_string m.id; exn = Printexc.to_string e })
+
+(* Run [m] until it blocks, halts, serves, or finishes. The deep handler
+   persists across resumptions, so exceptions and returns are funnelled
+   here no matter how many receives the machine has performed. *)
 let start_machine rt m =
   let ctx = { rt; me = m } in
   (* The receive effect's branch, built once per machine start rather than
@@ -793,7 +902,7 @@ let start_machine rt m =
     Some
       (fun (k : (Event.t, unit) Effect.Deep.continuation) ->
         m.status <- Waiting k;
-        mark_dirty m)
+        mark_dirty rt m)
   in
   let handler : (unit, unit) Effect.Deep.handler =
     {
@@ -801,34 +910,12 @@ let start_machine rt m =
         (fun () ->
           if not rt.releasing then begin
             m.status <- Halted;
-            mark_dirty m;
+            mark_dirty rt m;
             Inbox.clear m.inbox;
             if rt.log_on then
               logf rt "[%d] %s finished" rt.steps (Id.to_string m.id)
           end);
-      exnc =
-        (fun e ->
-          match e with
-          | _ when rt.releasing -> ()
-          | Halt_exn ->
-            m.status <- Halted;
-            mark_dirty m;
-            Inbox.clear m.inbox;
-            if rt.log_on then
-              logf rt "[%d] %s halted" rt.steps (Id.to_string m.id)
-          | Error.Bug kind ->
-            m.status <- Halted;
-            mark_dirty m;
-            set_bug rt kind
-          | e ->
-            m.status <- Halted;
-            mark_dirty m;
-            set_bug rt
-              (Error.Machine_exception
-                 {
-                   machine = Id.to_string m.id;
-                   exn = Printexc.to_string e;
-                 }));
+      exnc = raised rt m;
       effc =
         (fun (type a) (eff : a Effect.t) :
              ((a, unit) Effect.Deep.continuation -> unit) option ->
@@ -842,53 +929,64 @@ let start_machine rt m =
   match m.status with
   | Not_started body ->
     m.status <- Running;
-    mark_dirty m;
+    mark_dirty rt m;
     (match rt.config.hb with
      | Some h -> Hb.begin_step h ~machine:(Id.index m.id) ~msg:(-1)
      | None -> ());
     Effect.Deep.match_with (fun () -> body ctx) () handler
-  | Waiting _ | Running | Halted -> assert false
+  | Waiting _ | Serving _ | Running | Halted -> assert false
+
+(* Dequeue the event a picked waiting or serving machine receives and
+   record the delivery. *)
+let deliver rt m =
+  let i = match m.wait_pred with None -> 0 | Some p -> Inbox.find m.inbox p in
+  (* the scheduler only picks enabled machines *)
+  if i < 0 || i >= Inbox.length m.inbox then assert false;
+  let sender = Inbox.sender_at m.inbox i in
+  let stamp = Inbox.stamp_at m.inbox i in
+  let e = Inbox.take m.inbox i in
+  mark_dirty rt m;
+  (match rt.config.hb with
+   | Some h -> Hb.begin_step h ~machine:(Id.index m.id) ~msg:stamp
+   | None -> ());
+  (match rt.config.coverage with
+   | Some cov ->
+     let sender =
+       if sender >= 0 && sender < rt.n_machines then
+         rt.machines.(sender).name_sym
+       else Coverage.sym cov "<external>"
+     in
+     Coverage.deliver_sym cov ~sender ~event:(Coverage.event_sym cov e)
+       ~receiver:m.name_sym ~state:m.state_sym
+   | None -> ());
+  (match rt.config.scenario with
+   | Some o ->
+     (* stamped with the deciding scheduling point (rt.steps was
+        already incremented), so the checker sees window state
+        exactly as the wrapper's pruning decision did *)
+     Scenario.Obs.on_deliver o ~step:(rt.steps - 1)
+       ~time:(match rt.clock with Some ck -> Clock.now ck | None -> 0)
+       ~sender ~receiver:(Id.index m.id) ~event:(Event.name e)
+   | None -> ());
+  if rt.log_on then
+    logf rt "[%d] %s dequeues %s" rt.steps (Id.to_string m.id)
+      (Event.to_string e);
+  tick_delayed rt;
+  e
 
 let resume_machine rt m =
   match m.status with
   | Waiting k ->
-    let i =
-      match m.wait_pred with None -> 0 | Some p -> Inbox.find m.inbox p
-    in
-    (* the scheduler only picks enabled machines *)
-    if i < 0 || i >= Inbox.length m.inbox then assert false;
-    let sender = Inbox.sender_at m.inbox i in
-    let stamp = Inbox.stamp_at m.inbox i in
-    let e = Inbox.take m.inbox i in
+    let e = deliver rt m in
     m.status <- Running;
-    mark_dirty m;
-    (match rt.config.hb with
-     | Some h -> Hb.begin_step h ~machine:(Id.index m.id) ~msg:stamp
-     | None -> ());
-    (match rt.config.coverage with
-     | Some cov ->
-       let sender =
-         if sender >= 0 && sender < rt.n_machines then
-           rt.machines.(sender).name_sym
-         else Coverage.sym cov "<external>"
-       in
-       Coverage.deliver_sym cov ~sender ~event:(Coverage.event_sym cov e)
-         ~receiver:m.name_sym ~state:m.state_sym
-     | None -> ());
-    (match rt.config.scenario with
-     | Some o ->
-       (* stamped with the deciding scheduling point (rt.steps was
-          already incremented), so the checker sees window state
-          exactly as the wrapper's pruning decision did *)
-       Scenario.Obs.on_deliver o ~step:(rt.steps - 1)
-         ~time:(match rt.clock with Some ck -> Clock.now ck | None -> 0)
-         ~sender ~receiver:(Id.index m.id) ~event:(Event.name e)
-     | None -> ());
-    if rt.log_on then
-      logf rt "[%d] %s dequeues %s" rt.steps (Id.to_string m.id)
-        (Event.to_string e);
-    tick_delayed rt;
     Effect.Deep.continue k e
+  | Serving h -> (
+    (* the machine stays [Serving] while its handler runs, and a
+       returning handler leaves it so; anything raised ends the step as
+       it would a fiber's *)
+    match h (deliver rt m) with
+    | () -> ()
+    | exception exn -> raised rt m exn)
   | Not_started _ -> start_machine rt m
   | Running | Halted -> assert false
 
@@ -943,7 +1041,8 @@ let check_end_of_execution (rt : t) ~ending =
         let blocked = ref [] in
         for i = rt.n_machines - 1 downto 0 do
           match rt.machines.(i).status with
-          | Waiting _ -> blocked := Id.to_string rt.machines.(i).id :: !blocked
+          | Waiting _ | Serving _ ->
+            blocked := Id.to_string rt.machines.(i).id :: !blocked
           | Not_started _ | Running | Halted -> ()
         done;
         if !blocked <> [] then set_bug rt (Error.Deadlock { blocked = !blocked })
@@ -955,7 +1054,8 @@ let check_end_of_execution (rt : t) ~ending =
    and a finished execution's machines are not garbage until the caller
    drops the result of [execute]: without this, every machine still
    blocked in [receive] (and every continuation [crash] took) would pin
-   its stack across a whole hunt. Every machine is marked halted first,
+   its stack across a whole hunt. A served machine has no fiber to end.
+   Every machine is marked halted first,
    then each fiber is discontinued with [Released]. Its finalisers run,
    but any runtime call they make raises [Released] again before it
    records anything, and the handler swallows whatever escapes: the
@@ -990,6 +1090,10 @@ let execute config strategy ~monitors ~name body =
       machines = [||];
       n_machines = 0;
       enabled_buf = [||];
+      n_enabled = 0;
+      dirty_q = [||];
+      n_dirty = 0;
+      audit = Atomic.get audit_on;
       steps = 0;
       trace = Trace.Builder.create ();
       log_rev = [];
@@ -1020,7 +1124,7 @@ let execute config strategy ~monitors ~name body =
          if i < 0 || i >= rt.n_machines then None
          else
            match rt.machines.(i).status with
-           | Waiting _ ->
+           | Waiting _ | Serving _ ->
              let matches =
                Option.value rt.machines.(i).wait_pred ~default:(fun _ -> true)
              in
@@ -1117,3 +1221,11 @@ let execute config strategy ~monitors ~name body =
   in
   release rt;
   result
+
+module Enabled_audit = struct
+  let set on =
+    Atomic.set audit_checks 0;
+    Atomic.set audit_on on
+
+  let checks () = Atomic.get audit_checks
+end

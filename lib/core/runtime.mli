@@ -1,12 +1,15 @@
 (** The systematic-testing runtime (one execution).
 
     Like P# (§2), the runtime serializes the whole system onto a single
-    thread. Machines are delimited continuations (OCaml effects): a machine
-    runs until it blocks on [receive], finishes, or halts; the scheduler
-    then picks the next enabled machine. The scheduling points — which
-    machine dequeues next, and every [nondet] choice — are resolved by a
-    {!Strategy.t} and recorded in a {!Trace.t}, so any execution can be
-    replayed deterministically. *)
+    thread. A machine is one of two kinds. A {e fiber} machine is a
+    delimited continuation (OCaml effects): it runs until it blocks on
+    [receive], finishes, or halts. A {e served} machine ({!serve}) has
+    handed the runtime one event handler and has no fiber: each delivery
+    calls the handler directly and it runs to completion, as P#'s handlers
+    do. Either way the scheduler then picks the next enabled machine. The
+    scheduling points — which machine dequeues next, and every [nondet]
+    choice — are resolved by a {!Strategy.t} and recorded in a
+    {!Trace.t}, so any execution can be replayed deterministically. *)
 
 (** Capability handed to a machine body; identifies the machine and carries
     the runtime. *)
@@ -156,12 +159,36 @@ val send_faulty : ctx -> Id.t -> Event.t -> unit
 val send_unless_pending :
   ?same:(Event.t -> bool) -> ctx -> Id.t -> Event.t -> unit
 
-(** Block until an event is available, then dequeue it (FIFO). *)
+(** Block until an event is available, then dequeue it (FIFO).
+    @raise Invalid_argument when called from a served handler ({!serve}),
+    which cannot block; the execution reports it as the machine's
+    [Machine_exception]. *)
 val receive : ctx -> Event.t
 
 (** Block until an event satisfying [pred] is available; dequeues the first
-    such event, leaving others in order. *)
+    such event, leaving others in order.
+    @raise Invalid_argument when called from a served handler. *)
 val receive_where : ctx -> (Event.t -> bool) -> Event.t
+
+(** [serve ctx handler] turns the calling machine into a served machine
+    and never returns: its fiber ends, and from then on each event the
+    scheduler delivers to it (FIFO, as {!receive} would dequeue it) is
+    passed to [handler], which runs to completion on the scheduler's own
+    stack. A delivery is one scheduling step, exactly as for a machine
+    blocked in an unfiltered [receive] loop that calls [handler] on each
+    event — same enabledness, trace, coverage, happens-before and log —
+    but without a fiber switch. A handler ends its step by returning;
+    {!halt}, a bug or any other exception ends the machine as it would a
+    fiber's, and calling [serve] again replaces the handler. A served
+    machine with an empty inbox counts as blocked for deadlock reports,
+    and a persistent one restarts its body after a {!crash}.
+
+    Write a machine this way when every handler runs to completion; a
+    machine that waits for a reply in the middle of handling an event
+    needs a fiber. [handler] must not call {!receive}, {!receive_where}
+    or {!sleep}. Like {!halt}, [serve] unwinds the body with an exception,
+    so do not call it under a handler that catches every exception. *)
+val serve : ctx -> (Event.t -> unit) -> 'a
 
 (** Controlled nondeterministic boolean (a scheduling choice point). *)
 val nondet : ctx -> bool
@@ -293,10 +320,27 @@ val send_after : ctx -> Id.t -> Event.t -> after:int -> unit
     Implemented as a timed self-delivery plus a filtered receive, so other
     events arriving during the sleep stay queued in order.
     @raise Invalid_argument if the clock is off (a sleeping machine would
-    block forever) or [d <= 0]. *)
+    block forever), if [d <= 0], or when called from a served handler. *)
 val sleep : ctx -> int -> unit
 
 (** [sleep_until ctx t] is [sleep ctx (t - now ctx)] when [t] lies in the
     future, and a draw-free no-op otherwise.
     @raise Invalid_argument if the clock is off. *)
 val sleep_until : ctx -> int -> unit
+
+(** {1 Testing hook} *)
+
+(** A slow reference for the enabled set. The runtime keeps the set of
+    enabled machines up to date incrementally, re-examining only the
+    machines an operation touched. With the audit on, every scheduling
+    decision first compares that set with a full scan of every machine
+    and raises [Failure] out of {!execute} on a mismatch. Off by default,
+    when it costs one boolean test per step. Meant for tests, not runs. *)
+module Enabled_audit : sig
+  (** Switch the audit for executions started afterwards, in every
+      domain, and reset {!checks}. *)
+  val set : bool -> unit
+
+  (** Comparisons made since the last {!set}. *)
+  val checks : unit -> int
+end

@@ -55,7 +55,7 @@ let rec deferred_by stack ev_name =
     else if mem_name ev_name st.ignored then false
     else deferred_by below ev_name
 
-let run ctx ~machine ~states ~init model =
+let handler ctx ~machine ~states ~init model =
   Registry.register_machine ~machine ~kind:Registry.Machine
     ~states:(List.length states)
     ~handlers:
@@ -135,12 +135,19 @@ let run ctx ~machine ~states ~init model =
   let replayable e = not (deferred_by !stack (Event.name e)) in
   Runtime.set_state_name ctx init;
   (top ()).entry ctx model;
-  let rec loop () =
-    (if Inbox.is_empty stash then apply (Runtime.receive ctx)
-     else
-       match Inbox.find stash replayable with
-       | -1 -> apply (Runtime.receive ctx)
-       | i -> apply (Inbox.take stash i));
-    loop ()
+  (* One delivery: apply the event, then every stashed event the new
+     state stack no longer defers, oldest first. *)
+  let rec replay () =
+    if not (Inbox.is_empty stash) then
+      match Inbox.find stash replayable with
+      | -1 -> ()
+      | i ->
+        apply (Inbox.take stash i);
+        replay ()
   in
-  loop ()
+  fun e ->
+    apply e;
+    replay ()
+
+let run ctx ~machine ~states ~init model =
+  Runtime.serve ctx (handler ctx ~machine ~states ~init model)

@@ -45,6 +45,8 @@ val state :
 
 (** [run ctx ~machine ~states ~init model] drives the machine forever (or
     until halt). [machine] is the registry name; [init] the initial state.
+    It enters [init] and then serves ({!Runtime.serve}) the {!handler}:
+    a state machine is a served machine, so its actions must not block.
     @raise Invalid_argument if [init] or a [Goto] target is not declared. *)
 val run :
   Runtime.ctx ->
@@ -52,4 +54,19 @@ val run :
   states:'m state list ->
   init:string ->
   'm ->
+  'a
+
+(** [handler ctx ~machine ~states ~init model] registers the machine,
+    enters [init] (declaring it and running its entry action) and returns
+    the function that handles one delivered event: it dispatches the
+    event, then re-delivers, oldest first, every deferred event the
+    resulting state stack no longer defers. [run] serves it; a fiber
+    machine may instead call it on each event it receives. *)
+val handler :
+  Runtime.ctx ->
+  machine:string ->
+  states:'m state list ->
+  init:string ->
+  'm ->
+  Event.t ->
   unit

@@ -11,9 +11,10 @@ type t = {
       (** pick one of [enabled.(0 .. n-1)] (machine creation indices,
           sorted ascending). Only the first [n] slots are meaningful: the
           array is a scratch buffer the runtime reuses across steps to
-          keep the scheduling hot path allocation-free, so strategies
-          must neither read beyond [n - 1] nor retain the array (copy the
-          prefix if the choice point must be recorded, as DFS does). *)
+          keep the scheduling hot path allocation-free (and keeps
+          up to date from step to step), so strategies must neither write
+          to it, read beyond [n - 1], nor retain it (copy the prefix if
+          the choice point must be recorded, as DFS does). *)
   next_bool : step:int -> bool;
   next_int : bound:int -> step:int -> int;  (** in [\[0, bound)] *)
 }

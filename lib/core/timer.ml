@@ -18,7 +18,7 @@ let unhandled ctx e =
           }))
 
 (* Under virtual time the timer arms its next firing on the clock instead
-   of self-sending: between firings the machine is blocked on [receive],
+   of self-sending: between firings the (served) machine's inbox is empty,
    so a timer-bearing harness quiesces and the runtime's deadlock and
    liveness checks stay reachable (the self-send loop kept the machine
    permanently enabled, burning the full step bound). The fire/skip
@@ -28,33 +28,25 @@ let clocked_body ~target ~tick ~period ctx =
   Registry.register_machine ~machine:"Timer" ~kind:Registry.Machine ~states:1
     ~handlers:2;
   Runtime.send_after ctx (Runtime.self ctx) Timer_fire ~after:period;
-  let rec loop () =
-    match Runtime.receive ctx with
+  Runtime.serve ctx (function
     | Timer_stop -> Runtime.halt ctx
     | Timer_fire ->
       if Runtime.nondet ctx then Runtime.send_unless_pending ctx target (tick ());
-      Runtime.send_after ctx (Runtime.self ctx) Timer_fire ~after:period;
-      loop ()
-    | e -> unhandled ctx e
-  in
-  loop ()
+      Runtime.send_after ctx (Runtime.self ctx) Timer_fire ~after:period
+    | e -> unhandled ctx e)
 
 let body ~target ~tick ctx =
   Registry.register_machine ~machine:"Timer" ~kind:Registry.Machine ~states:1
     ~handlers:2;
   Runtime.send ctx (Runtime.self ctx) Timer_repeat;
-  let rec loop () =
-    match Runtime.receive ctx with
+  Runtime.serve ctx (function
     | Timer_stop -> Runtime.halt ctx
     | Timer_repeat ->
       (* Coalescing send: a pending, not-yet-handled tick is not duplicated,
          as with a real periodic timer whose callback is still queued. *)
       if Runtime.nondet ctx then Runtime.send_unless_pending ctx target (tick ());
-      Runtime.send ctx (Runtime.self ctx) Timer_repeat;
-      loop ()
-    | e -> unhandled ctx e
-  in
-  loop ()
+      Runtime.send ctx (Runtime.self ctx) Timer_repeat
+    | e -> unhandled ctx e)
 
 let create ctx ~target ?(tick = fun () -> Timer_tick) ?(period = 10)
     ?(name = "Timer") () =

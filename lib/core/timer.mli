@@ -18,8 +18,9 @@
       deadlock/liveness machinery stays live; executions end at the
       simulation horizon instead of burning [max_steps].
 
-    In both modes whether a given firing actually delivers its tick is a
-    recorded [nondet] choice, and delivery coalesces
+    In both modes the timer is a served machine ({!Runtime.serve}): each
+    firing is one handler call, with no fiber switch. Whether a given
+    firing actually delivers its tick is a recorded [nondet] choice, and delivery coalesces
     ({!Runtime.send_unless_pending}) so ticks cannot flood a slow
     target. *)
 

@@ -12,14 +12,10 @@ type Psharp.Event.t +=
 let control_relay ~target ctx =
   Psharp.Registry.register_machine ~machine:"CScaleControlRelay"
     ~kind:Psharp.Registry.Machine ~states:1 ~handlers:1;
-  let rec loop () =
-    (match R.receive ctx with
-     | Cs_ctl inner -> R.send ctx target inner
-     | Psharp.Event.Halt_event -> R.halt ctx
-     | _ -> ());
-    loop ()
-  in
-  loop ()
+  R.serve ctx (function
+    | Cs_ctl inner -> R.send ctx target inner
+    | Psharp.Event.Halt_event -> R.halt ctx
+    | _ -> ())
 
 (* Aggregation stage: sums each batch's records, emits the sum on batch
    end. *)
@@ -59,43 +55,35 @@ let aggregator ~bugs ~sink ctx =
       current := None
     | Some _ | None -> ()
   in
-  let rec loop () =
-    (match R.receive ctx with
-     | Cs_start { batch } ->
-       current := Some (batch, ref 0, ref 0);
-       (* Replay records buffered while the control message was in flight. *)
-       let mine, rest = List.partition (fun (b, _) -> b = batch) !buffered in
-       buffered := rest;
-       List.iter (fun (b, v) -> add_record b v) (List.rev mine);
-       try_finish ()
-     | Cs_record { batch; value } ->
-       add_record batch value;
-       try_finish ()
-     | Cs_end { batch; count } ->
-       pending_end := (batch, count) :: !pending_end;
-       try_finish ()
-     | Psharp.Event.Halt_event -> R.halt ctx
-     | _ -> ());
-    loop ()
-  in
-  loop ()
+  R.serve ctx (function
+    | Cs_start { batch } ->
+      current := Some (batch, ref 0, ref 0);
+      (* Replay records buffered while the control message was in flight. *)
+      let mine, rest = List.partition (fun (b, _) -> b = batch) !buffered in
+      buffered := rest;
+      List.iter (fun (b, v) -> add_record b v) (List.rev mine);
+      try_finish ()
+    | Cs_record { batch; value } ->
+      add_record batch value;
+      try_finish ()
+    | Cs_end { batch; count } ->
+      pending_end := (batch, count) :: !pending_end;
+      try_finish ()
+    | Psharp.Event.Halt_event -> R.halt ctx
+    | _ -> ())
 
 (* Transform stage: forwards records (doubling them) and routes batch
    control through the relay. *)
 let transform ~relay ~aggregator_id ctx =
   Psharp.Registry.register_machine ~machine:"CScaleTransform"
     ~kind:Psharp.Registry.Machine ~states:1 ~handlers:3;
-  let rec loop () =
-    (match R.receive ctx with
-     | Cs_start _ as e -> R.send ctx relay (Cs_ctl e)
-     | Cs_end _ as e -> R.send ctx relay (Cs_ctl e)
-     | Cs_record { batch; value } ->
-       R.send ctx aggregator_id (Cs_record { batch; value = 2 * value })
-     | Psharp.Event.Halt_event -> R.halt ctx
-     | _ -> ());
-    loop ()
-  in
-  loop ()
+  R.serve ctx (function
+    | Cs_start _ as e -> R.send ctx relay (Cs_ctl e)
+    | Cs_end _ as e -> R.send ctx relay (Cs_ctl e)
+    | Cs_record { batch; value } ->
+      R.send ctx aggregator_id (Cs_record { batch; value = 2 * value })
+    | Psharp.Event.Halt_event -> R.halt ctx
+    | _ -> ())
 
 let test ?(bugs = Bug_flags.none) ?(n_batches = 2) ?(batch_size = 2) () ctx =
   Psharp.Registry.register_machine ~machine:"CScaleSource"

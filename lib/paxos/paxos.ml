@@ -56,43 +56,39 @@ let acceptor ~bugs ~aid ctx =
     ~kind:Psharp.Registry.Machine ~states:1 ~handlers:2;
   let promised : ballot option ref = ref None in
   let accepted : (ballot * int) option ref = ref None in
-  let rec loop () =
-    (match R.receive ctx with
-     | Prepare { ballot; proposer } ->
-       let higher =
-         match !promised with
-         | None -> true
-         | Some p -> compare_ballot ballot p > 0
-       in
-       if higher then begin
-         promised := Some ballot;
-         R.send_faulty ctx proposer
-           (Promise { acceptor = aid; ballot; accepted = !accepted })
-       end
-       else R.send_faulty ctx proposer (Rejected { ballot })
-     | Accept { ballot; value; proposer } ->
-       let ok =
-         if bugs.forget_promise then
-           (* Bug: honour only previously accepted ballots and ignore the
-              promise — a higher prepare no longer blocks this accept. *)
-           match !accepted with
-           | None -> true
-           | Some (b, _) -> compare_ballot ballot b >= 0
-         else
-           match !promised with
-           | None -> true
-           | Some p -> compare_ballot ballot p >= 0
-       in
-       if ok then begin
-         accepted := Some (ballot, value);
-         R.send_faulty ctx proposer (Accepted { acceptor = aid; ballot })
-       end
-       else R.send_faulty ctx proposer (Rejected { ballot })
-     | Psharp.Event.Halt_event -> R.halt ctx
-     | _ -> ());
-    loop ()
-  in
-  loop ()
+  R.serve ctx (function
+    | Prepare { ballot; proposer } ->
+      let higher =
+        match !promised with
+        | None -> true
+        | Some p -> compare_ballot ballot p > 0
+      in
+      if higher then begin
+        promised := Some ballot;
+        R.send_faulty ctx proposer
+          (Promise { acceptor = aid; ballot; accepted = !accepted })
+      end
+      else R.send_faulty ctx proposer (Rejected { ballot })
+    | Accept { ballot; value; proposer } ->
+      let ok =
+        if bugs.forget_promise then
+          (* Bug: honour only previously accepted ballots and ignore the
+             promise — a higher prepare no longer blocks this accept. *)
+          match !accepted with
+          | None -> true
+          | Some (b, _) -> compare_ballot ballot b >= 0
+        else
+          match !promised with
+          | None -> true
+          | Some p -> compare_ballot ballot p >= 0
+      in
+      if ok then begin
+        accepted := Some (ballot, value);
+        R.send_faulty ctx proposer (Accepted { acceptor = aid; ballot })
+      end
+      else R.send_faulty ctx proposer (Rejected { ballot })
+    | Psharp.Event.Halt_event -> R.halt ctx
+    | _ -> ())
 
 (* --- Proposer ----------------------------------------------------------- *)
 

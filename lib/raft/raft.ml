@@ -261,49 +261,45 @@ let server_body ~bugs ~sid ctx =
        ~name:(Printf.sprintf "RaftTimer%d" sid)
        ());
   let peer_ids = ref [] in
-  let rec loop () =
-    (match R.receive ctx with
-     | Bind_peers peers ->
-       s.peers <- peers;
-       peer_ids := List.map snd peers
-     | Raft_tick -> if s.peers <> [] then handle_tick ctx s
-     | Request_vote { term; candidate; candidate_id; last_log_index; last_log_term } ->
-       handle_request_vote ctx s ~term ~candidate ~candidate_id
-         ~last_log_index ~last_log_term
-     | Vote { term; granted } ->
-       if s.role = Candidate && term = s.term && granted then begin
-         s.votes <- s.votes + 1;
-         if s.votes >= majority s then become_leader ctx s
-       end
-     | Append_entries { term; leader; log; leader_commit } ->
-       let leader_id =
-         match List.assoc_opt leader s.peers with
-         | Some id -> id
-         | None -> R.self ctx
-       in
-       handle_append ctx s ~term ~leader ~log ~leader_commit ~leader_id
-     | Append_ok { term; follower; match_len } ->
-       if s.role = Leader && term = s.term then begin
-         let current =
-           Option.value (List.assoc_opt follower s.match_lens) ~default:0
-         in
-         if match_len > current then begin
-           s.match_lens <-
-             (follower, match_len) :: List.remove_assoc follower s.match_lens;
-           advance_leader_commit ctx s
-         end
-       end
-     | Client_cmd cmd ->
-       if s.role = Leader then begin
-         s.log <- s.log @ [ { term = s.term; cmd } ];
-         broadcast_append ctx s;
-         advance_leader_commit ctx s
-       end
-     | Psharp.Event.Halt_event -> R.halt ctx
-     | _ -> ());
-    loop ()
-  in
-  loop ()
+  R.serve ctx (function
+    | Bind_peers peers ->
+      s.peers <- peers;
+      peer_ids := List.map snd peers
+    | Raft_tick -> if s.peers <> [] then handle_tick ctx s
+    | Request_vote { term; candidate; candidate_id; last_log_index; last_log_term } ->
+      handle_request_vote ctx s ~term ~candidate ~candidate_id
+        ~last_log_index ~last_log_term
+    | Vote { term; granted } ->
+      if s.role = Candidate && term = s.term && granted then begin
+        s.votes <- s.votes + 1;
+        if s.votes >= majority s then become_leader ctx s
+      end
+    | Append_entries { term; leader; log; leader_commit } ->
+      let leader_id =
+        match List.assoc_opt leader s.peers with
+        | Some id -> id
+        | None -> R.self ctx
+      in
+      handle_append ctx s ~term ~leader ~log ~leader_commit ~leader_id
+    | Append_ok { term; follower; match_len } ->
+      if s.role = Leader && term = s.term then begin
+        let current =
+          Option.value (List.assoc_opt follower s.match_lens) ~default:0
+        in
+        if match_len > current then begin
+          s.match_lens <-
+            (follower, match_len) :: List.remove_assoc follower s.match_lens;
+          advance_leader_commit ctx s
+        end
+      end
+    | Client_cmd cmd ->
+      if s.role = Leader then begin
+        s.log <- s.log @ [ { term = s.term; cmd } ];
+        broadcast_append ctx s;
+        advance_leader_commit ctx s
+      end
+    | Psharp.Event.Halt_event -> R.halt ctx
+    | _ -> ())
 
 (* --- Harness ------------------------------------------------------------ *)
 

@@ -91,70 +91,66 @@ let machine ?(bugs = Bug_flags.none) ~name ~router ~disk ctx =
   Events.install_printer ();
   let m = { name; router; disk; bugs; stalled = [] } in
   R.set_state_name ctx "Serving";
-  let rec loop () =
-    (match R.receive ctx with
-     | Events.Client_req _ as e -> handle_client_req ctx m e
-     | Events.Handoff_request { shard; version; dest; ring } ->
-       (* Only a migration to a future ring is live; a retry of an
-          already-committed one arrives with version <= our ring. *)
-       if version > m.disk.d_ring.Ring.version then begin
-         if not (List.mem (shard, version) m.disk.d_out) then begin
-           m.disk.d_out <- (shard, version) :: m.disk.d_out;
-           R.set_state_name ctx "Migrating"
-         end;
-         let data = shard_kv m shard in
-         let dedup =
-           if m.bugs.Bug_flags.migrate_drops_dedup then []
-           else shard_dedup m shard
-         in
-         if m.bugs.Bug_flags.release_before_ack then
-           (* the defect: drop the shard as soon as the snapshot is on
-              the wire — a crashed receiver plus a retried handoff then
-              re-snapshots an empty shard *)
-           drop_shard m shard;
-         R.send_faulty ctx dest
-           (Events.Shard_data { shard; version; ring; data; dedup })
-       end
-     | Events.Shard_data { shard; version; ring; data; dedup } ->
-       (* Install once; a duplicate (handoff retry racing the ack) must
-          not overwrite a copy we may already be serving writes on. *)
-       if not (List.mem (shard, version) m.disk.d_installed) then begin
-         set_shard m shard data dedup;
-         m.disk.d_installed <- (shard, version) :: m.disk.d_installed;
-         (* adopting the incoming ring here (durably) covers the corner
-            where a later crash throws away the Ring_update broadcast *)
-         if ring.Ring.version > m.disk.d_ring.Ring.version then
-           m.disk.d_ring <- ring
-       end;
-       R.send_faulty ctx m.router (Events.Handoff_ack { shard; version })
-     | Events.Release { shard; version; ring } ->
-       if ring.Ring.version > m.disk.d_ring.Ring.version then
-         m.disk.d_ring <- ring;
-       m.disk.d_out <-
-         List.filter (fun sv -> sv <> (shard, version)) m.disk.d_out;
-       drop_shard m shard;
-       if m.disk.d_out = [] then R.set_state_name ctx "Serving";
-       (* parked requests re-route now that the committed ring names the
-          new owner *)
-       reprocess_stalled ctx m
-     | Events.Ring_update { ring } ->
-       if ring.Ring.version > m.disk.d_ring.Ring.version then begin
-         m.disk.d_ring <- ring;
-         (* a committed ring is an implicit release of any older handoff
-            still marked outbound — the explicit Release may have died in
-            a crashed inbox *)
-         let stale, live =
-           List.partition
-             (fun (_, v) -> v <= ring.Ring.version)
-             m.disk.d_out
-         in
-         List.iter (fun (s, _) -> drop_shard m s) stale;
-         m.disk.d_out <- live;
-         if m.disk.d_out = [] then R.set_state_name ctx "Serving";
-         reprocess_stalled ctx m
-       end
-     | Events.Shutdown -> R.halt ctx
-     | _ -> ());
-    loop ()
-  in
-  loop ()
+  R.serve ctx (function
+    | Events.Client_req _ as e -> handle_client_req ctx m e
+    | Events.Handoff_request { shard; version; dest; ring } ->
+      (* Only a migration to a future ring is live; a retry of an
+         already-committed one arrives with version <= our ring. *)
+      if version > m.disk.d_ring.Ring.version then begin
+        if not (List.mem (shard, version) m.disk.d_out) then begin
+          m.disk.d_out <- (shard, version) :: m.disk.d_out;
+          R.set_state_name ctx "Migrating"
+        end;
+        let data = shard_kv m shard in
+        let dedup =
+          if m.bugs.Bug_flags.migrate_drops_dedup then []
+          else shard_dedup m shard
+        in
+        if m.bugs.Bug_flags.release_before_ack then
+          (* the defect: drop the shard as soon as the snapshot is on
+             the wire — a crashed receiver plus a retried handoff then
+             re-snapshots an empty shard *)
+          drop_shard m shard;
+        R.send_faulty ctx dest
+          (Events.Shard_data { shard; version; ring; data; dedup })
+      end
+    | Events.Shard_data { shard; version; ring; data; dedup } ->
+      (* Install once; a duplicate (handoff retry racing the ack) must
+         not overwrite a copy we may already be serving writes on. *)
+      if not (List.mem (shard, version) m.disk.d_installed) then begin
+        set_shard m shard data dedup;
+        m.disk.d_installed <- (shard, version) :: m.disk.d_installed;
+        (* adopting the incoming ring here (durably) covers the corner
+           where a later crash throws away the Ring_update broadcast *)
+        if ring.Ring.version > m.disk.d_ring.Ring.version then
+          m.disk.d_ring <- ring
+      end;
+      R.send_faulty ctx m.router (Events.Handoff_ack { shard; version })
+    | Events.Release { shard; version; ring } ->
+      if ring.Ring.version > m.disk.d_ring.Ring.version then
+        m.disk.d_ring <- ring;
+      m.disk.d_out <-
+        List.filter (fun sv -> sv <> (shard, version)) m.disk.d_out;
+      drop_shard m shard;
+      if m.disk.d_out = [] then R.set_state_name ctx "Serving";
+      (* parked requests re-route now that the committed ring names the
+         new owner *)
+      reprocess_stalled ctx m
+    | Events.Ring_update { ring } ->
+      if ring.Ring.version > m.disk.d_ring.Ring.version then begin
+        m.disk.d_ring <- ring;
+        (* a committed ring is an implicit release of any older handoff
+           still marked outbound — the explicit Release may have died in
+           a crashed inbox *)
+        let stale, live =
+          List.partition
+            (fun (_, v) -> v <= ring.Ring.version)
+            m.disk.d_out
+        in
+        List.iter (fun (s, _) -> drop_shard m s) stale;
+        m.disk.d_out <- live;
+        if m.disk.d_out = [] then R.set_state_name ctx "Serving";
+        reprocess_stalled ctx m
+      end
+    | Events.Shutdown -> R.halt ctx
+    | _ -> ())

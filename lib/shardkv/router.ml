@@ -59,52 +59,48 @@ let machine ~ring ~directory ctx =
   Events.install_printer ();
   let m = { directory; ring; next = None; moves = [] } in
   R.set_state_name ctx "Steady";
-  let rec loop () =
-    (match R.receive ctx with
-     | Events.Join { node = name } ->
-       (* one ring change in flight at a time; the harness drives a
-          single join *)
-       assert (m.next = None);
-       (* remembered by [Ring.add_node]: the harness joins the same node
-          to the same initial ring in every execution *)
-       let next = Ring.add_node m.ring name in
-       let moved = Ring.moved_shards ~before:m.ring ~after:next in
-       if moved = [] then begin
-         m.ring <- next;
-         broadcast ctx m next
-       end
-       else begin
-         m.next <- Some next;
-         m.moves <-
-           List.map
-             (fun shard ->
-               { shard; source = node m (Ring.primary m.ring shard);
-                 acked = false })
-             moved;
-         R.set_state_name ctx "Rebalancing";
-         List.iter (start_handoff ctx m next) m.moves
-       end
-     | Events.Handoff_ack { shard; version } ->
-       (match m.next with
-        | Some next when version = next.Ring.version ->
-          List.iter
-            (fun mv -> if mv.shard = shard then mv.acked <- true)
-            m.moves;
-          maybe_commit ctx m
-        | _ -> () (* late ack of a committed migration *))
-     | Events.Retry_handoff { shard; version } ->
-       (match m.next with
-        | Some next when version = next.Ring.version ->
-          (match
-             List.find_opt
-               (fun mv -> mv.shard = shard && not mv.acked)
-               m.moves
-           with
-           | Some mv -> start_handoff ctx m next mv
-           | None -> ())
-        | _ -> ())
-     | Events.Shutdown -> R.halt ctx
-     | _ -> ());
-    loop ()
-  in
-  loop ()
+  R.serve ctx (function
+    | Events.Join { node = name } ->
+      (* one ring change in flight at a time; the harness drives a
+         single join *)
+      assert (m.next = None);
+      (* remembered by [Ring.add_node]: the harness joins the same node
+         to the same initial ring in every execution *)
+      let next = Ring.add_node m.ring name in
+      let moved = Ring.moved_shards ~before:m.ring ~after:next in
+      if moved = [] then begin
+        m.ring <- next;
+        broadcast ctx m next
+      end
+      else begin
+        m.next <- Some next;
+        m.moves <-
+          List.map
+            (fun shard ->
+              { shard; source = node m (Ring.primary m.ring shard);
+                acked = false })
+            moved;
+        R.set_state_name ctx "Rebalancing";
+        List.iter (start_handoff ctx m next) m.moves
+      end
+    | Events.Handoff_ack { shard; version } ->
+      (match m.next with
+       | Some next when version = next.Ring.version ->
+         List.iter
+           (fun mv -> if mv.shard = shard then mv.acked <- true)
+           m.moves;
+         maybe_commit ctx m
+       | _ -> () (* late ack of a committed migration *))
+    | Events.Retry_handoff { shard; version } ->
+      (match m.next with
+       | Some next when version = next.Ring.version ->
+         (match
+            List.find_opt
+              (fun mv -> mv.shard = shard && not mv.acked)
+              m.moves
+          with
+          | Some mv -> start_handoff ctx m next mv
+          | None -> ())
+       | _ -> ())
+    | Events.Shutdown -> R.halt ctx
+    | _ -> ())

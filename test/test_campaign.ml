@@ -164,6 +164,17 @@ let corpus_to_strings =
            (List.map Coverage.family_kind_to_string e.Fuzz.tags))
         (Trace.to_string e.Fuzz.trace))
 
+(* Every component of a loaded campaign, rendered. *)
+let render (c : Campaign.t) =
+  Printf.sprintf "%s|%Ld|%d|%s|%s|%s" c.Campaign.harness c.Campaign.seed
+    c.Campaign.executions
+    (Coverage.to_save c.Campaign.coverage)
+    (String.concat ";" (corpus_to_strings c.Campaign.corpus))
+    (String.concat ";"
+       (List.map
+          (fun (k, t) -> k ^ "=" ^ Trace.to_string t)
+          c.Campaign.witnesses))
+
 let test_campaign_roundtrip () =
   let dir = tmp_dir "roundtrip" in
   let c = sample_campaign () in
@@ -183,7 +194,16 @@ let test_campaign_roundtrip () =
     (List.map (fun (k, t) -> (k, Trace.to_string t)) c.Campaign.witnesses)
     (List.map (fun (k, t) -> (k, Trace.to_string t)) l.Campaign.witnesses);
   Alcotest.(check int) "one witness per kind" 1
-    (List.length l.Campaign.witnesses)
+    (List.length l.Campaign.witnesses);
+  (* the layout before generations: the same files in [dir] itself *)
+  let gen = Campaign.live_dir ~dir in
+  Array.iter
+    (fun f -> Sys.rename (Filename.concat gen f) (Filename.concat dir f))
+    (Sys.readdir gen);
+  Sys.rmdir gen;
+  Sys.remove (Filename.concat dir "CURRENT");
+  Alcotest.(check string) "a campaign saved without generations loads"
+    (render c) (render (Campaign.load ~dir))
 
 let test_campaign_fresh_roundtrip () =
   let dir = tmp_dir "fresh" in
@@ -224,10 +244,12 @@ let expect_load_failure label dir =
 let test_campaign_rejects_corruption () =
   let dir = tmp_dir "corrupt" in
   let c = sample_campaign () in
-  let meta = Filename.concat dir "campaign.meta" in
+  (* each save publishes a new generation: corrupt the one it published *)
+  let live name = Filename.concat (Campaign.live_dir ~dir) name in
   let fresh () = Campaign.save ~dir c in
   let corrupt_meta label f =
     fresh ();
+    let meta = live "campaign.meta" in
     write_file meta (f (read_file meta));
     expect_load_failure label dir
   in
@@ -273,16 +295,76 @@ let test_campaign_rejects_corruption () =
   corrupt_centry "corpus count vs centry lines" ~from:"corpus:2"
     ~to_:"corpus:3";
   fresh ();
-  Sys.remove (Filename.concat dir "coverage");
+  Sys.remove (live "coverage");
   expect_load_failure "missing coverage file" dir;
   fresh ();
-  Sys.remove (Filename.concat (Filename.concat dir "corpus") "00001.trace");
+  Sys.remove (Filename.concat (live "corpus") "00001.trace");
   expect_load_failure "missing corpus entry" dir;
   fresh ();
-  write_file
-    (Filename.concat (Filename.concat dir "corpus") "00000.trace")
-    "not a trace\n";
-  expect_load_failure "corrupted corpus entry" dir
+  write_file (Filename.concat (live "corpus") "00000.trace") "not a trace\n";
+  expect_load_failure "corrupted corpus entry" dir;
+  fresh ();
+  write_file (Filename.concat dir "CURRENT") "gen-99999\n";
+  expect_load_failure "pointer to a missing generation" dir;
+  fresh ();
+  write_file (Filename.concat dir "CURRENT") "gen-7\n";
+  expect_load_failure "non-canonical pointer" dir
+
+(* --- Crash consistency --------------------------------------------------- *)
+
+exception Crashed
+
+(* A save killed after its k-th write, for every k, with that write
+   either whole or torn in half: [load] must return exactly the campaign
+   saved before it. The next full save must then publish the new one. *)
+let test_campaign_crash_consistency () =
+  let dir = tmp_dir "crash" in
+  let old_c = sample_campaign () in
+  let new_c =
+    Campaign.record_witness
+      (Campaign.advance old_c ~executions:20
+         ~coverage:(explore_coverage ~executions:40 ())
+         ~corpus:
+           (old_c.Campaign.corpus
+           @ [ Fuzz.entry_of_trace (sample_trace [ Trace.Int 3 ]) ]))
+      ~kind:"deadlock" ~trace:(sample_trace [ Trace.Schedule 2 ])
+  in
+  let writes = ref 0 in
+  Campaign.save_with ~dir:(tmp_dir "crash_count")
+    ~write:(fun path data ->
+      incr writes;
+      write_file path data)
+    new_c;
+  Alcotest.(check bool) "a save makes several writes" true (!writes >= 6);
+  let expect label c =
+    Alcotest.(check string) label (render c) (render (Campaign.load ~dir))
+  in
+  Campaign.save ~dir old_c;
+  for k = 1 to !writes do
+    List.iter
+      (fun torn ->
+        let n = ref 0 in
+        (match
+           Campaign.save_with ~dir new_c ~write:(fun path data ->
+               incr n;
+               if !n < k then write_file path data
+               else begin
+                 write_file path
+                   (if torn then String.sub data 0 (String.length data / 2)
+                    else data);
+                 raise Crashed
+               end)
+         with
+         | () -> Alcotest.failf "write %d: the save did not reach it" k
+         | exception Crashed -> ());
+        expect (Printf.sprintf "killed at write %d (torn %b)" k torn) old_c)
+      [ false; true ]
+  done;
+  Campaign.save ~dir new_c;
+  expect "after a full save" new_c;
+  (* and the old generations are gone *)
+  Alcotest.(check int) "one generation and its pointer" 2
+    (Array.length (Sys.readdir dir))
 
 (* --- Resume equivalence ------------------------------------------------- *)
 
@@ -338,6 +420,8 @@ let suite =
       test_campaign_load_opt_missing;
     Alcotest.test_case "campaign: corrupted campaigns rejected" `Quick
       test_campaign_rejects_corruption;
+    Alcotest.test_case "campaign: a save killed at any write keeps the old one"
+      `Quick test_campaign_crash_consistency;
     Alcotest.test_case "campaign: resume equals uninterrupted run" `Quick
       test_resume_equals_uninterrupted;
   ]

@@ -7,6 +7,7 @@ let () =
       ("event", Test_event.suite);
       ("monitor", Test_monitor.suite);
       ("runtime", Test_runtime.suite);
+      ("served", Test_served.suite);
       ("statemachine", Test_statemachine.suite);
       ("strategies", Test_strategies.suite);
       ("engine", Test_engine.suite);
