@@ -23,6 +23,7 @@ module Bug_catalog = Catalog.Bug_catalog
 module Scenario_catalog = Catalog.Scenario_catalog
 module Error = Psharp.Error
 module Coverage = Psharp.Coverage
+module Campaign = Psharp.Campaign
 module Fuzz_exchange = Psharp.Fuzz_strategy.Exchange
 
 let base_seed = 1L
@@ -406,9 +407,10 @@ let parallel_scaling ~gate budget =
 
 (* A cold uninterrupted fuzz hunt against a two-invocation campaign: a
    short warm invocation whose coverage and corpus are carried into a
-   resumed one (the state `psharp_test hunt --campaign` persists). Warm
-   budgets sit below each bug's cold executions-to-first-bug, so the warm
-   invocation ends bug-free and the resumed one does the finding. *)
+   resumed one, both configs built by [Campaign.resume] as `psharp_test
+   hunt --campaign` builds them. Warm budgets sit below each bug's cold
+   executions-to-first-bug, so the warm invocation ends bug-free and the
+   resumed one does the finding. *)
 let campaign_cases =
   [
     ("QueryAtomicFilterShadowing", 8);
@@ -422,29 +424,23 @@ let campaign budget =
       let e = find name in
       let base = fuzz_config e ~budget in
       let cold = execs_to_bug e base in
-      let hub = Fuzz_exchange.create () in
+      let fresh = Campaign.create ~harness:name ~seed:base.E.seed in
+      let warm_config =
+        Campaign.resume fresh { base with max_executions = warm_budget }
+      in
       let warm =
         stats_of
-          (E.run ~monitors:e.Bug_catalog.monitors
-             {
-               base with
-               max_executions = warm_budget;
-               collect_coverage = true;
-               fuzz_exchange = Some hub;
-             }
+          (E.run ~monitors:e.Bug_catalog.monitors warm_config
              e.Bug_catalog.harness)
       in
-      let corpus = Fuzz_exchange.snapshot hub in
-      let resumed =
-        execs_to_bug e
-          {
-            base with
-            start_iteration = warm.E.executions;
-            prior_coverage = warm.E.coverage;
-            collect_coverage = true;
-            fuzz_exchange = Some (Fuzz_exchange.of_entries corpus);
-          }
+      let corpus =
+        Fuzz_exchange.snapshot (Option.get warm_config.E.resume.exchange)
       in
+      let c =
+        Campaign.advance fresh ~executions:warm.E.executions
+          ~coverage:(Option.get warm.E.coverage) ~corpus
+      in
+      let resumed = execs_to_bug e (Campaign.resume c base) in
       [
         ("bug", Str name);
         ("warm_budget", Int warm_budget);
@@ -504,8 +500,9 @@ let fuzz_v2_fault_row name ~budget =
 (* On the fault-free vNext liveness bug cold fuzz v2 mutates long random
    tails and reaches the bug later than v1. A cheap scenario-constrained
    random hunt (starve-network, schedule-only) finds a witness earlier,
-   and its first 2,000 choices seed the fuzz-v2 corpus; the seeded total
-   charges the seeding hunt's executions too. *)
+   and its first 2,000 choices seed the fuzz-v2 corpus through an
+   exchange hub; the seeded total charges the seeding hunt's executions
+   too. *)
 let fuzz_v2_liveness_row ~budget =
   let e = find "ExtentNodeLivenessViolation" in
   let scenario = "starve-network" and prefix = 2_000 in
@@ -530,14 +527,14 @@ let fuzz_v2_liveness_row ~budget =
           (fun j _ -> j < prefix)
           (Psharp.Trace.to_list r.Error.trace)
       in
+      let entry =
+        Psharp.Fuzz_strategy.entry_of_trace (Psharp.Trace.of_list choices)
+      in
+      let exchange = Some (Fuzz_exchange.of_entries [ entry ]) in
       execs_to_bug e
         {
           (fuzz_config ~v2:true e ~budget) with
-          fuzz_initial =
-            [
-              Psharp.Fuzz_strategy.entry_of_trace
-                (Psharp.Trace.of_list choices);
-            ];
+          resume = { E.fresh with exchange };
         }
   in
   let seed_execs = (stats_of seeding).E.executions in
@@ -555,7 +552,7 @@ let fuzz_v2_liveness_row ~budget =
 (* Replaying a buggy schedule reproduces its coverage fingerprint: the
    fingerprint is a pure function of the choice trace. *)
 let fingerprint_replay_row e =
-  let cfg = { (config e ~budget:20_000) with collect_coverage = true } in
+  let cfg = { (config e ~budget:20_000) with coverage_mode = E.Collect } in
   let monitors = e.Bug_catalog.monitors in
   match E.run ~monitors cfg e.Bug_catalog.harness with
   | E.No_bug _ -> [ ("bug", Str e.Bug_catalog.name); ("identical", Null) ]
@@ -602,7 +599,6 @@ let reduction budget =
         E.explore ~monitors:e.Bug_catalog.monitors
           {
             (config e ~budget:explore_budget) with
-            collect_coverage = true;
             reduce = E.Hb_track;
           }
           e.Bug_catalog.fixed_harness

@@ -167,7 +167,7 @@ let plateau_family_arg =
      triple, branch, fault, history, or hb) instead of any-family gain: \
      e.g. --plateau-family hb stops once no new canonical partial orders \
      appear, even while coarser families still trickle in. Requires \
-     --plateau."
+     --plateau; hb also requires --reduce track."
   in
   Arg.(
     value
@@ -217,7 +217,9 @@ let reduce_arg =
   let doc =
     "Happens-before instrumentation: none (default) or track (record each \
      execution's canonical partial order into coverage without changing \
-     the schedule). Works with any --workers count."
+     the schedule). Works with any --workers count. Needs a run that \
+     collects coverage (--coverage-report, --plateau, --sch fuzz, \
+     --campaign, or explore)."
   in
   Arg.(
     value
@@ -357,31 +359,6 @@ let campaign_state_of ~dir ~bug ~seed =
     Format.printf "resuming %a@." Campaign.pp c;
     Ok c
 
-(* A resumed campaign continues at its own seed and iteration, with its
-   coverage as prior novelty. Under --sch fuzz its corpus flows through an
-   Exchange hub: the run's novel schedules collect there and the hub's
-   snapshot becomes the next invocation's corpus. *)
-let resume config = function
-  | None -> config
-  | Some (_, c) ->
-    let exchange =
-      match config.E.strategy with
-      | E.Fuzz _ -> Some (Exchange.of_entries c.Campaign.corpus)
-      | _ -> None
-    in
-    {
-      config with
-      E.seed = c.Campaign.seed;
-      start_iteration = c.Campaign.executions;
-      prior_coverage = Some c.Campaign.coverage;
-      collect_coverage = true;
-      (* the corpus reaches the workers through the hub when one exists;
-         passing it twice would double-fill each corpus *)
-      fuzz_initial =
-        (if Option.is_none exchange then c.Campaign.corpus else []);
-      fuzz_exchange = exchange;
-    }
-
 type flag =
   | Strategy
   | Seed
@@ -404,12 +381,13 @@ type flag =
 
 (* The run of a subcommand that takes [flags]; a flag it does not take
    keeps its default. [target] is the bug and scenario to run: by default
-   the BUG argument and --scenario. The bug's config is the default and
-   explicit flags override it. The fault spec in force is the bug's own or
-   --faults, with its budget replaced by an explicit --fault-budget; a
-   scenario then arms what its clauses need (kinds, budget, max latency),
-   exactly once, here. *)
-let run_term ?(fixed = false) ?target flags =
+   the BUG argument and --scenario. [collects] says the subcommand
+   collects coverage whatever its flags (explore). The bug's config is the
+   default and explicit flags override it. The fault spec in force is the
+   bug's own or --faults, with its budget replaced by an explicit
+   --fault-budget; a scenario then arms what its clauses need (kinds,
+   budget, max latency), exactly once, here. *)
+let run_term ?(fixed = false) ?(collects = false) ?target flags =
   let on flag arg default =
     if List.mem flag flags then arg else Term.const default
   in
@@ -443,10 +421,25 @@ let run_term ?(fixed = false) ?target flags =
   and+ history_out = on History_out history_out_arg None in
   let ( let* ) = Result.bind in
   let* entry, scenario = target in
+  let coverage_mode =
+    match plateau with
+    | Some after -> E.Plateau { after; family = plateau_family }
+    | None when collects || coverage_report <> None -> E.Collect
+    | None -> E.Off
+  in
+  let fuzz = match strategy with E.Fuzz _ -> true | _ -> false in
   let* () =
-    if plateau_family <> None && plateau = None then
-      Error "--plateau-family requires --plateau"
-    else Ok ()
+    match (plateau, plateau_family, reduce) with
+    | None, Some _, _ -> Error "--plateau-family requires --plateau"
+    | _, Some Psharp.Coverage.Hb, E.No_reduction ->
+      (* without partial orders every execution is a run without gain *)
+      Error "--plateau-family hb requires --reduce track"
+    | _, _, E.Hb_track
+      when coverage_mode = E.Off && (not fuzz) && campaign = None ->
+      Error
+        "--reduce track records partial orders into coverage; it needs \
+         --coverage-report, --plateau, --sch fuzz or --campaign"
+    | _ -> Ok ()
   in
   let* harness = harness_of entry ~fixed ~custom ~check_lin ~history_out in
   let* campaign =
@@ -474,9 +467,7 @@ let run_term ?(fixed = false) ?target flags =
       max_steps = (if steps > 0 then steps else base.E.max_steps);
       collect_log_on_bug = log;
       workers;
-      collect_coverage = coverage_report <> None;
-      coverage_plateau = plateau;
-      plateau_family;
+      coverage_mode;
       faults =
         Option.fold scenario ~none:faults ~some:(fun s ->
             Psharp.Scenario.arm s faults);
@@ -491,7 +482,9 @@ let run_term ?(fixed = false) ?target flags =
     {
       entry;
       harness;
-      config = resume config campaign;
+      config =
+        Option.fold campaign ~none:config ~some:(fun (_, c) ->
+            Campaign.resume c config);
       coverage_report;
       campaign;
       history_out;
@@ -501,7 +494,7 @@ let run_term ?(fixed = false) ?target flags =
    run arms, and hand the run to [body]. The one exit for usage errors the
    argument converters cannot see (flag combinations, harness choice,
    campaign state). *)
-let run_cmd name ~doc ?fixed ?target flags body =
+let run_cmd name ~doc ?fixed ?collects ?target flags body =
   let go resolved body =
     match resolved with
     | Error msg ->
@@ -516,7 +509,7 @@ let run_cmd name ~doc ?fixed ?target flags body =
       body run
   in
   Cmd.v (Cmd.info name ~doc)
-    Term.(const go $ run_term ?fixed ?target flags $ body)
+    Term.(const go $ run_term ?fixed ?collects ?target flags $ body)
 
 (* --- run subcommands ---------------------------------------------------- *)
 
@@ -546,7 +539,7 @@ let finish_campaign ?witness run (stats : E.stats) =
   | Some (dir, c) ->
     let coverage = Option.value stats.E.coverage ~default:c.Campaign.coverage in
     let corpus =
-      match run.config.E.fuzz_exchange with
+      match run.config.E.resume.exchange with
       | Some e ->
         (* no silent caps: say what the hub accepted and dropped *)
         let st = Exchange.stats e in
@@ -679,9 +672,8 @@ let check run =
     1
 
 let explore run =
-  let config = { run.config with E.collect_coverage = true } in
   let stats =
-    E.explore ~monitors:run.entry.Bug_catalog.monitors config run.harness
+    E.explore ~monitors:run.entry.Bug_catalog.monitors run.config run.harness
   in
   report_coverage ~table:true run stats;
   Format.printf "explored %d execution(s) in %.2fs (%d total steps%s%s)@."
@@ -719,7 +711,7 @@ let check_cmd =
     (Term.const check)
 
 let explore_cmd =
-  run_cmd "explore"
+  run_cmd "explore" ~collects:true
     ~doc:
       "Run the whole execution budget with coverage on, without stopping at \
        bugs, and report the coverage reached."

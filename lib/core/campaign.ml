@@ -40,6 +40,27 @@ let create ~harness ~seed =
 let advance t ~executions ~coverage ~corpus =
   { t with executions = t.executions + executions; coverage; corpus }
 
+(* The one place a run is resumed: the campaign's seed, its first unspent
+   iteration and its coverage as prior novelty. Under fuzz the corpus
+   flows through an Exchange hub, where the run's novel schedules collect
+   too, so the hub's snapshot becomes the next invocation's corpus. *)
+let resume t (config : Engine.config) =
+  let exchange =
+    match config.Engine.strategy with
+    | Engine.Fuzz _ -> Some (Fuzz_strategy.Exchange.of_entries t.corpus)
+    | _ -> None
+  in
+  {
+    config with
+    Engine.seed = t.seed;
+    resume =
+      {
+        Engine.first_iteration = t.executions;
+        prior_coverage = Some t.coverage;
+        exchange;
+      };
+  }
+
 let record_witness t ~kind ~trace =
   if List.mem_assoc kind t.witnesses then t
   else { t with witnesses = t.witnesses @ [ (kind, trace) ] }

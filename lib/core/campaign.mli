@@ -19,11 +19,10 @@
     generations) loads from [DIR] itself.
 
     A resumed invocation seeds the engine with the stored state
-    ({!Engine.config}[.start_iteration], [.prior_coverage],
-    [.fuzz_initial]) so it explores {e new} iterations, judges novelty
-    against everything already seen, and mutates the corpus that got
-    there — which is what makes executions-to-first-bug drop across
-    invocations.
+    ({!resume} builds the {!Engine.config}[.resume] record) so it
+    explores {e new} iterations, judges novelty against everything already
+    seen, and mutates the corpus that got there — which is what makes
+    executions-to-first-bug drop across invocations.
 
     Loading is strict in the {!Trace.of_string} mold: version mismatches,
     truncation, non-canonical numbers and missing component files are all
@@ -58,6 +57,15 @@ val advance :
   coverage:Coverage.t ->
   corpus:Fuzz_strategy.corpus_entry list ->
   t
+
+(** [resume t config] is [config] continuing [t]: the campaign's seed,
+    iterations from [t.executions] on, [t.coverage] as prior coverage
+    and, under the [Fuzz] strategy, a fresh {!Fuzz_strategy.Exchange} hub
+    pre-filled with [t.corpus] (other strategies keep no corpus, so they
+    get no hub). After the run, that hub's snapshot is the corpus to
+    {!advance} with. Resuming a {!create}d campaign is a fresh run that
+    collects coverage and, under fuzz, a corpus. *)
+val resume : t -> Engine.config -> Engine.config
 
 (** Archives a witness for [kind]; a kind already archived is kept
     unchanged (the first witness wins). *)

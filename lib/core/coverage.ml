@@ -276,17 +276,6 @@ type novelty = {
   new_hb : int;
 }
 
-let no_novelty =
-  {
-    new_states = 0;
-    new_events = 0;
-    new_triples = 0;
-    new_branches = 0;
-    new_faults = 0;
-    new_histories = 0;
-    new_hb = 0;
-  }
-
 let novel_core n =
   n.new_states > 0 || n.new_events > 0 || n.new_triples > 0
   || n.new_branches > 0 || n.new_faults > 0 || n.new_histories > 0

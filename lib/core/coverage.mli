@@ -146,8 +146,6 @@ type novelty = {
   new_hb : int;
 }
 
-val no_novelty : novelty
-
 (** The historical {!absorb} flag: any new state, event type, triple,
     branch outcome, fault point or history point. New [hb] fingerprints
     alone do {e not} set it (they never did), so default-configured
@@ -245,10 +243,6 @@ val histories : t -> (string * int) list
 (** Schedule fingerprints with the number of executions that produced
     each. *)
 val schedules : t -> (int64 * int) list
-
-(** Canonical partial-order fingerprints with the number of executions
-    that produced each (empty unless happens-before tracking was on). *)
-val hb_fingerprints : t -> (int64 * int) list
 
 (** {1 Reporting} *)
 

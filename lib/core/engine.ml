@@ -9,6 +9,19 @@ type strategy_spec =
 
 type reduction = No_reduction | Hb_track
 
+type coverage_mode =
+  | Off
+  | Collect
+  | Plateau of { after : int; family : Coverage.family_kind option }
+
+type resume = {
+  first_iteration : int;
+  prior_coverage : Coverage.t option;
+  exchange : Fuzz_strategy.Exchange.t option;
+}
+
+let fresh = { first_iteration = 0; prior_coverage = None; exchange = None }
+
 type config = {
   strategy : strategy_spec;
   seed : int64;
@@ -19,16 +32,11 @@ type config = {
   deadlock_is_bug : bool;
   collect_log_on_bug : bool;
   workers : int;
-  collect_coverage : bool;
-  coverage_plateau : int option;
-  plateau_family : Coverage.family_kind option;
+  coverage_mode : coverage_mode;
   faults : Fault.spec;
   reduce : reduction;
   clock : Clock.config option;
-  start_iteration : int;
-  prior_coverage : Coverage.t option;
-  fuzz_initial : Fuzz_strategy.corpus_entry list;
-  fuzz_exchange : Fuzz_strategy.Exchange.t option;
+  resume : resume;
   fuzz_energy : bool;
   fuzz_mutate_faults : bool;
   scenario : Scenario.t option;
@@ -46,16 +54,11 @@ let default_config =
     deadlock_is_bug = true;
     collect_log_on_bug = false;
     workers = 1;
-    collect_coverage = false;
-    coverage_plateau = None;
-    plateau_family = None;
+    coverage_mode = Off;
     faults = Fault.none;
     reduce = No_reduction;
     clock = None;
-    start_iteration = 0;
-    prior_coverage = None;
-    fuzz_initial = [];
-    fuzz_exchange = None;
+    resume = fresh;
     fuzz_energy = false;
     fuzz_mutate_faults = false;
     scenario = None;
@@ -90,8 +93,8 @@ let factory_of config =
   | Replay_trace t -> Replay_strategy.factory t
   | Fuzz { corpus_cap } ->
     Fuzz_strategy.factory ~seed:config.seed ~corpus_cap
-      ~initial:config.fuzz_initial ?exchange:config.fuzz_exchange
-      ~energy:config.fuzz_energy ~mutate_faults:config.fuzz_mutate_faults ()
+      ?exchange:config.resume.exchange ~energy:config.fuzz_energy
+      ~mutate_faults:config.fuzz_mutate_faults ()
 
 
 (* One execution's runtime configuration, shared by the exploration loop,
@@ -201,9 +204,8 @@ let finish_report ~monitors config ~kind (result : Runtime.exec_result) body =
    resume carries prior coverage (which seeds the accumulator so novelty
    and the plateau are judged relative to history). *)
 let wants_coverage config (factory : Strategy.factory) =
-  config.collect_coverage
-  || config.coverage_plateau <> None
-  || config.prior_coverage <> None
+  config.coverage_mode <> Off
+  || config.resume.prior_coverage <> None
   || factory.Strategy.feedback <> None
 
 (* Did this novelty count as plateau gain? Unkeyed, any core-family
@@ -233,10 +235,13 @@ let collector_of config =
   let acc = Coverage.create () in
   Option.iter
     (fun prior -> ignore (Coverage.absorb ~into:acc prior))
-    config.prior_coverage;
+    config.resume.prior_coverage;
   {
     acc;
-    family = config.plateau_family;
+    family =
+      (match config.coverage_mode with
+       | Plateau { family; _ } -> family
+       | Off | Collect -> None);
     no_gain = Atomic.make 0;
     mu = Mutex.create ();
   }
@@ -256,7 +261,7 @@ let note_gain c novelty ~executions =
    worker's cumulative map: it answers per-execution novelty without
    reading the shared accumulator. *)
 type sink =
-  | Off
+  | Nowhere
   | Direct of collector
   | Shard of {
       collector : collector;
@@ -266,7 +271,7 @@ type sink =
     }
 
 let sink_of ~workers (factory : Strategy.factory) = function
-  | None -> Off
+  | None -> Nowhere
   | Some c when workers = 1 -> Direct c
   | Some collector ->
     Shard
@@ -281,7 +286,7 @@ let sink_of ~workers (factory : Strategy.factory) = function
 
 (* The map one execution records into. *)
 let exec_map = function
-  | Off -> None
+  | Nowhere -> None
   | Direct c -> Some c.acc
   | Shard _ -> Some (Coverage.create ())
 
@@ -331,16 +336,18 @@ let flush = function
   | _ -> ()
 
 let hit_plateau config sink =
-  match (config.coverage_plateau, sink) with
-  | Some n, (Direct c | Shard { collector = c; _ }) -> Atomic.get c.no_gain >= n
+  match (config.coverage_mode, sink) with
+  | Plateau { after; _ }, (Direct c | Shard { collector = c; _ }) ->
+    Atomic.get c.no_gain >= after
   | _ -> false
 
 (* --- The exploration loop ---------------------------------------------- *)
 
 (* Every execution runs the same body; the mode only decides what its
    result does. [Run] stops at the lowest bug or at a plateau, [Explore]
-   only at a plateau (coverage at a fixed budget stays comparable across
-   strategies), and [Survey] tallies bug kinds and never stops early. *)
+   always collects coverage and stops only at a plateau (coverage at a
+   fixed budget stays comparable across strategies), and [Survey] tallies
+   bug kinds and never stops early. *)
 type mode = Run | Explore | Survey
 
 type found = Bug of Error.kind * Runtime.exec_result | Plateau
@@ -398,7 +405,7 @@ let drive ~mode ~monitors config body =
    | _ -> ());
   let workers = plan_workers config factory in
   let collector =
-    if mode <> Survey && wants_coverage config factory then
+    if mode = Explore || (mode = Run && wants_coverage config factory) then
       Some (collector_of config)
     else None
   in
@@ -426,7 +433,8 @@ let drive ~mode ~monitors config body =
     w
   in
   let execute w ~iteration =
-    match w.factory.Strategy.fresh ~iteration:(config.start_iteration + iteration) with
+    let first = config.resume.first_iteration in
+    match w.factory.Strategy.fresh ~iteration:(first + iteration) with
     | None ->
       Atomic.set exhausted true;
       Worker_pool.Exhausted
@@ -438,7 +446,7 @@ let drive ~mode ~monitors config body =
       let mark =
         match w.sink with
         | Direct c -> Some (Coverage.mark c.acc)
-        | Off | Shard _ -> None
+        | Nowhere | Shard _ -> None
       in
       let result =
         Runtime.execute
@@ -489,9 +497,7 @@ let run ?(monitors = no_monitors) config body =
   | (Some Plateau | None), stats, _ -> No_bug stats
 
 let explore ?(monitors = no_monitors) config body =
-  let _, stats, _ =
-    drive ~mode:Explore ~monitors { config with collect_coverage = true } body
-  in
+  let _, stats, _ = drive ~mode:Explore ~monitors config body in
   stats
 
 (* Each kind keeps the report from its lowest iteration across workers,

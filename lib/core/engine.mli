@@ -46,6 +46,62 @@ type reduction =
           Partial orders land only in coverage, so tracking is skipped in
           runs that collect none (e.g. {!survey}). *)
 
+(** What a run does with coverage. *)
+type coverage_mode =
+  | Off
+      (** collect none, unless the strategy is feedback-directed (fuzz) or
+          the run resumes with prior coverage; {!explore} treats [Off] as
+          [Collect] *)
+  | Collect
+      (** record per-execution coverage maps and return the merged map in
+          [stats.coverage] *)
+  | Plateau of { after : int; family : Coverage.family_kind option }
+      (** collect, and stop after [after] consecutive executions that
+          uncovered no new coverage point (state, event type, triple or
+          branch outcome — raw schedule and hb fingerprints never count,
+          see {!Coverage.absorb}); [stats.plateaued] reports the early
+          stop. In parallel mode the consecutive count is a cross-worker
+          approximation. [family = Some fam] keys the counter on that one
+          family: with [Some Hb], for instance, only new canonical partial
+          orders reset it — the right bound for long fuzz campaigns, which
+          keep trickling coarse novelty long after the interleaving
+          structure has been exhausted. *)
+
+(** Where a run starts: {!fresh} for a new run; {!Campaign.resume} builds
+    the record that continues a saved campaign. *)
+type resume = {
+  first_iteration : int;
+      (** first global iteration index of the run. A campaign resume sets
+          it to the number of executions already spent, so seeded
+          strategies — whose execution seeds are a pure function of the
+          global iteration — explore {e new} schedules instead of redoing
+          the previous invocation's. The budget is still [max_executions]
+          executions: the run covers iterations [first_iteration ..
+          first_iteration + max_executions - 1]. *)
+  prior_coverage : Coverage.t option;
+      (** coverage carried over from previous invocations. When set, it
+          seeds the run's accumulator before the first execution, so
+          novelty feedback and the plateau bound are judged relative to
+          everything already explored, and [stats.coverage] returns the
+          {e cumulative} map (prior executions included). Implies coverage
+          collection. *)
+  exchange : Fuzz_strategy.Exchange.t option;
+      (** cross-worker novelty hub for the [Fuzz] strategy, and the only
+          way to hand it a corpus: a hub built with
+          {!Fuzz_strategy.Exchange.of_entries} seeds every worker's corpus
+          before its first draw. With a hub, fuzz is parallel-safe: each
+          worker owns a private corpus and publishes/pulls coverage-novel
+          schedules through the hub off the per-execution path. The caller
+          keeps the hub and may {!Fuzz_strategy.Exchange.snapshot} it
+          after the run (campaign persistence) or read its push accounting
+          with {!Fuzz_strategy.Exchange.stats}. Without a hub, fuzz keeps
+          its sequential-fallback behavior under [workers]. Ignored by
+          other strategies. *)
+}
+
+(** Iteration 0, no prior coverage, no hub. *)
+val fresh : resume
+
 type config = {
   strategy : strategy_spec;
   seed : int64;
@@ -72,26 +128,7 @@ type config = {
           Stateful strategies (DFS, trace replay, fuzz without an exchange
           hub) are not parallel-safe; the engine logs a notice and runs
           one worker. *)
-  collect_coverage : bool;
-      (** record per-execution coverage maps and return the merged map in
-          [stats.coverage]. Coverage is also collected implicitly when
-          [coverage_plateau] is set or the strategy is feedback-directed
-          (fuzz). *)
-  coverage_plateau : int option;
-      (** stop after this many consecutive executions that uncovered no new
-          coverage point (state, event type, triple or branch outcome —
-          raw schedule and hb fingerprints never count, see
-          {!Coverage.absorb}); [stats.plateaued] reports the early stop.
-          In parallel mode the consecutive count is a cross-worker
-          approximation. *)
-  plateau_family : Coverage.family_kind option;
-      (** key the plateau counter on a single coverage family ([None] by
-          default: any core-family novelty counts as gain). With
-          [Some Hb], for instance, only new canonical partial orders reset
-          the counter — the right bound for long fuzz campaigns, which
-          keep trickling coarse novelty long after the interleaving
-          structure has been exhausted. Only meaningful together with
-          [coverage_plateau]. *)
+  coverage_mode : coverage_mode;  (** [Off] by default *)
   faults : Fault.spec;
       (** fault-injection spec handed to every execution's runtime
           ({!Fault.none} by default — zero draws, schedules untouched).
@@ -112,34 +149,7 @@ type config = {
           {!Runtime.config}[.clock]). Clock advances are a deterministic
           function of the schedule, so {!replay} and the shrinker — which
           receive the same config — reproduce identical timestamps. *)
-  start_iteration : int;
-      (** first global iteration index of the run ([0] by default). A
-          campaign resume sets it to the number of executions already
-          spent, so seeded strategies — whose execution seeds are a pure
-          function of the global iteration — explore {e new} schedules
-          instead of redoing the previous invocation's. The budget is
-          still [max_executions] executions: the run covers iterations
-          [start_iteration .. start_iteration + max_executions - 1]. *)
-  prior_coverage : Coverage.t option;
-      (** coverage carried over from previous invocations ([None] by
-          default). When set, it seeds the run's accumulator before the
-          first execution, so novelty feedback and the plateau bound are
-          judged relative to everything already explored, and
-          [stats.coverage] returns the {e cumulative} map (prior
-          executions included). Implies coverage collection. *)
-  fuzz_initial : Fuzz_strategy.corpus_entry list;
-      (** pre-seeded corpus for the [Fuzz] strategy ([[]] by default);
-          a campaign resume passes the persisted corpus — energy and
-          novelty tags included — here. Ignored by other strategies. *)
-  fuzz_exchange : Fuzz_strategy.Exchange.t option;
-      (** cross-worker novelty hub for the [Fuzz] strategy ([None] by
-          default). When set, fuzz becomes parallel-safe: each worker owns
-          a private corpus and publishes/pulls coverage-novel schedules
-          through the hub off the per-execution path. The caller keeps the
-          hub and may {!Fuzz_strategy.Exchange.snapshot} it after the run
-          (campaign persistence) or read its push accounting with
-          {!Fuzz_strategy.Exchange.stats}. Without a hub, fuzz keeps its
-          historical sequential-fallback behavior under [workers]. *)
+  resume : resume;  (** {!fresh} by default *)
   fuzz_energy : bool;
       (** energy scheduling for the [Fuzz] strategy ([false] by default —
           the v1 uniform corpus pick, draw-identical to before). When on,
@@ -187,8 +197,8 @@ type stats = {
   search_exhausted : bool;  (** strategy ran out of schedules (DFS) *)
   coverage : Coverage.t option;
       (** merged coverage of every execution of the run; [Some] whenever
-          the run collected coverage ([collect_coverage], a plateau bound,
-          or a feedback-directed strategy) *)
+          the run collected coverage ([coverage_mode] other than [Off],
+          prior coverage, or a feedback-directed strategy) *)
   plateaued : bool;  (** run stopped early on the coverage plateau bound *)
   timed_out : bool;
       (** run stopped at [max_seconds] — between executions or {e inside}
@@ -224,7 +234,7 @@ val run :
     coverage on and {e without} stopping at bugs, so coverage is
     comparable across strategies at a fixed budget (a strategy that trips
     a bug early is not charged fewer executions). Honors [max_seconds]
-    and [coverage_plateau]; [stats.coverage] is always [Some]. *)
+    and a [Plateau] coverage mode; [stats.coverage] is always [Some]. *)
 val explore :
   ?monitors:(unit -> Monitor.t list) ->
   config ->

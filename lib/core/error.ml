@@ -34,7 +34,6 @@ let kind_to_string = function
   | Replay_divergence { step; message } ->
     Printf.sprintf "replay diverged at step %d: %s" step message
 
-let pp_kind fmt k = Format.pp_print_string fmt (kind_to_string k)
 
 let pp_report fmt r =
   Format.fprintf fmt "@[<v>bug at step %d: %s@,trace length (#NDC): %d@]"

@@ -25,7 +25,6 @@ type report = {
 }
 
 val kind_to_string : kind -> string
-val pp_kind : Format.formatter -> kind -> unit
 val pp_report : Format.formatter -> report -> unit
 
 (** Raised inside an execution to abort it with a bug; callers outside the

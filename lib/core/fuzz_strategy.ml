@@ -179,15 +179,11 @@ module Exchange = struct
             { s_trace = e.trace; s_energy = e.energy; s_tags = e.tags })
       entries;
     t
-
-  let of_traces ?cap traces = of_entries ?cap (List.map entry_of_trace traces)
 end
 
-let factory ~seed ?(corpus_cap = 32) ?(random_bias = 4) ?(initial = [])
-    ?exchange ?(energy = false) ?(mutate_faults = false) () : Strategy.factory
-    =
+let factory ~seed ?(corpus_cap = 32) ?exchange ?(energy = false)
+    ?(mutate_faults = false) () : Strategy.factory =
   if corpus_cap <= 0 then invalid_arg "Fuzz_strategy: corpus_cap must be positive";
-  if random_bias <= 0 then invalid_arg "Fuzz_strategy: random_bias must be positive";
   (* Factory-level rng drives corpus selection and mutation; per-execution
      rngs are derived from (seed, iteration) like the other seeded
      strategies, so the random tail of each execution is independent of
@@ -211,15 +207,13 @@ let factory ~seed ?(corpus_cap = 32) ?(random_bias = 4) ?(initial = [])
       !energies.(i) <- entry_energy
     end
   in
-  (* A campaign resume re-seeds the corpus with the entries a previous
-     invocation found novel — energy metadata included — so mutation
-     starts warm instead of from scratch. *)
-  List.iter (fun e -> add ~entry_energy:e.energy e.trace) initial;
   (* Exchange plumbing: [synced] counts the hub entries this factory has
      already incorporated (its own pushes included, so a worker never
      re-imports what it contributed). Pulls happen at execution
      boundaries and only when the lock-free version read says there is
-     news — the per-execution fast path never touches the hub mutex. *)
+     news — the per-execution fast path never touches the hub mutex. A
+     hub pre-filled with a corpus (a campaign resume) is pulled before
+     the first draw, so mutation starts warm instead of from scratch. *)
   let synced = ref 0 in
   let pull_locked (ex : Exchange.t) =
     for i = !synced to ex.Exchange.len - 1 do
@@ -282,7 +276,8 @@ let factory ~seed ?(corpus_cap = 32) ?(random_bias = 4) ?(initial = [])
         pull_if_news ();
         let exec_seed = Int64.add seed (Int64.of_int (iteration * 2 + 1)) in
         let prefix =
-          if Array.length !traces = 0 || Prng.int rng random_bias = 0 then
+          (* one execution in four explores purely randomly *)
+          if Array.length !traces = 0 || Prng.int rng 4 = 0 then
             Trace.empty
           else mutate ()
         in

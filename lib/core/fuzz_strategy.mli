@@ -110,28 +110,24 @@ module Exchange : sig
       skipped, duplicates deduped) — the campaign-resume path, so every
       worker's corpus starts from the persisted one, energy included. *)
   val of_entries : ?cap:int -> corpus_entry list -> t
-
-  (** [of_traces traces] = [of_entries (List.map entry_of_trace traces)]. *)
-  val of_traces : ?cap:int -> Trace.t list -> t
 end
 
 val factory :
   seed:int64 ->
   ?corpus_cap:int ->
-  ?random_bias:int ->
-  ?initial:corpus_entry list ->
   ?exchange:Exchange.t ->
   ?energy:bool ->
   ?mutate_faults:bool ->
   unit ->
   Strategy.factory
 (** [factory ~seed ()] — [corpus_cap] bounds the corpus (default 32;
-    once full, a random entry is evicted); [random_bias] is the
-    denominator of the pure-random fraction (default 4: one execution in
-    four explores purely randomly); [initial] pre-seeds the corpus (a
-    campaign resume passes the persisted corpus, energies included);
+    once full, a random entry is evicted); one execution in four, and
+    every execution while the corpus is empty, explores purely randomly;
     [exchange] links this factory's corpus to other workers' through a
-    shared novelty hub and marks the factory parallel-safe; [energy]
+    shared novelty hub, seeds it with the hub's entries before the first
+    draw (a campaign resume passes the persisted corpus, energies
+    included, through {!Exchange.of_entries}) and marks the factory
+    parallel-safe; [energy]
     (default off) turns on the energy-proportional power schedule and
     hb-novelty admission; [mutate_faults] (default off) adds the
     fault-tune operator to the mutation mix. With both knobs off the

@@ -53,10 +53,6 @@ let pick t xs =
     let arr = Array.of_list xs in
     arr.(int t (Array.length arr))
 
-let pick_array t xs =
-  if Array.length xs = 0 then invalid_arg "Prng.pick_array: empty array";
-  xs.(int t (Array.length xs))
-
 let shuffle t xs =
   for i = Array.length xs - 1 downto 1 do
     let j = int t (i + 1) in

@@ -35,9 +35,5 @@ val float : t -> float -> float
     @raise Invalid_argument on the empty list. *)
 val pick : t -> 'a list -> 'a
 
-(** [pick_array t xs] returns a uniform element of [xs].
-    @raise Invalid_argument on the empty array. *)
-val pick_array : t -> 'a array -> 'a
-
 (** [shuffle t xs] permutes [xs] in place (Fisher-Yates). *)
 val shuffle : t -> 'a array -> unit

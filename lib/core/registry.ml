@@ -89,15 +89,6 @@ let transitions ~machine =
       | Some s -> Edge_set.cardinal s
       | None -> 0)
 
-let aggregate ~matching =
-  List.fold_left
-    (fun (m, s, t, h) st ->
-      if matching st.machine then
-        (m + 1, s + st.states, t + transitions ~machine:st.machine,
-         h + st.handlers)
-      else (m, s, t, h))
-    (0, 0, 0, 0) (machines ())
-
 let reset () =
   Mutex.protect mu (fun () ->
       Hashtbl.reset registered;

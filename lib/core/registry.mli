@@ -26,9 +26,5 @@ val machines : unit -> machine_stats list
 (** Number of distinct observed (from, to) transitions for [machine]. *)
 val transitions : machine:string -> int
 
-(** Aggregate over machines whose name passes [matching]. Returns
-    (#machines, #states, #transitions, #handlers). *)
-val aggregate : matching:(string -> bool) -> int * int * int * int
-
 (** Forget everything (used by tests). *)
 val reset : unit -> unit

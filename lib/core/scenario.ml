@@ -374,8 +374,6 @@ let of_string s =
 let crash_slots t =
   List.length (List.filter (function Crash_when _ -> true | _ -> false) t)
 
-let has_crash_clauses t = crash_slots t > 0
-
 let link_needs = function
   | Partition _ | Drop_link _ -> Some Fault.Drop
   | Dup_link _ -> Some Fault.Duplicate
@@ -1033,7 +1031,7 @@ let wrap ~(obs : Obs.t) (base : Strategy.t) =
 
 let check t journal =
   let states = Array.of_list (List.map cstate_of t) in
-  let has_crash = has_crash_clauses t in
+  let has_crash = crash_slots t > 0 in
   let viols = ref [] in
   let add v = viols := v :: !viols in
   List.iter

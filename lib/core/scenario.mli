@@ -30,7 +30,6 @@ type pat
     @raise Invalid_argument otherwise. *)
 val pat : string -> pat
 
-val pat_matches : pat -> string -> bool
 val pat_to_string : pat -> string
 
 (** {1 Triggers}
@@ -141,8 +140,6 @@ val of_string : string -> (t, string) result
     clause adds 48 budget. A scenario with no fault clauses returns
     [spec] unchanged. *)
 val arm : t -> Fault.spec -> Fault.spec
-
-val has_crash_clauses : t -> bool
 
 (** Number of [crash_when] clauses — the fault driver uses it as a floor
     for its crash allowance so multi-crash scenarios need no harness

@@ -28,19 +28,19 @@ let racy_harness ctx =
   ignore (R.create ctx ~name:"A" (writer "A"));
   ignore (R.create ctx ~name:"B" (writer "B"))
 
-let explore_coverage ?(start_iteration = 0) ?prior_coverage ~executions () =
-  let stats =
-    E.explore
-      {
-        E.default_config with
-        max_executions = executions;
-        max_steps = 200;
-        seed = 11L;
-        start_iteration;
-        prior_coverage;
-      }
-      racy_harness
+let explore_coverage ?campaign ~executions () =
+  let config =
+    {
+      E.default_config with
+      max_executions = executions;
+      max_steps = 200;
+      seed = 11L;
+    }
   in
+  let config =
+    Option.fold campaign ~none:config ~some:(fun c -> Campaign.resume c config)
+  in
+  let stats = E.explore config racy_harness in
   match stats.E.coverage with
   | Some cov -> cov
   | None -> Alcotest.fail "explore returned no coverage"
@@ -396,13 +396,103 @@ let test_resume_equals_uninterrupted () =
     (corpus_to_strings l.Campaign.corpus);
   (* ...and the resumed run still accumulates exactly the uninterrupted
      run's coverage *)
-  let resumed =
-    explore_coverage ~start_iteration:l.Campaign.executions
-      ~prior_coverage:l.Campaign.coverage ~executions:20 ()
-  in
+  let resumed = explore_coverage ~campaign:l ~executions:20 () in
   Alcotest.(check bool)
     "resumed cumulative coverage = uninterrupted run" true
     (Coverage.equal full resumed)
+
+(* --- Pinned executions to first bug ------------------------------------ *)
+
+(* The two ways a corpus reaches fuzz, pinned to the executions, steps
+   and witness length they gave before the corpus went through an
+   Exchange hub only. Both hunts run at seed 1 on catalog bugs. *)
+
+let check_bug name ~executions ~steps ~ndc = function
+  | E.No_bug _ -> Alcotest.fail (name ^ ": no bug found")
+  | E.Bug_found (r, st) ->
+    Alcotest.(check int) (name ^ ": executions to bug") executions
+      st.E.executions;
+    Alcotest.(check int) (name ^ ": total steps") steps st.E.total_steps;
+    Alcotest.(check int) (name ^ ": witness choices") ndc
+      (Trace.length r.Psharp.Error.trace)
+
+let fuzz_config ?(v2 = false) e ~executions =
+  {
+    (Catalog.Bug_catalog.config e) with
+    E.seed = 1L;
+    max_executions = executions;
+    strategy = E.Fuzz { corpus_cap = 32 };
+    reduce = (if v2 then E.Hb_track else E.No_reduction);
+    fuzz_energy = v2;
+    fuzz_mutate_faults = v2;
+  }
+
+(* A 16-execution warm invocation, saved, loaded and resumed the way
+   `hunt --campaign` does it. *)
+let test_resumed_fuzz_campaign_pinned () =
+  let e = Catalog.Bug_catalog.find "DeleteNoLeaveTombstonesEtag" in
+  let run config =
+    E.run ~monitors:e.Catalog.Bug_catalog.monitors config
+      e.Catalog.Bug_catalog.harness
+  in
+  let base = fuzz_config e ~executions:3_000 in
+  let fresh = Campaign.create ~harness:e.Catalog.Bug_catalog.name ~seed:1L in
+  let warm_config =
+    Campaign.resume fresh { base with max_executions = 16 }
+  in
+  let warm =
+    match run warm_config with
+    | E.No_bug st -> st
+    | E.Bug_found _ -> Alcotest.fail "warm invocation found the bug"
+  in
+  let corpus =
+    Fuzz.Exchange.snapshot (Option.get warm_config.E.resume.exchange)
+  in
+  Alcotest.(check int) "warm corpus" 7 (List.length corpus);
+  let dir = tmp_dir "pinned" in
+  Campaign.save ~dir
+    (Campaign.advance fresh ~executions:warm.E.executions
+       ~coverage:(Option.get warm.E.coverage) ~corpus);
+  check_bug "resumed" ~executions:36 ~steps:5614 ~ndc:164
+    (run (Campaign.resume (Campaign.load ~dir) base))
+
+(* The first 2,000 choices of a starve-network witness, handed to a fuzz
+   v2 hunt as its one corpus entry (the bench's seeded liveness row): a
+   one-worker factory pulls the entry before its first draw. *)
+let test_seeded_fuzz_v2_pinned () =
+  let e = Catalog.Bug_catalog.find "ExtentNodeLivenessViolation" in
+  let run config =
+    E.run ~monitors:e.Catalog.Bug_catalog.monitors config
+      e.Catalog.Bug_catalog.harness
+  in
+  let scen =
+    (Catalog.Scenario_catalog.find "starve-network")
+      .Catalog.Scenario_catalog.scenario
+  in
+  let seeding =
+    run
+      {
+        (Catalog.Bug_catalog.config e) with
+        E.seed = 1L;
+        max_executions = 20_000;
+        faults = Psharp.Scenario.arm scen e.Catalog.Bug_catalog.faults;
+        scenario = Some scen;
+      }
+  in
+  check_bug "seeding hunt" ~executions:594 ~steps:1_782_000 ~ndc:5328 seeding;
+  let witness =
+    match seeding with
+    | E.Bug_found (r, _) -> r.Psharp.Error.trace
+    | E.No_bug _ -> assert false
+  in
+  let entry = Fuzz.entry_of_trace (Trace.sub witness 0 2_000) in
+  let exchange = Some (Fuzz.Exchange.of_entries [ entry ]) in
+  check_bug "seeded" ~executions:1 ~steps:3000 ~ndc:5327
+    (run
+       {
+         (fuzz_config ~v2:true e ~executions:20_000) with
+         resume = { E.fresh with exchange };
+       })
 
 let suite =
   [
@@ -424,4 +514,8 @@ let suite =
       `Quick test_campaign_crash_consistency;
     Alcotest.test_case "campaign: resume equals uninterrupted run" `Quick
       test_resume_equals_uninterrupted;
+    Alcotest.test_case "campaign: resumed fuzz hunt, pinned" `Quick
+      test_resumed_fuzz_campaign_pinned;
+    Alcotest.test_case "campaign: corpus-seeded fuzz v2 hunt, pinned" `Quick
+      test_seeded_fuzz_v2_pinned;
   ]

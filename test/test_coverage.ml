@@ -163,7 +163,7 @@ let test_fingerprint_pure () =
 (* --- Engine plumbing ---------------------------------------------------- *)
 
 let test_run_collects_coverage_and_files_bug_fingerprint () =
-  match E.run { config with E.collect_coverage = true } racy_harness with
+  match E.run { config with E.coverage_mode = E.Collect } racy_harness with
   | E.No_bug _ -> Alcotest.fail "race not found"
   | E.Bug_found (report, stats) ->
     let cov =
@@ -187,7 +187,9 @@ let test_run_collects_coverage_and_files_bug_fingerprint () =
       (Int64.equal fp (Coverage.fingerprint result.R.choices))
 
 let test_parallel_coverage_matches_sequential () =
-  let cfg = { config with E.max_executions = 100; collect_coverage = true } in
+  let cfg =
+    { config with E.max_executions = 100; coverage_mode = E.Collect }
+  in
   let coverage_of workers =
     match E.run { cfg with E.workers } clean_harness with
     | E.No_bug { coverage = Some cov; _ } -> cov
@@ -209,7 +211,7 @@ let test_plateau_stops_early () =
     {
       config with
       E.max_executions = 5_000;
-      coverage_plateau = Some 20;
+      coverage_mode = E.Plateau { after = 20; family = None };
     }
   in
   match E.run cfg clean_harness with
@@ -418,8 +420,7 @@ let test_plateau_family_keys_the_bound () =
     {
       config with
       E.max_executions = 5_000;
-      coverage_plateau = Some 10;
-      plateau_family = Some Coverage.Hb;
+      coverage_mode = E.Plateau { after = 10; family = Some Coverage.Hb };
     }
   in
   (match E.run cfg clean_harness with
@@ -430,7 +431,8 @@ let test_plateau_family_keys_the_bound () =
       stats.E.executions);
   (* Keyed to the state family, the first execution's fresh states reset
      the counter before the drought starts. *)
-  match E.run { cfg with E.plateau_family = Some Coverage.State } clean_harness with
+  let by_state = E.Plateau { after = 10; family = Some Coverage.State } in
+  match E.run { cfg with E.coverage_mode = by_state } clean_harness with
   | E.Bug_found _ -> Alcotest.fail "clean harness reported a bug"
   | E.No_bug stats ->
     Alcotest.(check bool) "plateaued" true stats.E.plateaued;
@@ -470,7 +472,9 @@ let test_fuzz_v2_deterministic () =
 (* --- Reporting ---------------------------------------------------------- *)
 
 let test_pp_outcome_shows_steps_and_coverage () =
-  let outcome = E.run { config with E.collect_coverage = true } racy_harness in
+  let outcome =
+    E.run { config with E.coverage_mode = E.Collect } racy_harness
+  in
   let rendered = Format.asprintf "%a" E.pp_outcome outcome in
   Alcotest.(check bool) "mentions total steps" true
     (contains rendered "total step");
@@ -498,8 +502,8 @@ let test_to_json_wellformed () =
    execution. *)
 let shard_entry () = Catalog.Bug_catalog.find "ChaintableDuplicateBackendRequest"
 
-let shard_config ?prior_coverage ?(start_iteration = 0) ?coverage_plateau
-    ?plateau_family ~seed ~executions () =
+let shard_config ?(resume = E.fresh) ?(coverage_mode = E.Off) ~seed
+    ~executions () =
   let e = shard_entry () in
   {
     E.default_config with
@@ -511,10 +515,8 @@ let shard_config ?prior_coverage ?(start_iteration = 0) ?coverage_plateau
     reduce = E.Hb_track;
     fuzz_energy = true;
     fuzz_mutate_faults = true;
-    prior_coverage;
-    start_iteration;
-    coverage_plateau;
-    plateau_family;
+    resume;
+    coverage_mode;
   }
 
 let engine_coverage cfg =
@@ -534,12 +536,17 @@ let shard_run (cfg : E.config) =
       ~mutate_faults:true ()
   in
   let acc = Coverage.create () in
-  Option.iter (fun p -> ignore (Coverage.absorb ~into:acc p)) cfg.E.prior_coverage;
+  Option.iter
+    (fun p -> ignore (Coverage.absorb ~into:acc p))
+    cfg.E.resume.prior_coverage;
   let novelties = ref [] and no_gain = ref 0 in
   let rec go i =
     if i >= cfg.E.max_executions then i
     else
-      match factory.Psharp.Strategy.fresh ~iteration:(cfg.E.start_iteration + i) with
+      match
+        factory.Psharp.Strategy.fresh
+          ~iteration:(cfg.E.resume.first_iteration + i)
+      with
       | None -> i
       | Some strategy ->
         let hb = Psharp.Hb.create () and exec = Coverage.create () in
@@ -561,17 +568,17 @@ let shard_run (cfg : E.config) =
         let novelty = Coverage.absorb_tagged ~into:acc exec in
         novelties := novelty :: !novelties;
         let gain =
-          match cfg.E.plateau_family with
-          | None -> Coverage.novel_core novelty
-          | Some fam -> Coverage.novel_in novelty fam
+          match cfg.E.coverage_mode with
+          | E.Plateau { family = Some fam; _ } -> Coverage.novel_in novelty fam
+          | _ -> Coverage.novel_core novelty
         in
         if gain then no_gain := 0 else incr no_gain;
         Option.iter
           (fun f -> f ~trace:r.R.choices ~novelty)
           factory.Psharp.Strategy.feedback;
         if r.R.bug <> None then Alcotest.fail "bug on the fixed harness";
-        (match cfg.E.coverage_plateau with
-         | Some n when !no_gain >= n -> i + 1
+        (match cfg.E.coverage_mode with
+         | E.Plateau { after; _ } when !no_gain >= after -> i + 1
          | _ -> go (i + 1))
   in
   let executions = go 0 in
@@ -612,16 +619,19 @@ let test_direct_equals_shard () =
   (* a campaign resume: the accumulator starts from an earlier run's map *)
   let prior, _ = engine_coverage (shard_config ~seed:3L ~executions:60 ()) in
   check_same_run "resume"
-    (shard_config ~prior_coverage:prior ~start_iteration:60 ~seed:7L
-       ~executions:80 ())
+    (shard_config
+       ~resume:
+         { E.fresh with first_iteration = 60; prior_coverage = Some prior }
+       ~seed:7L ~executions:80 ())
     ~prefix:20
 
 let test_direct_plateau_matches_shard () =
   List.iter
     (fun fam ->
       let cfg =
-        shard_config ~coverage_plateau:6 ~plateau_family:fam ~seed:7L
-          ~executions:400 ()
+        shard_config
+          ~coverage_mode:(E.Plateau { after = 6; family = Some fam })
+          ~seed:7L ~executions:400 ()
       in
       let direct, st = engine_coverage cfg in
       let shard, _, executions = shard_run cfg in

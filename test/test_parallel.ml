@@ -442,7 +442,7 @@ let test_merged_coverage_identical_1_2_4_workers () =
         {
           config with
           E.max_executions = 120;
-          collect_coverage = true;
+          coverage_mode = E.Collect;
           reduce;
           workers;
         }

@@ -295,7 +295,7 @@ let test_on_history_capture () =
 
 let test_history_coverage_family () =
   let config =
-    { E.default_config with max_executions = 5; collect_coverage = true }
+    { E.default_config with max_executions = 5; coverage_mode = E.Collect }
   in
   match E.run config (Shardkv.Harness.test ()) with
   | E.Bug_found (report, _) ->
