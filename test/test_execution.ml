@@ -1,24 +1,2 @@
-(* The execution layer: the PRNG and trace format, the runtime and its
-   machines, the strategies, parallel workers, faults, the clock, the
-   shrinker and the allocation gate. The other half of the suite is
-   test_search.ml; dune runs the two executables side by side. *)
-let () =
-  Alcotest.run "psharp-execution"
-    [
-      ("prng", Test_prng.suite);
-      ("trace", Test_trace.suite);
-      ("inbox", Test_inbox.suite);
-      ("event", Test_event.suite);
-      ("monitor", Test_monitor.suite);
-      ("runtime", Test_runtime.suite);
-      ("served", Test_served.suite);
-      ("statemachine", Test_statemachine.suite);
-      ("strategies", Test_strategies.suite);
-      ("parallel", Test_parallel.suite);
-      ("core-extra", Test_core_extra.suite);
-      ("pushpop-delay", Test_pushpop.suite);
-      ("shrinker", Test_shrinker.suite);
-      ("fault", Test_fault.suite);
-      ("clock", Test_clock.suite);
-      ("alloc", Test_alloc.suite);
-    ]
+(* The execution half of the unit suite; see suites.ml. *)
+let () = Suites.run Suites.Execution "psharp-execution"

@@ -1,25 +1,2 @@
-(* The search layer and the systems it searches: the engine, golden
-   digests, coverage, happens-before, scenarios and campaigns, the case
-   studies and their oracles. The other half of the suite is
-   test_execution.ml; dune runs the two executables side by side. *)
-let () =
-  Alcotest.run "psharp-search"
-    [
-      ("engine", Test_engine.suite);
-      ("golden", Test_golden.suite);
-      ("coverage", Test_coverage.suite);
-      ("replication", Test_replication.suite);
-      ("vnext", Test_vnext.suite);
-      ("chaintable", Test_chaintable.suite);
-      ("chaintable-harness", Test_chaintable_harness.suite);
-      ("fabric", Test_fabric.suite);
-      ("consensus", Test_consensus.suite);
-      ("substrate-extra", Test_substrate_extra.suite);
-      ("hb", Test_hb.suite);
-      ("linearizability", Test_linearizability.suite);
-      ("shardkv", Test_shardkv.suite);
-      ("witnesses", Test_witnesses.suite);
-      ("roundtrip", Test_roundtrip.suite);
-      ("scenario", Test_scenario.suite);
-      ("campaign", Test_campaign.suite);
-    ]
+(* The search half of the unit suite; see suites.ml. *)
+let () = Suites.run Suites.Search "psharp-search"
