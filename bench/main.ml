@@ -486,67 +486,16 @@ let growth_rows e budget =
       ("fuzz", E.Fuzz { corpus_cap = 32 });
     ]
 
-(* Plain fuzz against fuzz v2 on the fault-only bugs, which fire only under
-   the entry's injected faults, so the fault-tune operator has a real
-   surface. *)
-let fuzz_v2_fault_row name ~budget =
+(* Plain fuzz against fuzz v2: on the fault-only bugs, which fire only
+   under the entry's injected faults, so the fault-tune operator has a
+   real surface, and on the fault-free vNext liveness bug, whose witness
+   needs a long random tail that no mutation operator shortens. *)
+let fuzz_v2_row name ~budget =
   let e = find name in
   [
     ("bug", Str name);
     ("fuzz_execs", count (execs_to_bug e (fuzz_config e ~budget)));
     ("fuzz_v2_execs", count (execs_to_bug e (fuzz_config ~v2:true e ~budget)));
-  ]
-
-(* On the fault-free vNext liveness bug cold fuzz v2 mutates long random
-   tails and reaches the bug later than v1. A cheap scenario-constrained
-   random hunt (starve-network, schedule-only) finds a witness earlier,
-   and its first 2,000 choices seed the fuzz-v2 corpus through an
-   exchange hub; the seeded total charges the seeding hunt's executions
-   too. *)
-let fuzz_v2_liveness_row ~budget =
-  let e = find "ExtentNodeLivenessViolation" in
-  let scenario = "starve-network" and prefix = 2_000 in
-  let v1 = execs_to_bug e (fuzz_config e ~budget) in
-  let v2_cold = execs_to_bug e (fuzz_config ~v2:true e ~budget) in
-  let scen = (Scenario_catalog.find scenario).Scenario_catalog.scenario in
-  let seeding =
-    E.run ~monitors:e.Bug_catalog.monitors
-      {
-        (config e ~budget) with
-        faults = Psharp.Scenario.arm scen e.Bug_catalog.faults;
-        scenario = Some scen;
-      }
-      e.Bug_catalog.harness
-  in
-  let v2_seeded =
-    match seeding with
-    | E.No_bug _ -> None
-    | E.Bug_found (r, _) ->
-      let choices =
-        List.filteri
-          (fun j _ -> j < prefix)
-          (Psharp.Trace.to_list r.Error.trace)
-      in
-      let entry =
-        Psharp.Fuzz_strategy.entry_of_trace (Psharp.Trace.of_list choices)
-      in
-      let exchange = Some (Fuzz_exchange.of_entries [ entry ]) in
-      execs_to_bug e
-        {
-          (fuzz_config ~v2:true e ~budget) with
-          resume = { E.fresh with exchange };
-        }
-  in
-  let seed_execs = (stats_of seeding).E.executions in
-  [
-    ("bug", Str e.Bug_catalog.name);
-    ("seed_scenario", Str scenario);
-    ("seed_prefix_choices", Int prefix);
-    ("fuzz_execs", count v1);
-    ("fuzz_v2_cold_execs", count v2_cold);
-    ("seed_hunt_execs", Int seed_execs);
-    ("fuzz_v2_seeded_execs", count v2_seeded);
-    ("fuzz_v2_seeded_total", count (Option.map (( + ) seed_execs) v2_seeded));
   ]
 
 (* Replaying a buggy schedule reproduces its coverage fingerprint: the
@@ -577,10 +526,10 @@ let coverage_growth budget =
   growth_rows live budget
   @ growth_rows (find "QueryStreamedLock") budget
   @ List.map
-      (fuzz_v2_fault_row ~budget:hunt_budget)
+      (fuzz_v2_row ~budget:hunt_budget)
       [ "ExtentNodeCrashLosesBinding"; "ChaintableDuplicateBackendRequest";
-        "FabricCrashSilentRestart" ]
-  @ [ fuzz_v2_liveness_row ~budget:hunt_budget; fingerprint_replay_row live ]
+        "FabricCrashSilentRestart"; "ExtentNodeLivenessViolation" ]
+  @ [ fingerprint_replay_row live ]
 
 (* ------------------------------------------------------------------ *)
 (* Happens-before tracking and fuzz feedback                           *)

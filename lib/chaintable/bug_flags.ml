@@ -73,11 +73,6 @@ let with_bug = function
   | "InsertBehindMigrator" -> { none with insert_behind_migrator = true }
   | name -> invalid_arg (Printf.sprintf "Bug_flags.with_bug: unknown bug %s" name)
 
-let is_notional = function
-  | "MigrateSkipPreferOld" | "MigrateSkipUseNewWithTombstones"
-  | "InsertBehindMigrator" -> true
-  | _ -> false
-
 let needs_custom_case = function
   | "QueryStreamedFilterShadowing" | "MigrateSkipPreferOld"
   | "MigrateSkipUseNewWithTombstones" | "InsertBehindMigrator" -> true

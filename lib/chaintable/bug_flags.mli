@@ -73,9 +73,6 @@ val with_bug : string -> t
 (** All bug names, in Table 2 order. *)
 val names : string list
 
-(** Is the named bug one of the three notional (⊙) bugs? *)
-val is_notional : string -> bool
-
 (** Bugs the paper could only trigger with a custom (pinned-input) test
     case — the ⊙ column of Table 2. *)
 val needs_custom_case : string -> bool

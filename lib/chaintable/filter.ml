@@ -24,9 +24,4 @@ let rec matches f row =
   | Or (a, b) -> matches a row || matches b row
   | Not a -> not (matches a row)
 
-let of_key (k : Table_types.key) =
-  Filter0.And
-    (Filter0.Compare (Filter0.Pk, Filter0.Eq, k.Table_types.pk),
-     Filter0.Compare (Filter0.Rk, Filter0.Eq, k.Table_types.rk))
-
 let of_pk pk = Filter0.Compare (Filter0.Pk, Filter0.Eq, pk)

@@ -5,8 +5,5 @@
     is true for a missing property. *)
 val matches : Filter0.t -> Table_types.row -> bool
 
-(** A filter that selects exactly [key]. *)
-val of_key : Table_types.key -> Filter0.t
-
 (** A filter that selects a whole partition. *)
 val of_pk : string -> Filter0.t

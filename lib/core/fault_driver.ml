@@ -19,7 +19,7 @@ let body ~max_crashes ~max_ticks ctx =
      Both the coin and the victim pick are ordinary recorded draws, so
      scenario crash schedules replay and shrink like random ones (replay
      installs the same observer, so this branch is taken consistently). *)
-  let steered = Runtime.scenario_crash_steering ctx in
+  let steered = Runtime.scenario_crash_slots ctx > 0 in
   let crashes = ref 0 in
   let ticks = ref 0 in
   let crash_at =
@@ -75,7 +75,7 @@ let install ?(max_crashes = 1) ?(max_ticks = 40) ctx =
        room: harness defaults tuned for one random crash retire the driver
        long before e.g. a quiescence-gated clause can fire. *)
     let max_crashes, max_ticks =
-      if Runtime.scenario_crash_steering ctx then
+      if Runtime.scenario_crash_slots ctx > 0 then
         (max max_crashes (Runtime.scenario_crash_slots ctx), max max_ticks 160)
       else (max_crashes, max_ticks)
     in

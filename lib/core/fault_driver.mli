@@ -19,7 +19,7 @@ type Event.t += Fault_tick  (** internal self-message driving the loop *)
     executions in failures) within [max_ticks] turns (default 40), and
     stops early when the shared fault budget runs out.
 
-    Under a crash-steering scenario ({!Runtime.scenario_crash_steering})
+    Under a scenario with crash clauses ({!Runtime.scenario_crash_slots})
     the driver switches modes: each tick marks the current victims and
     draws a coin the scenario wrapper forces, so crashes land exactly
     where the scenario's [crash] clauses ask; [max_crashes] is raised to

@@ -10,5 +10,3 @@ let compare a b = Int.compare a.index b.index
 let hash t = t.index
 
 let to_string t = Printf.sprintf "%s(%d)" t.name t.index
-
-let pp fmt t = Format.pp_print_string fmt (to_string t)

@@ -18,5 +18,3 @@ val hash : t -> int
 
 (** "name(index)" *)
 val to_string : t -> string
-
-val pp : Format.formatter -> t -> unit

@@ -45,14 +45,6 @@ and machine = {
   id : Id.t;
   inbox : Inbox.t;
   mutable status : status;
-  mutable state_name : string;
-      (* current declared state ("-" for plain machines); feeds the
-         receiver-state component of coverage triples *)
-  name_sym : int;
-  mutable state_sym : int;
-      (* [Id.name id] and [state_name] as symbols of [config.coverage]
-         (-1 when coverage is off): interned once, at creation and at each
-         state change, so recording a delivery hashes no string *)
   mutable enabled_cache : bool;
       (* last computed [machine_enabled], valid while not [dirty]; a
          machine is in the enabled prefix exactly when this is set. A
@@ -92,6 +84,7 @@ and t = {
   deadline_at : float;  (* config.deadline, hoisted; infinity when unset *)
   check_deadline : bool;
   strategy : Strategy.t;
+  probe : Probe.t;  (* the observers of [config], built once *)
   monitors : Monitor.t list;
   mutable machines : machine array;
   mutable n_machines : int;
@@ -117,7 +110,6 @@ and t = {
   clock : Clock.t option;
       (* the virtual clock, when [config.clock] enables simulated time;
          advanced only at quiescence, never by a strategy draw *)
-  dash_sym : int;  (* the symbol of state "-" in [config.coverage], or -1 *)
   horizon : int;  (* config.clock.max_time; 0 when the clock is off *)
   mutable step_limit : int;
       (* the effective step bound: starts at [config.max_steps] and is
@@ -155,9 +147,8 @@ exception Serve_exn of (Event.t -> unit)
 exception Released
 
 (* Every runtime call that could record something (a draw, a trace entry,
-   a send, an hb, coverage or scenario event, a log line, a bug) starts
-   here, so a machine unwinding after its execution ended records
-   nothing. *)
+   a send, a probe event, a log line, a bug) starts here, so a machine
+   unwinding after its execution ended records nothing. *)
 let live rt = if rt.releasing then raise Released
 
 type _ Effect.t += Receive_eff : (Event.t -> bool) option -> Event.t Effect.t
@@ -187,6 +178,9 @@ let logf (rt : t) fmt =
       rt.log_rev <- s :: rt.log_rev)
     fmt
 
+(* Virtual time for the probe and the result; 0 when the clock is off. *)
+let vtime rt = match rt.clock with Some ck -> Clock.now ck | None -> 0
+
 let set_bug (rt : t) kind =
   if rt.bug = None then begin
     rt.bug <- Some kind;
@@ -202,16 +196,13 @@ let mark_dirty rt m =
     rt.n_dirty <- rt.n_dirty + 1
   end
 
-let add_machine ?persistent rt ~name body =
+let add_machine ?persistent rt ~parent ~name body =
   if rt.n_machines = Array.length rt.machines then begin
     let bigger =
       Array.make (max 8 (2 * rt.n_machines))
         { id = Id.make ~index:(-1) ~name:"<pad>";
           inbox = Inbox.create ();
           status = Halted;
-          state_name = "-";
-          name_sym = -1;
-          state_sym = -1;
           enabled_cache = false;
           dirty = false;
           wait_pred = None;
@@ -227,24 +218,16 @@ let add_machine ?persistent rt ~name body =
     rt.enabled_buf <- grow rt.enabled_buf;
     rt.dirty_q <- grow rt.dirty_q
   end;
-  let id = Id.make ~index:rt.n_machines ~name in
-  let name_sym =
-    match rt.config.coverage with Some cov -> Coverage.sym cov name | None -> -1
-  in
+  let index = rt.n_machines in
   let m =
-    { id; inbox = Inbox.create (); status = Not_started body; state_name = "-";
-      name_sym; state_sym = rt.dash_sym; enabled_cache = false; dirty = false;
+    { id = Id.make ~index ~name; inbox = Inbox.create ();
+      status = Not_started body; enabled_cache = false; dirty = false;
       wait_pred = None; persistent }
   in
-  rt.machines.(rt.n_machines) <- m;
-  rt.n_machines <- rt.n_machines + 1;
+  rt.machines.(index) <- m;
+  rt.n_machines <- index + 1;
   mark_dirty rt m;
-  (match rt.config.coverage with
-   | Some cov -> Coverage.visit_state_sym cov ~machine:name_sym ~state:rt.dash_sym
-   | None -> ());
-  (match rt.config.scenario with
-   | Some o -> Scenario.Obs.on_create o ~index:(rt.n_machines - 1) ~name
-   | None -> ());
+  Probe.create rt.probe ~parent ~index ~name;
   m
 
 (* --- Machine API --- *)
@@ -260,11 +243,9 @@ let name_of ctx id =
 
 let create ?persistent ctx ~name body =
   live ctx.rt;
-  let m = add_machine ?persistent ctx.rt ~name body in
-  (match ctx.rt.config.hb with
-   | Some h ->
-     Hb.on_create h ~parent:(Id.index ctx.me.id) ~child:(Id.index m.id)
-   | None -> ());
+  let m =
+    add_machine ?persistent ctx.rt ~parent:(Id.index ctx.me.id) ~name body
+  in
   if ctx.rt.log_on then
     logf ctx.rt "[%d] %s creates %s" ctx.rt.steps (Id.to_string ctx.me.id)
       (Id.to_string m.id);
@@ -282,11 +263,7 @@ let send ctx target e =
        logf rt "[%d] %s -> %s: %s (dropped: target halted)" rt.steps
          (Id.to_string ctx.me.id) (Id.to_string target) (Event.to_string e)
    | Not_started _ | Waiting _ | Serving _ | Running ->
-     let stamp =
-       match rt.config.hb with
-       | Some h -> Hb.on_send h ~target:(Id.index target)
-       | None -> -1
-     in
+     let stamp = Probe.send rt.probe ~target:(Id.index target) in
      Inbox.push m.inbox ~sender:(Id.index ctx.me.id) ~stamp e;
      mark_dirty rt m;
      if rt.log_on then
@@ -307,9 +284,7 @@ let send_unless_pending ?same ctx target e =
   if duplicate then begin
     (* the coalesce decision read the target's inbox: conservatively
        ordered against it even though nothing was enqueued *)
-    (match rt.config.hb with
-     | Some h -> Hb.on_touch h ~target:(Id.index target)
-     | None -> ());
+    Probe.touch rt.probe ~target:(Id.index target);
     if rt.log_on then
       logf rt "[%d] %s -> %s: %s (coalesced)" rt.steps
         (Id.to_string ctx.me.id) (Id.to_string target) (Event.to_string e)
@@ -344,10 +319,7 @@ let nondet ctx =
   live rt;
   let b = rt.strategy.next_bool ~step:rt.steps in
   Trace.Builder.add_bool rt.trace b;
-  (match rt.config.hb with Some h -> Hb.on_bool h b | None -> ());
-  (match rt.config.coverage with
-   | Some cov -> Coverage.branch_bool_sym cov ~machine:ctx.me.name_sym b
-   | None -> ());
+  Probe.choose_bool rt.probe ~machine:(Id.index ctx.me.id) b;
   if rt.log_on then
     logf rt "[%d] %s nondet -> %b" rt.steps (Id.to_string ctx.me.id) b;
   b
@@ -358,10 +330,7 @@ let nondet_int ctx bound =
   live rt;
   let i = rt.strategy.next_int ~bound ~step:rt.steps in
   Trace.Builder.add_int rt.trace i;
-  (match rt.config.hb with Some h -> Hb.on_int h i | None -> ());
-  (match rt.config.coverage with
-   | Some cov -> Coverage.branch_int_sym cov ~machine:ctx.me.name_sym ~bound i
-   | None -> ());
+  Probe.choose_int rt.probe ~machine:(Id.index ctx.me.id) ~bound i;
   if rt.log_on then
     logf rt "[%d] %s nondet_int(%d) -> %d" rt.steps (Id.to_string ctx.me.id)
       bound i;
@@ -381,22 +350,31 @@ let halt _ctx = raise Halt_exn
 
 (* Draw-free, like all coverage recording: harnesses wire this into
    [History.create ~on_complete] so completed client operations land in
-   the coverage [history] family. The line is rendered only here, so
-   with coverage off a completed operation costs no string. *)
+   the coverage [history] family. The probe renders the line only when
+   coverage is on, so with coverage off a completed operation costs no
+   string. *)
 let history_point ctx point =
   live ctx.rt;
-  match ctx.rt.config.coverage with
-  | Some cov -> Coverage.history cov ~point:(Lazy.force point)
-  | None -> ()
+  Probe.history ctx.rt.probe point
 
 (* --- Fault injection --- *)
 
 let record_fault rt ~kind ~target =
   rt.faults_remaining <- rt.faults_remaining - 1;
   rt.faults_injected <- rt.faults_injected + 1;
-  match rt.config.coverage with
-  | Some cov -> Coverage.fault cov ~kind ~target:(Id.name target)
-  | None -> ()
+  Probe.fault rt.probe ~kind ~target:(Id.name target)
+
+(* Put [e] in flight to [target] for [after]: armed on the clock when it
+   is on, else behind [after] later deliveries. It lands by [arrive]. *)
+let in_flight rt ~after ~target ~sender e =
+  let stamp = Probe.send_later rt.probe ~target in
+  match rt.clock with
+  | Some ck -> ignore (Clock.arm ck ~after ~target ~sender ~stamp e)
+  | None ->
+    rt.delayed <-
+      rt.delayed
+      @ [ { d_target = target; d_sender = sender; d_stamp = stamp; d_event = e;
+            d_countdown = after } ]
 
 (* Interposition point for harness protocol messages. With message faults
    disabled this is a plain [send] after one boolean load — no strategy
@@ -420,13 +398,9 @@ let send_faulty ctx target e =
          fault draws (coin, kind, latency) so a scenario wrapper can force
          them on constrained links. Placed after every no-draw short
          circuit above, so a marker is never stale. Draw-free. *)
-      (match rt.config.scenario with
-       | Some o ->
-         Scenario.Obs.pre_send o ~step:rt.steps
-           ~time:(match rt.clock with Some ck -> Clock.now ck | None -> 0)
-           ~sender:(Id.index ctx.me.id) ~target:(Id.index target)
-           ~event:(Event.name e) ~budget:rt.faults_remaining
-       | None -> ());
+      Probe.pre_send rt.probe ~step:rt.steps ~time:(vtime rt)
+        ~sender:(Id.index ctx.me.id) ~target:(Id.index target)
+        ~budget:rt.faults_remaining e;
       if not (nondet ctx) then send ctx target e
       else begin
       let spec = rt.config.faults in
@@ -445,9 +419,7 @@ let send_faulty ctx target e =
         (* the dropped message never lands, but the injection point read
            the target's liveness: keep fault schedules conservatively
            ordered under reduction *)
-        (match rt.config.hb with
-         | Some h -> Hb.on_touch h ~target:(Id.index target)
-         | None -> ());
+        Probe.touch rt.probe ~target:(Id.index target);
         record_fault rt ~kind:"drop" ~target:m.id;
         if rt.log_on then
           logf rt "[%d] FAULT drop %s -> %s: %s" rt.steps
@@ -483,21 +455,8 @@ let send_faulty ctx target e =
         if rt.log_on then
           logf rt "[%d] FAULT delay(%d) %s -> %s: %s" rt.steps k
             (Id.to_string ctx.me.id) (Id.to_string target) (Event.to_string e);
-        let stamp =
-          match rt.config.hb with
-          | Some h -> Hb.on_send_delayed h ~target:(Id.index target)
-          | None -> -1
-        in
-        (match rt.clock with
-         | Some ck ->
-           ignore
-             (Clock.arm ck ~after:k ~target:(Id.index target)
-                ~sender:(Id.index ctx.me.id) ~stamp e)
-         | None ->
-           rt.delayed <-
-             rt.delayed
-             @ [ { d_target = Id.index target; d_sender = Id.index ctx.me.id;
-                   d_stamp = stamp; d_event = e; d_countdown = k } ])
+        in_flight rt ~after:k ~target:(Id.index target)
+          ~sender:(Id.index ctx.me.id) e
       | Fault.Crash -> assert false (* not a message-fault kind *)
       end
     end
@@ -536,18 +495,9 @@ let crash ctx target =
         | Some ck -> Clock.cancel_target ck (Id.index target)
         | None -> ());
        m.status <- Not_started (restart ());
-       m.state_name <- "-";
-       m.state_sym <- rt.dash_sym;
        mark_dirty rt m;
-       (match rt.config.hb with
-        | Some h -> Hb.on_crash h ~target:(Id.index target)
-        | None -> ());
-       (match rt.config.scenario with
-        | Some o ->
-          Scenario.Obs.on_crash o ~step:rt.steps
-            ~time:(match rt.clock with Some ck -> Clock.now ck | None -> 0)
-            ~target:(Id.index target)
-        | None -> ());
+       Probe.crash rt.probe ~step:rt.steps ~time:(vtime rt)
+         ~target:(Id.index target);
        record_fault rt ~kind:"crash" ~target:m.id;
        if rt.log_on then
          logf rt "[%d] FAULT crash %s (will restart)" rt.steps
@@ -558,21 +508,11 @@ let fault_budget_left ctx = ctx.rt.faults_remaining
 
 (* --- Scenario steering (draw-free observations for Fault_driver) --- *)
 
-let scenario_crash_steering ctx =
-  match ctx.rt.config.scenario with
-  | Some o -> Scenario.Obs.crash_steering o
-  | None -> false
-
-let scenario_crash_slots ctx =
-  match ctx.rt.config.scenario with
-  | Some o -> Scenario.Obs.crash_slots o
-  | None -> 0
+let scenario_crash_slots ctx = Probe.crash_slots ctx.rt.probe
 
 let scenario_crash_tick ctx ~victims =
   live ctx.rt;
-  match ctx.rt.config.scenario with
-  | Some o -> Scenario.Obs.pre_crash_tick o ~step:ctx.rt.steps ~victims
-  | None -> ()
+  Probe.crash_tick ctx.rt.probe ~step:ctx.rt.steps ~victims
 
 (* --- Virtual time -------------------------------------------------------- *)
 
@@ -593,23 +533,17 @@ let now ctx =
 let send_after ctx target e ~after =
   let rt = ctx.rt in
   live rt;
-  match rt.clock with
-  | None -> send ctx target e
-  | Some ck ->
+  if Option.is_none rt.clock then send ctx target e
+  else begin
     if Id.index target < 0 || Id.index target >= rt.n_machines then
       invalid_arg "Runtime.send_after: unknown target machine";
     if after <= 0 then invalid_arg "Runtime.send_after: after must be positive";
-    let stamp =
-      match rt.config.hb with
-      | Some h -> Hb.on_send_delayed h ~target:(Id.index target)
-      | None -> -1
-    in
-    ignore
-      (Clock.arm ck ~after ~target:(Id.index target)
-         ~sender:(Id.index ctx.me.id) ~stamp e);
+    in_flight rt ~after ~target:(Id.index target)
+      ~sender:(Id.index ctx.me.id) e;
     if rt.log_on then
       logf rt "[%d] %s -> %s in %d: %s (armed)" rt.steps
         (Id.to_string ctx.me.id) (Id.to_string target) after (Event.to_string e)
+  end
 
 (* Block this machine for [d] units of virtual time: arm a private wakeup
    on the clock and wait for exactly it. Other events arriving in the
@@ -624,16 +558,10 @@ let sleep ctx d =
   | Some ck ->
     if d <= 0 then invalid_arg "Runtime.sleep: duration must be positive";
     not_in_handler ctx "Runtime.sleep";
-    let stamp =
-      match rt.config.hb with
-      | Some h -> Hb.on_send_delayed h ~target:(Id.index ctx.me.id)
-      | None -> -1
-    in
     let tok = rt.next_wakeup in
     rt.next_wakeup <- tok + 1;
-    ignore
-      (Clock.arm ck ~after:d ~target:(Id.index ctx.me.id)
-         ~sender:(Id.index ctx.me.id) ~stamp (Clock_wakeup tok));
+    let me = Id.index ctx.me.id in
+    in_flight rt ~after:d ~target:me ~sender:me (Clock_wakeup tok);
     if rt.log_on then
       logf rt "[%d] %s sleeps %d (until t=%d)" rt.steps
         (Id.to_string ctx.me.id) d (Clock.now ck + d);
@@ -684,9 +612,7 @@ let notify ctx monitor_name e =
   match List.find_opt (fun m -> Monitor.name m = monitor_name) rt.monitors with
   | None -> ()
   | Some mon ->
-    (match rt.config.hb with
-     | Some h -> Hb.on_notify h ~monitor:monitor_name
-     | None -> ());
+    Probe.notify rt.probe ~monitor:monitor_name;
     if rt.log_on then
       logf rt "[%d] %s notifies monitor %s: %s" rt.steps
         (Id.to_string ctx.me.id) monitor_name (Event.to_string e);
@@ -707,18 +633,8 @@ let assert_here ctx cond msg =
 
 let set_state_name ctx state =
   live ctx.rt;
-  let m = ctx.me in
-  let same = m.state_name == state in
-  m.state_name <- state;
-  (match ctx.rt.config.scenario with
-   | Some o ->
-     Scenario.Obs.on_state o ~step:ctx.rt.steps ~index:(Id.index m.id) ~state
-   | None -> ());
-  match ctx.rt.config.coverage with
-  | Some cov ->
-    if not same then m.state_sym <- Coverage.sym cov state;
-    Coverage.visit_state_sym cov ~machine:m.name_sym ~state:m.state_sym
-  | None -> ()
+  Probe.state ctx.rt.probe ~step:ctx.rt.steps ~machine:(Id.index ctx.me.id)
+    state
 
 let logging ctx = ctx.rt.log_on
 
@@ -731,25 +647,28 @@ let step_count ctx = ctx.rt.steps
 
 (* --- Scheduler --- *)
 
-(* Hand a delayed message to its target's inbox (or drop it if the target
-   halted in the meantime, matching [send]). *)
-let deliver_delayed rt d =
-  let m = rt.machines.(d.d_target) in
+(* Hand a message in flight to its target's inbox (or drop it if the
+   target halted in the meantime, matching [send]); [on_clock] tells a
+   fired clock entry from a released delayed message in the log. *)
+let arrive rt ~on_clock ~target ~sender ~stamp e =
+  let m = rt.machines.(target) in
+  let via = if on_clock then "clock" else "delayed" in
   match m.status with
   | Halted ->
     if rt.log_on then
-      logf rt "[%d] delayed -> %s: %s (dropped: target halted)" rt.steps
-        (Id.to_string m.id) (Event.to_string d.d_event)
+      logf rt "[%d] %s -> %s: %s (dropped: target halted)" rt.steps via
+        (Id.to_string m.id) (Event.to_string e)
   | Not_started _ | Waiting _ | Serving _ | Running ->
-    (match rt.config.hb with
-     | Some h when d.d_stamp >= 0 ->
-       Hb.on_delayed_delivery h ~target:d.d_target ~msg:d.d_stamp
-     | _ -> ());
-    Inbox.push m.inbox ~sender:d.d_sender ~stamp:d.d_stamp d.d_event;
+    Probe.arrive rt.probe ~target ~stamp;
+    Inbox.push m.inbox ~sender ~stamp e;
     mark_dirty rt m;
     if rt.log_on then
-      logf rt "[%d] delayed -> %s: %s (delivered)" rt.steps (Id.to_string m.id)
-        (Event.to_string d.d_event)
+      logf rt "[%d] %s -> %s: %s (%s)" rt.steps via (Id.to_string m.id)
+        (Event.to_string e) (if on_clock then "fired" else "delivered")
+
+let deliver_delayed rt d =
+  arrive rt ~on_clock:false ~target:d.d_target ~sender:d.d_sender
+    ~stamp:d.d_stamp d.d_event
 
 (* Called on every event delivery: age the delayed messages one delivery
    and release the due ones. *)
@@ -777,27 +696,6 @@ let flush_delayed rt =
   in
   rt.delayed <- [];
   List.iter (deliver_delayed rt) ds
-
-(* Hand a fired clock entry to its target's inbox; mirrors
-   [deliver_delayed], including the drop-on-halted rule. *)
-let deliver_clock rt (e : Clock.entry) =
-  let m = rt.machines.(e.Clock.target) in
-  match m.status with
-  | Halted ->
-    if rt.log_on then
-      logf rt "[%d] clock -> %s: %s (dropped: target halted)" rt.steps
-        (Id.to_string m.id) (Event.to_string e.Clock.event)
-  | Not_started _ | Waiting _ | Serving _ | Running ->
-    (match rt.config.hb with
-     | Some h when e.Clock.stamp >= 0 ->
-       Hb.on_delayed_delivery h ~target:e.Clock.target ~msg:e.Clock.stamp
-     | _ -> ());
-    Inbox.push m.inbox ~sender:e.Clock.sender ~stamp:e.Clock.stamp
-      e.Clock.event;
-    mark_dirty rt m;
-    if rt.log_on then
-      logf rt "[%d] clock -> %s: %s (fired)" rt.steps (Id.to_string m.id)
-        (Event.to_string e.Clock.event)
 
 let machine_enabled m =
   match m.status with
@@ -930,9 +828,7 @@ let start_machine rt m =
   | Not_started body ->
     m.status <- Running;
     mark_dirty rt m;
-    (match rt.config.hb with
-     | Some h -> Hb.begin_step h ~machine:(Id.index m.id) ~msg:(-1)
-     | None -> ());
+    Probe.start rt.probe ~machine:(Id.index m.id);
     Effect.Deep.match_with (fun () -> body ctx) () handler
   | Waiting _ | Serving _ | Running | Halted -> assert false
 
@@ -946,28 +842,11 @@ let deliver rt m =
   let stamp = Inbox.stamp_at m.inbox i in
   let e = Inbox.take m.inbox i in
   mark_dirty rt m;
-  (match rt.config.hb with
-   | Some h -> Hb.begin_step h ~machine:(Id.index m.id) ~msg:stamp
-   | None -> ());
-  (match rt.config.coverage with
-   | Some cov ->
-     let sender =
-       if sender >= 0 && sender < rt.n_machines then
-         rt.machines.(sender).name_sym
-       else Coverage.sym cov "<external>"
-     in
-     Coverage.deliver_sym cov ~sender ~event:(Coverage.event_sym cov e)
-       ~receiver:m.name_sym ~state:m.state_sym
-   | None -> ());
-  (match rt.config.scenario with
-   | Some o ->
-     (* stamped with the deciding scheduling point (rt.steps was
-        already incremented), so the checker sees window state
-        exactly as the wrapper's pruning decision did *)
-     Scenario.Obs.on_deliver o ~step:(rt.steps - 1)
-       ~time:(match rt.clock with Some ck -> Clock.now ck | None -> 0)
-       ~sender ~receiver:(Id.index m.id) ~event:(Event.name e)
-   | None -> ());
+  (* stamped with the deciding scheduling point (rt.steps was already
+     incremented), so a scenario's checker sees window state exactly as
+     its wrapper's pruning decision did *)
+  Probe.deliver rt.probe ~step:(rt.steps - 1) ~time:(vtime rt) ~sender
+    ~receiver:(Id.index m.id) ~stamp e;
   if rt.log_on then
     logf rt "[%d] %s dequeues %s" rt.steps (Id.to_string m.id)
       (Event.to_string e);
@@ -1077,6 +956,19 @@ let release rt =
    keeping the overrun bounded for harnesses that never quiesce. *)
 let drain_budget (config : config) = max 64 (config.max_steps / 16)
 
+(* The event machine [i] would dequeue next, for a scenario's order
+   clauses. *)
+let peek rt i =
+  if i < 0 || i >= rt.n_machines then None
+  else
+    match rt.machines.(i).status with
+    | Waiting _ | Serving _ ->
+      let matches =
+        Option.value rt.machines.(i).wait_pred ~default:(fun _ -> true)
+      in
+      Option.map Event.name (Inbox.peek_first rt.machines.(i).inbox matches)
+    | _ -> None
+
 let execute config strategy ~monitors ~name body =
   let rt =
     {
@@ -1086,6 +978,9 @@ let execute config strategy ~monitors ~name body =
       deadline_at = Option.value config.deadline ~default:infinity;
       check_deadline = Option.is_some config.deadline;
       strategy;
+      probe =
+        Probe.make ~coverage:config.coverage ~hb:config.hb
+          ~scenario:config.scenario;
       monitors;
       machines = [||];
       n_machines = 0;
@@ -1104,8 +999,6 @@ let execute config strategy ~monitors ~name body =
       delayed = [];
       timed_out = false;
       clock = Option.map (fun (_ : Clock.config) -> Clock.create ()) config.clock;
-      dash_sym =
-        (match config.coverage with Some cov -> Coverage.sym cov "-" | None -> -1);
       horizon =
         (match config.clock with Some c -> c.Clock.max_time | None -> 0);
       step_limit = config.max_steps;
@@ -1115,27 +1008,11 @@ let execute config strategy ~monitors ~name body =
       releasing = false;
     }
   in
-  (match config.scenario with
-   | Some o ->
-     (* order-clause enforcement peeks at what a machine would dequeue
-        next; installed before the root machine so [on_create] hooks and
-        peeks never race the machine array *)
-     Scenario.Obs.set_peek o (fun i ->
-         if i < 0 || i >= rt.n_machines then None
-         else
-           match rt.machines.(i).status with
-           | Waiting _ | Serving _ ->
-             let matches =
-               Option.value rt.machines.(i).wait_pred ~default:(fun _ -> true)
-             in
-             Option.map Event.name
-               (Inbox.peek_first rt.machines.(i).inbox matches)
-           | _ -> None)
-   | None -> ());
-  ignore (add_machine rt ~name body);
-  (match config.hb with
-   | Some h -> Hb.on_create h ~parent:(-1) ~child:0
-   | None -> ());
+  (* order-clause enforcement peeks at what a machine would dequeue next;
+     installed before the root machine so creation hooks and peeks never
+     race the machine array *)
+  Probe.set_peek rt.probe peek rt;
+  ignore (add_machine rt ~parent:(-1) ~name body);
   let rec loop () =
     if rt.bug <> None then ()
     else if
@@ -1183,8 +1060,8 @@ let execute config strategy ~monitors ~name body =
              function of the schedule. *)
           let rec advance () =
             match Clock.pop_due ck ~horizon:rt.horizon with
-            | Some entry ->
-              deliver_clock rt entry;
+            | Some { Clock.target; sender; stamp; event; _ } ->
+              arrive rt ~on_clock:true ~target ~sender ~stamp event;
               if compute_enabled rt = 0 then advance () else `Work
             | None -> if Clock.is_empty ck then `Idle else `Out_of_time
           in
@@ -1216,7 +1093,7 @@ let execute config strategy ~monitors ~name body =
       log = List.rev rt.log_rev;
       timed_out = rt.timed_out;
       faults_injected = rt.faults_injected;
-      final_time = (match rt.clock with Some ck -> Clock.now ck | None -> 0);
+      final_time = vtime rt;
     }
   in
   release rt;

@@ -9,7 +9,13 @@
     do. Either way the scheduler then picks the next enabled machine. The
     scheduling points — which machine dequeues next, and every [nondet]
     choice — are resolved by a {!Strategy.t} and recorded in a
-    {!Trace.t}, so any execution can be replayed deterministically. *)
+    {!Trace.t}, so any execution can be replayed deterministically.
+
+    The runtime reports every event it serializes to the execution's
+    observers — the happens-before recorder, the coverage map and the
+    scenario observer of [config] — through one {!Probe}, built once per
+    execution. Observing draws nothing, so the schedule explored does not
+    depend on which observers are on. *)
 
 (** Capability handed to a machine body; identifies the machine and carries
     the runtime. *)
@@ -232,16 +238,13 @@ val crashable_machines : ctx -> Id.t list
 (** {1 Scenario steering}
 
     Draw-free observations {!Fault_driver} uses to run scenario-steered
-    crash ticks; all three are inert (false/0/no-op) without a scenario
-    observer in the config. *)
+    crash ticks; both are inert (0/no-op) without a scenario observer in
+    the config. *)
 
-(** The installed scenario has crash clauses, so the driver should mark
-    each tick's crash coin ({!scenario_crash_tick}) for the wrapper to
-    force. *)
-val scenario_crash_steering : ctx -> bool
-
-(** Number of crash clauses — a floor for the driver's crash allowance so
-    rolling-restart scenarios fit without harness changes. *)
+(** Number of crash clauses. When positive, the driver marks each tick's
+    crash coin ({!scenario_crash_tick}) for the wrapper to force, and
+    takes it as a floor for its crash allowance so rolling-restart
+    scenarios fit without harness changes. *)
 val scenario_crash_slots : ctx -> int
 
 (** Mark the imminent crash coin with the current victim candidates (names

@@ -736,7 +736,6 @@ module Obs = struct
           sc_forced = forced;
         }
 
-  let crash_steering o = o.crash_slots > 0
   let crash_slots o = o.crash_slots
 
   let pre_crash_tick o ~step ~victims =

@@ -222,10 +222,8 @@ module Obs : sig
     t -> step:int -> time:int -> sender:int -> target:int -> event:string ->
     budget:int -> unit
 
-  (** Scenario has crash clauses — the fault driver switches to steered
-      ticks. *)
-  val crash_steering : t -> bool
-
+  (** Number of crash clauses; when positive, the fault driver switches
+      to steered ticks. *)
   val crash_slots : t -> int
 
   (** Called by the fault driver immediately before its per-tick crash

@@ -457,8 +457,10 @@ let test_resumed_fuzz_campaign_pinned () =
     (run (Campaign.resume (Campaign.load ~dir) base))
 
 (* The first 2,000 choices of a starve-network witness, handed to a fuzz
-   v2 hunt as its one corpus entry (the bench's seeded liveness row): a
-   one-worker factory pulls the entry before its first draw. *)
+   v2 hunt as its one corpus entry through an exchange hub: a one-worker
+   factory pulls the entry before its first draw, and lenient replay of
+   the prefix runs into the bug in the first execution. This pins the
+   hand-off, not fuzz guidance. *)
 let test_seeded_fuzz_v2_pinned () =
   let e = Catalog.Bug_catalog.find "ExtentNodeLivenessViolation" in
   let run config =

@@ -643,6 +643,66 @@ let test_direct_plateau_matches_shard () =
         (Coverage.equal direct shard))
     [ Coverage.Triple; Coverage.State ]
 
+(* --- A crash resets the declared state ----------------------------------- *)
+
+type Event.t += Ready | Poke
+
+(* One execution with coverage: Root starts a persistent Worker, waits
+   for its Ready, crashes it and pokes the restarted Worker. The Worker
+   runs [first] before the crash and [restart] after it, then sends
+   Ready and receives one event. *)
+let crash_coverage ~first ~restart =
+  let cov = Coverage.create () in
+  let strategy =
+    match (Psharp.Random_strategy.factory ~seed:1L).Psharp.Strategy.fresh
+            ~iteration:0
+    with
+    | Some s -> s
+    | None -> assert false
+  in
+  let result =
+    R.execute { R.default_config with coverage = Some cov } strategy
+      ~monitors:[] ~name:"Root" (fun ctx ->
+        let root = R.self ctx in
+        let worker declare wctx =
+          declare wctx;
+          R.send wctx root Ready;
+          ignore (R.receive wctx)
+        in
+        let w =
+          R.create ctx ~name:"Worker" ~persistent:(fun () -> worker restart)
+            (worker first)
+        in
+        ignore (R.receive ctx);
+        R.crash ctx w;
+        R.send ctx w Poke;
+        ignore (R.receive ctx))
+  in
+  Alcotest.(check bool) "clean" true (result.R.bug = None);
+  cov
+
+let count key entries = Option.value (List.assoc_opt key entries) ~default:0
+
+let test_crash_forgets_state () =
+  let cov =
+    crash_coverage
+      ~first:(fun wctx -> R.set_state_name wctx "Busy")
+      ~restart:ignore
+  in
+  Alcotest.(check int) "the restarted Worker is poked in no state" 1
+    (count "Root -[Poke]-> Worker@-" (Coverage.triples cov));
+  Alcotest.(check int) "not in its state before the crash" 0
+    (count "Root -[Poke]-> Worker@Busy" (Coverage.triples cov))
+
+let test_crash_then_same_state () =
+  let busy = "Busy" in
+  let declare wctx = R.set_state_name wctx busy in
+  let cov = crash_coverage ~first:declare ~restart:declare in
+  Alcotest.(check int) "the state is visited again after the restart" 2
+    (count "Worker.Busy" (Coverage.states cov));
+  Alcotest.(check int) "and carried by the next delivery" 1
+    (count "Root -[Poke]-> Worker@Busy" (Coverage.triples cov))
+
 let suite =
   [
     Alcotest.test_case "absorb is order-independent" `Quick
@@ -681,4 +741,8 @@ let suite =
       test_direct_equals_shard;
     Alcotest.test_case "direct plateau stop = shard-and-absorb" `Quick
       test_direct_plateau_matches_shard;
+    Alcotest.test_case "a crash forgets the declared state" `Quick
+      test_crash_forgets_state;
+    Alcotest.test_case "a state re-declared after a crash counts" `Quick
+      test_crash_then_same_state;
   ]
