@@ -580,7 +580,7 @@ let reduction budget =
 (* ------------------------------------------------------------------ *)
 
 (* Catalog scenarios paired with bugs whose trigger shape they encode:
-   executions to first bug with the scenario wrapper on against the plain
+   executions to first bug with the scenario steering against the plain
    hunt, random strategy at seed 0. *)
 let scenario_cases =
   [

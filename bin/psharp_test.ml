@@ -252,7 +252,7 @@ let scenario_arg =
   let doc =
     "Constrain the run with catalog scenario $(docv) (see `scenario \
      list'): the base strategy keeps driving the search, but the scenario \
-     wrapper prunes scheduling picks and forces fault draws so every \
+     prunes scheduling picks and forces fault draws so every \
      admitted schedule satisfies the scenario's clauses. The bug's fault \
      spec is armed with whatever the clauses need."
   in
@@ -386,7 +386,8 @@ type flag =
    default and explicit flags override it. The fault spec in force is the
    bug's own or --faults, with its budget replaced by an explicit
    --fault-budget; a scenario then arms what its clauses need (kinds,
-   budget, max latency), exactly once, here. *)
+   budget, max latency), exactly once, here, and a spec it still cannot
+   steer (bimodal delays under a long forced latency) is a usage error. *)
 let run_term ?(fixed = false) ?(collects = false) ?target flags =
   let on flag arg default =
     if List.mem flag flags then arg else Term.const default
@@ -457,6 +458,16 @@ let run_term ?(fixed = false) ?(collects = false) ?target flags =
     | Some budget -> { faults with Psharp.Fault.budget }
     | None -> faults
   in
+  let* faults =
+    match scenario with
+    | None -> Ok faults
+    | Some e -> (
+        let faults = Psharp.Scenario.arm e.Scenario_catalog.scenario faults in
+        match Psharp.Scenario.check_spec e.Scenario_catalog.scenario faults with
+        | Ok () -> Ok faults
+        | Error m ->
+          Error (Printf.sprintf "scenario %s: %s" e.Scenario_catalog.name m))
+  in
   let scenario = Option.map (fun e -> e.Scenario_catalog.scenario) scenario in
   let config =
     {
@@ -468,9 +479,7 @@ let run_term ?(fixed = false) ?(collects = false) ?target flags =
       collect_log_on_bug = log;
       workers;
       coverage_mode;
-      faults =
-        Option.fold scenario ~none:faults ~some:(fun s ->
-            Psharp.Scenario.arm s faults);
+      faults;
       reduce;
       clock = (match clock with `Auto -> base.E.clock | `Set c -> c);
       scenario;

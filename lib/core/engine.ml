@@ -126,31 +126,15 @@ let runtime_config ?coverage ?hb ?deadline ?scenario config ~collect_log =
 (* --- Scenario constraining ---------------------------------------------- *)
 
 (* Per-execution scenario observer: fresh mutable state (journal, trigger
-   latches, pending draw markers) for each execution, created from the
-   immutable compiled scenario. [Scenario.Obs.create] validates that
-   [config.faults] arms what the clauses need — callers go through
-   {!Scenario.arm} before building the config, so a raise here is a
+   latches) for each execution, created from the immutable compiled
+   scenario. [Scenario.Obs.create] validates that [config.faults] arms
+   what the clauses need — callers go through {!Scenario.arm} before
+   building the config (the CLI checks the rest), so a raise here is a
    programming error at the call site, not a user input error. *)
-let scenario_obs config =
-  Option.map
-    (fun s -> Scenario.Obs.create s ~faults:config.faults)
-    config.scenario
-
-(* DFS enumerates its own tree and replay retraces recorded choices;
-   forcing their draws would change what those strategies mean (and for
-   replay the forced draws are already in the trace). The observer is
-   still installed — deliveries/crashes land in the journal so conformance
-   can be checked on replayed traces — but the strategy is not wrapped. *)
-let scenario_steers config =
-  match (config.scenario, config.strategy) with
-  | None, _ -> false
-  | Some _, (Dfs _ | Replay_trace _) -> false
-  | Some _, _ -> true
-
-let scenario_wrap ~steer sobs strategy =
-  match sobs with
-  | Some o when steer -> Scenario.wrap ~obs:o strategy
-  | _ -> strategy
+let scenario_obs ~steer config =
+  match config.scenario with
+  | None -> None
+  | Some s -> Some (Scenario.Obs.create s ~faults:config.faults ~steer)
 
 (* Invoked once per execution, after the runtime returns, with the
    execution's fully-populated observer (journal, wedge count, violation
@@ -169,7 +153,7 @@ let replay ?(monitors = no_monitors) config trace body =
     | Some s -> s
     | None -> assert false
   in
-  let sobs = scenario_obs config in
+  let sobs = scenario_obs ~steer:false config in
   let result =
     Runtime.execute
       (runtime_config ?scenario:sobs config ~collect_log:true)
@@ -409,7 +393,13 @@ let drive ~mode ~monitors config body =
       Some (collector_of config)
     else None
   in
-  let steer = scenario_steers config in
+  (* DFS enumerates its own tree and replay retraces recorded choices;
+     forcing their draws would change what those strategies mean. The
+     observer still records the journal, so conformance can be checked on
+     their traces. *)
+  let steer =
+    match config.strategy with Dfs _ | Replay_trace _ -> false | _ -> true
+  in
   let deadline =
     Option.map (fun b -> Unix.gettimeofday () +. b) config.max_seconds
   in
@@ -440,8 +430,7 @@ let drive ~mode ~monitors config body =
       Worker_pool.Exhausted
     | Some strategy ->
       Option.iter Hb.reset w.hb;
-      let sobs = scenario_obs config in
-      let strategy = scenario_wrap ~steer sobs strategy in
+      let sobs = scenario_obs ~steer config in
       let map = exec_map w.sink in
       let mark =
         match w.sink with

@@ -15,7 +15,7 @@
 
     {!run}, {!explore} and {!survey} share one exploration loop over
     {!Worker_pool}: every worker runs the same per-execution body (fresh
-    strategy, scenario wrap, {!Runtime.execute}, hb and coverage
+    strategy and scenario observer, {!Runtime.execute}, hb and coverage
     bookkeeping, strategy feedback, scenario audit), and the entry point
     only decides what a result does. The sequential case is one worker run
     inline in the calling domain. *)
@@ -165,25 +165,26 @@ type config = {
   scenario : Scenario.t option;
       (** scenario constraint ([None] by default — zero draws, zero
           observation, schedules untouched). When set, every execution
-          gets a fresh {!Scenario.Obs} observer in its runtime config and
-          the strategy is wrapped in {!Scenario.wrap}, which prunes
-          scheduling picks and forces fault draws so admitted schedules
-          satisfy the scenario's clauses — the base strategy (random, PCT,
-          delay-bounded, fuzz) still drives the search inside the
-          constraint, and parallel safety is inherited. [Dfs] and
-          [Replay_trace] keep their own schedule discipline: the observer
-          is installed (deliveries land in the journal for conformance
-          checking) but the strategy is not wrapped, with a notice.
-          {!replay} and the shrinker likewise observe without wrapping —
-          forced draws are ordinary recorded choices, so witnesses replay
-          and shrink as always. The spec in [faults] must arm what the
-          clauses need: pass it through {!Scenario.arm} first. *)
+          gets a fresh steering {!Scenario.Obs} observer in its runtime
+          config: through {!Probe}, it prunes scheduling picks and forces
+          fault draws so admitted schedules satisfy the scenario's
+          clauses. The base strategy (random, PCT, delay-bounded, fuzz)
+          still drives the search inside the constraint, and parallel
+          safety is inherited. [Dfs] and [Replay_trace] keep their own
+          schedule discipline: their observer records the journal but
+          does not steer, with a notice. {!replay} and the shrinker
+          likewise observe without steering — forced draws are ordinary
+          recorded choices, so witnesses replay and shrink as always, and
+          a replay journals what the steering run journaled. The spec in
+          [faults] must arm what the clauses need: pass it through
+          {!Scenario.arm} first. *)
   scenario_audit : (Scenario.Obs.t -> unit) option;
       (** called once per execution with its fully-populated observer
           (journal, wedge count, violations) after the runtime returns —
-          the conformance-test hook. In parallel runs the callback fires
-          on worker domains and must be thread-safe. [None] by default;
-          only meaningful together with [scenario]. *)
+          the conformance-test hook, also called by {!replay}. In
+          parallel runs the callback fires on worker domains and must be
+          thread-safe. [None] by default; only meaningful together with
+          [scenario]. *)
 }
 
 (** Random strategy, seed 0, 10,000 executions, 5,000-step bound, one
@@ -256,8 +257,8 @@ val runtime_config :
   Runtime.config
 
 (** A fresh observer for [config.scenario], one per execution ([None]
-    without a scenario). *)
-val scenario_obs : config -> Scenario.Obs.t option
+    without a scenario); it steers when [steer] is set. *)
+val scenario_obs : steer:bool -> config -> Scenario.Obs.t option
 
 (** [replay config ~monitors trace body] re-executes one recorded schedule
     (with [collect_log] on) and returns the raw execution result. *)

@@ -13,12 +13,12 @@ let body ~max_crashes ~max_ticks ctx =
     ~states:1 ~handlers:1;
   Runtime.send ctx (Runtime.self ctx) Fault_tick;
   (* Scenario-steered mode: instead of drawing a crash instant up front,
-     every tick marks the candidate victims ({!Runtime.scenario_crash_tick})
-     and draws one coin, which the scenario wrapper forces — true exactly
-     when an armed [crash] clause's trigger has fired and a victim matches.
-     Both the coin and the victim pick are ordinary recorded draws, so
-     scenario crash schedules replay and shrink like random ones (replay
-     installs the same observer, so this branch is taken consistently). *)
+     every tick asks the runtime for a victim ({!Runtime.scenario_victim}),
+     which a steering scenario forces exactly when an armed [crash]
+     clause's trigger has fired and a victim matches. The coin and the
+     victim pick are ordinary recorded draws, so scenario crash schedules
+     replay and shrink like random ones (replay installs the same
+     observer, so this branch is taken consistently). *)
   let steered = Runtime.scenario_crash_slots ctx > 0 in
   let crashes = ref 0 in
   let ticks = ref 0 in
@@ -35,14 +35,13 @@ let body ~max_crashes ~max_ticks ctx =
       else begin
         (if steered then begin
            match Runtime.crashable_machines ctx with
-           | [] -> ()  (* no victim yet: mark again at the next tick *)
+           | [] -> ()  (* no victim yet: ask again at the next tick *)
            | victims ->
-             Runtime.scenario_crash_tick ctx
-               ~victims:(List.map (Runtime.name_of ctx) victims);
-             if Runtime.nondet ctx then begin
-               Runtime.crash ctx (Runtime.choose ctx victims);
-               incr crashes
-             end
+             Option.iter
+               (fun v ->
+                 Runtime.crash ctx v;
+                 incr crashes)
+               (Runtime.scenario_victim ctx victims)
          end
          else if !ticks >= !crash_at then
            match Runtime.crashable_machines ctx with

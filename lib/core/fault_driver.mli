@@ -20,8 +20,8 @@ type Event.t += Fault_tick  (** internal self-message driving the loop *)
     stops early when the shared fault budget runs out.
 
     Under a scenario with crash clauses ({!Runtime.scenario_crash_slots})
-    the driver switches modes: each tick marks the current victims and
-    draws a coin the scenario wrapper forces, so crashes land exactly
+    the driver switches modes: each tick asks {!Runtime.scenario_victim}
+    for a victim, which the scenario forces, so crashes land exactly
     where the scenario's [crash] clauses ask; [max_crashes] is raised to
     the scenario's crash slots and [max_ticks] to at least 160 so late
     triggers stay reachable. Without a scenario the draw sequence is

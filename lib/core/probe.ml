@@ -142,15 +142,23 @@ let[@inline] pre_send p ~step ~time ~sender ~target ~budget e =
   | Some o ->
     Scenario.Obs.pre_send o ~step ~time ~sender ~target ~event:(Event.name e)
       ~budget
-  | None -> ()
+  | None -> None
+
+let[@inline] sent p fate =
+  match p.sc with Some o -> Scenario.Obs.sent o fate | None -> ()
 
 let[@inline] crash_slots p =
   match p.sc with Some o -> Scenario.Obs.crash_slots o | None -> 0
 
-let[@inline] crash_tick p ~step ~victims =
+let crash_victim p ~step ~victims =
   match p.sc with
-  | Some o -> Scenario.Obs.pre_crash_tick o ~step ~victims
-  | None -> ()
+  | Some o -> Scenario.Obs.crash_victim o ~step ~victims
+  | None -> `Draw
+
+let[@inline] schedule p (strategy : Strategy.t) ~enabled ~n ~step =
+  match p.sc with
+  | None -> strategy.next_schedule ~enabled ~n ~step
+  | Some o -> Scenario.Obs.schedule o strategy ~enabled ~n ~step
 
 let set_peek p peek x =
   match p.sc with Some o -> Scenario.Obs.set_peek o (peek x) | None -> ()

@@ -4,7 +4,8 @@
     call, and the probe passes it to whichever of the happens-before
     recorder ({!Hb}), the coverage map ({!Coverage}) and the scenario
     observer ({!Scenario.Obs}) the execution runs with. It also answers
-    the scenario's steering queries for {!Fault_driver}. Every call is
+    the scenario's steering queries: which machines may be scheduled,
+    and which fault a send or crash tick is forced to. Every call is
     draw-free, and a family that is off costs one match per event.
     Machines are named by their creation index. *)
 
@@ -64,16 +65,28 @@ val history : t -> string Lazy.t -> unit
 
 (** {1 Scenario steering} *)
 
-(** [send_faulty] is about to draw its fault coin for [e]. *)
+(** [send_faulty] is about to draw its fault coin for [e]: the fault the
+    scenario forces on this send, or [None] to draw freely. *)
 val pre_send :
   t -> step:int -> time:int -> sender:int -> target:int -> budget:int ->
-  Event.t -> unit
+  Event.t -> Scenario.forced_kind option
+
+(** What that send resolved to. *)
+val sent : t -> Scenario.fate -> unit
 
 (** The scenario's crash clauses ([0] without a scenario). *)
 val crash_slots : t -> int
 
-(** The fault driver is about to draw its crash coin over [victims]. *)
-val crash_tick : t -> step:int -> victims:string list -> unit
+(** A steered crash tick over [victims]: see {!Scenario.Obs.crash_victim}
+    ([`Draw] without a scenario). *)
+val crash_victim :
+  t -> step:int -> victims:string list -> [ `Draw | `Skip | `Crash of int ]
+
+(** The next machine to schedule among the [n] enabled ones: the
+    strategy's pick, over the machines the scenario admits when one is
+    on. *)
+val schedule :
+  t -> Strategy.t -> enabled:int array -> n:int -> step:int -> int
 
 (** [set_peek t peek x] hands the scenario [peek x] (machine index ↦ name
     of the event it would dequeue next), built only when one is on. *)

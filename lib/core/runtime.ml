@@ -314,27 +314,36 @@ let serve ctx handler =
   live ctx.rt;
   raise (Serve_exn handler)
 
-let nondet ctx =
+(* What [nondet] and [nondet_int] do with a choice once it is made, also
+   for a choice a scenario forces: the trace, the probe and the log see
+   both alike. *)
+let[@inline] record_bool ctx b =
   let rt = ctx.rt in
-  live rt;
-  let b = rt.strategy.next_bool ~step:rt.steps in
   Trace.Builder.add_bool rt.trace b;
   Probe.choose_bool rt.probe ~machine:(Id.index ctx.me.id) b;
   if rt.log_on then
     logf rt "[%d] %s nondet -> %b" rt.steps (Id.to_string ctx.me.id) b;
   b
 
-let nondet_int ctx bound =
-  if bound <= 0 then invalid_arg "Runtime.nondet_int: bound must be positive";
+let[@inline] record_int ctx ~bound i =
   let rt = ctx.rt in
-  live rt;
-  let i = rt.strategy.next_int ~bound ~step:rt.steps in
   Trace.Builder.add_int rt.trace i;
   Probe.choose_int rt.probe ~machine:(Id.index ctx.me.id) ~bound i;
   if rt.log_on then
     logf rt "[%d] %s nondet_int(%d) -> %d" rt.steps (Id.to_string ctx.me.id)
       bound i;
   i
+
+let nondet ctx =
+  let rt = ctx.rt in
+  live rt;
+  record_bool ctx (rt.strategy.next_bool ~step:rt.steps)
+
+let nondet_int ctx bound =
+  if bound <= 0 then invalid_arg "Runtime.nondet_int: bound must be positive";
+  let rt = ctx.rt in
+  live rt;
+  record_int ctx ~bound (rt.strategy.next_int ~bound ~step:rt.steps)
 
 let choose ctx xs =
   match xs with
@@ -376,13 +385,53 @@ let in_flight rt ~after ~target ~sender e =
       @ [ { d_target = target; d_sender = sender; d_stamp = stamp; d_event = e;
             d_countdown = after } ]
 
+(* The armed message-fault kinds in draw order, one array for each
+   combination of [drop], [duplicate] and [delay], built once: an
+   injection indexes its spec's array with its kind draw. *)
+let kinds_by_mask =
+  Array.init 8 (fun mask ->
+      Array.of_list
+        (List.filteri
+           (fun bit _ -> mask land (1 lsl bit) <> 0)
+           [ Fault.Drop; Fault.Duplicate; Fault.Delay ]))
+
+let armed_kinds (spec : Fault.spec) =
+  kinds_by_mask.(Bool.to_int spec.drop
+                 lor (Bool.to_int spec.duplicate lsl 1)
+                 lor (Bool.to_int spec.delay lsl 2))
+
+(* A fault draw of [send_faulty]: drawn from the strategy when the
+   scenario forces nothing, else [v], the value the forced fault means. *)
+let[@inline] draw_bool ctx forced v =
+  match forced with None -> nondet ctx | Some _ -> record_bool ctx v
+
+let[@inline] draw_int ctx forced ~bound v =
+  match forced with
+  | None -> nondet_int ctx bound
+  | Some _ -> record_int ctx ~bound v
+
+(* Where the kind [forced] asks for sits among [kinds] (0 when it asks
+   for none). *)
+let forced_index kinds forced =
+  let want =
+    match forced with
+    | None -> kinds.(0)
+    | Some Scenario.FK_drop -> Fault.Drop
+    | Some Scenario.FK_dup -> Fault.Duplicate
+    | Some (Scenario.FK_delay _) -> Fault.Delay
+  in
+  let rec go i = if kinds.(i) = want then i else go (i + 1) in
+  go 0
+
 (* Interposition point for harness protocol messages. With message faults
    disabled this is a plain [send] after one boolean load — no strategy
    draw, so traces and golden digests are untouched. With them enabled it
    draws [nondet] (inject here?) and, when injecting, picks among the armed
    kinds / a delay distance with [nondet_int]; every decision is an
    ordinary recorded choice, so replay and shrinking see faults as just
-   more schedule. *)
+   more schedule. A scenario that steers this link forces the same draws:
+   the coin, the kind index when several kinds are armed, the bimodal
+   mode, the latency index. *)
 let send_faulty ctx target e =
   let rt = ctx.rt in
   live rt;
@@ -394,28 +443,29 @@ let send_faulty ctx target e =
     let halted = match m.status with Halted -> true | _ -> false in
     if halted then send ctx target e (* dropped anyway; no draw *)
     else begin
-      (* Scenario marker: annotate the semantic purpose of the imminent
-         fault draws (coin, kind, latency) so a scenario wrapper can force
-         them on constrained links. Placed after every no-draw short
-         circuit above, so a marker is never stale. Draw-free. *)
-      Probe.pre_send rt.probe ~step:rt.steps ~time:(vtime rt)
-        ~sender:(Id.index ctx.me.id) ~target:(Id.index target)
-        ~budget:rt.faults_remaining e;
-      if not (nondet ctx) then send ctx target e
+      (* placed after every no-draw short circuit above, so the scenario
+         sees exactly the sends that draw *)
+      let forced =
+        Probe.pre_send rt.probe ~step:rt.steps ~time:(vtime rt)
+          ~sender:(Id.index ctx.me.id) ~target:(Id.index target)
+          ~budget:rt.faults_remaining e
+      in
+      if not (draw_bool ctx forced true) then begin
+        Probe.sent rt.probe Scenario.Passed;
+        send ctx target e
+      end
       else begin
       let spec = rt.config.faults in
-      let kinds =
-        (if spec.drop then [ Fault.Drop ] else [])
-        @ (if spec.duplicate then [ Fault.Duplicate ] else [])
-        @ if spec.delay then [ Fault.Delay ] else []
-      in
+      let kinds = armed_kinds spec in
       let kind =
-        match kinds with
-        | [ k ] -> k
-        | ks -> List.nth ks (nondet_int ctx (List.length ks))
+        if Array.length kinds = 1 then kinds.(0)
+        else
+          kinds.(draw_int ctx forced ~bound:(Array.length kinds)
+                   (forced_index kinds forced))
       in
       match kind with
       | Fault.Drop ->
+        Probe.sent rt.probe Scenario.Dropped;
         (* the dropped message never lands, but the injection point read
            the target's liveness: keep fault schedules conservatively
            ordered under reduction *)
@@ -425,6 +475,7 @@ let send_faulty ctx target e =
           logf rt "[%d] FAULT drop %s -> %s: %s" rt.steps
             (Id.to_string ctx.me.id) (Id.to_string target) (Event.to_string e)
       | Fault.Duplicate ->
+        Probe.sent rt.probe Scenario.Dupped;
         record_fault rt ~kind:"dup" ~target:m.id;
         if rt.log_on then
           logf rt "[%d] FAULT dup %s -> %s: %s" rt.steps
@@ -443,14 +494,20 @@ let send_faulty ctx target e =
            Bimodal first draws the link's mode, then a latency within the
            mode: fast links land in 1..2, slow ones in
            [2*max_delay .. 3*max_delay - 1] — a long-tail far past any
-           uniform draw, so timeouts race both narrowly and hopelessly. *)
+           uniform draw, so timeouts race both narrowly and hopelessly. A
+           forced latency is at most 2 under bimodal (the scenario
+           observer rejects more), so it is always fast. *)
+        let lat = match forced with Some (Scenario.FK_delay l) -> l | _ -> 1 in
         let k =
           match spec.delay_dist with
-          | Fault.Uniform -> 1 + nondet_int ctx spec.max_delay
+          | Fault.Uniform ->
+            1 + draw_int ctx forced ~bound:spec.max_delay (lat - 1)
           | Fault.Bimodal ->
-            if nondet ctx then 1 + nondet_int ctx 2
+            if draw_bool ctx forced true then
+              1 + draw_int ctx forced ~bound:2 (lat - 1)
             else (2 * spec.max_delay) + nondet_int ctx spec.max_delay
         in
+        Probe.sent rt.probe Scenario.Delayed;
         record_fault rt ~kind:"delay" ~target:m.id;
         if rt.log_on then
           logf rt "[%d] FAULT delay(%d) %s -> %s: %s" rt.steps k
@@ -506,13 +563,26 @@ let crash ctx target =
 let fault_spec ctx = ctx.rt.config.faults
 let fault_budget_left ctx = ctx.rt.faults_remaining
 
-(* --- Scenario steering (draw-free observations for Fault_driver) --- *)
+(* --- Scenario-steered crash ticks (for Fault_driver) --- *)
 
 let scenario_crash_slots ctx = Probe.crash_slots ctx.rt.probe
 
-let scenario_crash_tick ctx ~victims =
-  live ctx.rt;
-  Probe.crash_tick ctx.rt.probe ~step:ctx.rt.steps ~victims
+(* The crash coin, then the pick among several victims: forced when the
+   scenario steers, drawn otherwise. *)
+let scenario_victim ctx victims =
+  let rt = ctx.rt in
+  live rt;
+  let names = List.map Id.name victims in
+  match Probe.crash_victim rt.probe ~step:rt.steps ~victims:names with
+  | `Draw -> if nondet ctx then Some (choose ctx victims) else None
+  | `Skip ->
+    ignore (record_bool ctx false);
+    None
+  | `Crash i ->
+    ignore (record_bool ctx true);
+    let n = List.length victims in
+    if n > 1 then ignore (record_int ctx ~bound:n i);
+    Some (List.nth victims i)
 
 (* --- Virtual time -------------------------------------------------------- *)
 
@@ -844,7 +914,7 @@ let deliver rt m =
   mark_dirty rt m;
   (* stamped with the deciding scheduling point (rt.steps was already
      incremented), so a scenario's checker sees window state exactly as
-     its wrapper's pruning decision did *)
+     its observer's pruning decision did *)
   Probe.deliver rt.probe ~step:(rt.steps - 1) ~time:(vtime rt) ~sender
     ~receiver:(Id.index m.id) ~stamp e;
   if rt.log_on then
@@ -1072,7 +1142,8 @@ let execute config strategy ~monitors ~name body =
       end
       else begin
         (match
-           strategy.next_schedule ~enabled:rt.enabled_buf ~n ~step:rt.steps
+           Probe.schedule rt.probe strategy ~enabled:rt.enabled_buf ~n
+             ~step:rt.steps
          with
          | exception Error.Bug kind -> set_bug rt kind
          | idx ->

@@ -78,12 +78,15 @@ type config = {
   scenario : Scenario.Obs.t option;
       (** when set, the execution feeds this per-execution scenario
           observer: machine creations, state declarations, deliveries,
-          crashes and fault-draw markers ({!Scenario.Obs.pre_send}) — all
-          draw-free, so installing an observer {e without} wrapping the
-          strategy changes nothing about the schedule (which is exactly
-          what replay and shrinking do: the forced draws are already in
-          the trace). The same contract as [coverage]/[hb]: [None] costs
-          one match per operation and zero draws. *)
+          crashes, quiescence and the fate of every send that draws a
+          fault. Observing draws nothing. An observer created with
+          [~steer:true] also steers: it prunes the enabled set before each
+          scheduling pick and forces the fault draws its clauses demand,
+          recording them like free draws. One created without steering
+          leaves the schedule alone (replay and shrinking: the forced
+          draws are already in the trace). The same contract as
+          [coverage]/[hb]: [None] costs one match per operation and zero
+          draws. *)
 }
 
 val default_config : config
@@ -237,19 +240,20 @@ val crashable_machines : ctx -> Id.t list
 
 (** {1 Scenario steering}
 
-    Draw-free observations {!Fault_driver} uses to run scenario-steered
-    crash ticks; both are inert (0/no-op) without a scenario observer in
-    the config. *)
+    What {!Fault_driver} uses to run scenario-steered crash ticks. *)
 
-(** Number of crash clauses. When positive, the driver marks each tick's
-    crash coin ({!scenario_crash_tick}) for the wrapper to force, and
-    takes it as a floor for its crash allowance so rolling-restart
-    scenarios fit without harness changes. *)
+(** Number of crash clauses ([0] without a scenario observer in the
+    config). When positive, the driver runs each tick through
+    {!scenario_victim}, and takes it as a floor for its crash allowance
+    so rolling-restart scenarios fit without harness changes. *)
 val scenario_crash_slots : ctx -> int
 
-(** Mark the imminent crash coin with the current victim candidates (names
-    in {!crashable_machines} order). *)
-val scenario_crash_tick : ctx -> victims:string list -> unit
+(** [scenario_victim ctx victims] is one steered tick over the non-empty
+    [victims] ({!crashable_machines}): the machine to crash, or [None].
+    It records a crash coin and, when the coin strikes among several
+    victims, the pick. Both are forced by the scenario's crash clauses
+    when its observer steers and drawn from the strategy otherwise. *)
+val scenario_victim : ctx -> Id.t list -> Id.t option
 
 (** [notify ctx monitor_name e] synchronously notifies the named monitor.
     Unknown monitor names are ignored (harnesses may run without their

@@ -1,11 +1,12 @@
-(* Declarative scenarios compiled to a constraining strategy wrapper.
+(* Declarative scenarios, enforced through the runtime's probe.
 
    The same small interpreter — latching triggers, from/until windows,
    clause states — backs both halves of the subsystem: the *enforcement*
-   side (runtime hooks feed facts in, the wrapper prunes the enabled set
-   and forces fault draws) and the *checking* side ([check] re-runs the
-   interpreter over the recorded journal and validates every clause
-   obligation with none of the enforcement code in the loop). Keeping one
+   side (runtime hooks feed facts in; the observer prunes the enabled set
+   and answers which fault a send or crash tick is forced to) and the
+   *checking* side ([check] re-runs the interpreter over the recorded
+   journal and validates every clause obligation with none of the
+   enforcement code in the loop). Keeping one
    interpreter makes the conformance battery meaningful: agreement is
    about the fact stream, not about sharing the buggy code path. *)
 
@@ -411,6 +412,35 @@ let arm t (spec : Fault.spec) =
       budget = spec.Fault.budget + crashes + (window_budget * link_windows);
     }
 
+let check_spec t (faults : Fault.spec) =
+  let needs k = List.exists (fun c -> link_needs c = Some k) t in
+  let unarmed what =
+    Error
+      (Printf.sprintf
+         "scenario needs %s but the fault spec does not arm it (apply \
+          Scenario.arm)"
+         what)
+  in
+  if needs Fault.Drop && not faults.Fault.drop then unarmed "drop"
+  else if needs Fault.Duplicate && not faults.Fault.duplicate then
+    unarmed "dup"
+  else if needs Fault.Delay && not faults.Fault.delay then unarmed "delay"
+  else if max_latency t > faults.Fault.max_delay then
+    unarmed "a large enough max_delay"
+  else if crash_slots t > 0 && not faults.Fault.crash then unarmed "crash"
+  else if
+    List.exists (fun c -> link_needs c <> None) t && faults.Fault.budget <= 0
+  then unarmed "a positive budget"
+  else if faults.Fault.delay_dist = Fault.Bimodal && max_latency t >= 3 then
+    (* a bimodal delay lands in 1..2 or at 2*max_delay and beyond, and
+       [arm] keeps max_delay at least the clause's latency *)
+    Error
+      (Printf.sprintf
+         "a bimodal delay cannot force latency %d (only 1 or 2); use \
+          delay:uniform"
+         (max_latency t))
+  else Ok ()
+
 (* ---------- journal ---------- *)
 
 type fate = Passed | Dropped | Dupped | Delayed
@@ -567,7 +597,7 @@ let cstate_apply cs fact =
 
 let apply_fact states fact = Array.iter (fun cs -> cstate_apply cs fact) states
 
-(* first matching active link clause wins — both the wrapper and the
+(* first matching active link clause wins — both the observer and the
    checker use this exact rule, so conflicting link clauses resolve
    identically on both sides *)
 let forced_for states ~sender ~target =
@@ -586,6 +616,7 @@ let forced_for states ~sender ~target =
 module Obs = struct
   type scenario = t
 
+  (* the send [pre_send] announced, journaled once [sent] knows its fate *)
   type send_ctx = {
     sc_step : int;
     sc_time : int;
@@ -593,22 +624,11 @@ module Obs = struct
     sc_target : string;
     sc_event : string;
     sc_budget : int;
-    sc_forced : forced_kind option;
   }
-
-  type pending =
-    | P_none
-    | P_send_coin of send_ctx
-    | P_kind of send_ctx
-    | P_delay_mode of send_ctx
-    | P_delay_lat of send_ctx * [ `Uniform | `Fast | `Slow ]
-    | P_crash_coin of string list  (* crashable machine names, choose order *)
-    | P_pick of int  (* forced value for the next int draw *)
 
   type t = {
     sc : scenario;
-    faults : Fault.spec;
-    kinds : Fault.kind array;  (* message-kind draw vocabulary, in order *)
+    steer : bool;
     states : cstate array;
     crash_slots : int;
     mutable names : string array;
@@ -618,7 +638,7 @@ module Obs = struct
     mutable now_enabled : bool array;
     mutable scratch : int array;
     mutable peek : int -> string option;
-    mutable pending : pending;
+    mutable send : send_ctx;
     mutable journal_rev : journal_entry list;
     mutable wedges : int;
     mutable violations_rev : string list;
@@ -630,32 +650,13 @@ module Obs = struct
 
   let scenario o = o.sc
 
-  let create sc ~faults =
-    let needs k = List.exists (fun c -> link_needs c = Some k) sc in
-    let fail what =
-      invalid_arg
-        (Printf.sprintf
-           "Scenario.Obs.create: scenario needs %s but the fault spec does \
-            not arm it (apply Scenario.arm)"
-           what)
-    in
-    if needs Fault.Drop && not faults.Fault.drop then fail "drop";
-    if needs Fault.Duplicate && not faults.Fault.duplicate then fail "dup";
-    if needs Fault.Delay && not faults.Fault.delay then fail "delay";
-    if max_latency sc > faults.Fault.max_delay then fail "a large enough max_delay";
-    if crash_slots sc > 0 && not faults.Fault.crash then fail "crash";
-    if List.exists (fun c -> link_needs c <> None) sc && faults.Fault.budget <= 0
-    then fail "a positive budget";
-    let kinds =
-      Array.of_list
-        ((if faults.Fault.drop then [ Fault.Drop ] else [])
-        @ (if faults.Fault.duplicate then [ Fault.Duplicate ] else [])
-        @ if faults.Fault.delay then [ Fault.Delay ] else [])
-    in
+  let create sc ~faults ~steer =
+    (match check_spec sc faults with
+     | Ok () -> ()
+     | Error m -> invalid_arg ("Scenario.Obs.create: " ^ m));
     {
       sc;
-      faults;
-      kinds;
+      steer;
       states = Array.of_list (List.map cstate_of sc);
       crash_slots = crash_slots sc;
       names = Array.make 8 "?";
@@ -665,7 +666,9 @@ module Obs = struct
       now_enabled = Array.make 8 false;
       scratch = [||];
       peek = (fun _ -> None);
-      pending = P_none;
+      send =
+        { sc_step = 0; sc_time = 0; sc_sender = "-"; sc_target = "-";
+          sc_event = "-"; sc_budget = 0 };
       journal_rev = [];
       wedges = 0;
       violations_rev = [];
@@ -723,25 +726,20 @@ module Obs = struct
     fact o (F_step step);
     fact o (F_time time);
     let sn = name_of o sender and tn = name_of o target in
-    let forced = forced_for o.states ~sender:sn ~target:tn in
-    o.pending <-
-      P_send_coin
-        {
-          sc_step = step;
-          sc_time = time;
-          sc_sender = sn;
-          sc_target = tn;
-          sc_event = event;
-          sc_budget = budget;
-          sc_forced = forced;
-        }
+    o.send <-
+      { sc_step = step; sc_time = time; sc_sender = sn; sc_target = tn;
+        sc_event = event; sc_budget = budget };
+    if o.steer then forced_for o.states ~sender:sn ~target:tn else None
+
+  let sent o fate =
+    let s = o.send in
+    push o
+      (J_send
+         { step = s.sc_step; time = s.sc_time; sender = s.sc_sender;
+           target = s.sc_target; event = s.sc_event; fate;
+           budget = s.sc_budget })
 
   let crash_slots o = o.crash_slots
-
-  let pre_crash_tick o ~step ~victims =
-    fact o (F_step step);
-    o.pending <- P_crash_coin victims
-
   let set_peek o f = o.peek <- f
   let journal o = List.rev o.journal_rev
   let wedges o = o.wedges
@@ -781,250 +779,135 @@ module Obs = struct
         | _ -> go (i + 1)
     in
     go 0
-end
 
-(* ---------- the wrapper ---------- *)
+  (* crashes fire exactly when an eligible clause demands one *)
+  let crash_victim o ~step ~victims =
+    fact o (F_step step);
+    if not o.steer then `Draw
+    else match pick_crash o victims with Some i -> `Crash i | None -> `Skip
 
-let journal_send (o : Obs.t) (sc : Obs.send_ctx) fate =
-  o.Obs.journal_rev <-
-    J_send
-      {
-        step = sc.Obs.sc_step;
-        time = sc.Obs.sc_time;
-        sender = sc.Obs.sc_sender;
-        target = sc.Obs.sc_target;
-        event = sc.Obs.sc_event;
-        fate;
-        budget = sc.Obs.sc_budget;
-      }
-    :: o.Obs.journal_rev
-
-(* resolution after the kind is known: either finish the send record or
-   set up the remaining delay draws *)
-let resolve_kind (o : Obs.t) sc kind =
-  match kind with
-  | Fault.Drop ->
-    journal_send o sc Dropped;
-    o.Obs.pending <- Obs.P_none
-  | Fault.Duplicate ->
-    journal_send o sc Dupped;
-    o.Obs.pending <- Obs.P_none
-  | Fault.Delay -> (
-      match o.Obs.faults.Fault.delay_dist with
-      | Fault.Uniform -> o.Obs.pending <- Obs.P_delay_lat (sc, `Uniform)
-      | Fault.Bimodal -> o.Obs.pending <- Obs.P_delay_mode sc)
-  | Fault.Crash -> assert false
-
-let kind_index (o : Obs.t) fk =
-  let want =
-    match fk with
-    | FK_drop -> Fault.Drop
-    | FK_dup -> Fault.Duplicate
-    | FK_delay _ -> Fault.Delay
-  in
-  let rec go i =
-    if i >= Array.length o.Obs.kinds then 0 else
-    if o.Obs.kinds.(i) = want then i else go (i + 1)
-  in
-  go 0
-
-let wrap ~(obs : Obs.t) (base : Strategy.t) =
-  let o = obs in
-  let next_schedule ~enabled ~n ~step =
-    apply_fact o.Obs.states (F_step step);
-    (* quiescence observation: a machine seen enabled before and absent
-       now has settled at least once — latch it and tell the triggers *)
-    let cap = o.Obs.n_names in
+  (* quiescence: a machine seen enabled before and absent now has settled
+     at least once — latch it and tell the triggers *)
+  let latch_quiet o ~enabled ~n ~step =
+    let cap = o.n_names in
     if cap > 0 then begin
-      Array.fill o.Obs.now_enabled 0 (Array.length o.Obs.now_enabled) false;
+      Array.fill o.now_enabled 0 (Array.length o.now_enabled) false;
       for i = 0 to n - 1 do
         let m = enabled.(i) in
-        if m < Array.length o.Obs.now_enabled then o.Obs.now_enabled.(m) <- true
+        if m < Array.length o.now_enabled then o.now_enabled.(m) <- true
       done;
       for m = 0 to cap - 1 do
-        if o.Obs.now_enabled.(m) then o.Obs.seen_enabled.(m) <- true
-        else if o.Obs.seen_enabled.(m) && not o.Obs.quieted.(m) then begin
-          o.Obs.quieted.(m) <- true;
-          let name = Obs.name_of o m in
-          Obs.push o (J_quiet { step; machine = name });
-          apply_fact o.Obs.states (F_quiet name)
+        if o.now_enabled.(m) then o.seen_enabled.(m) <- true
+        else if o.seen_enabled.(m) && not o.quieted.(m) then begin
+          o.quieted.(m) <- true;
+          let name = name_of o m in
+          push o (J_quiet { step; machine = name });
+          fact o (F_quiet name)
         end
       done
-    end;
-    (* pruning *)
-    let states = o.Obs.states in
-    let ns = Array.length states in
-    let focus_live =
-      o.Obs.has_focus
-      &&
-      let live = ref false in
-      for i = 0 to ns - 1 do
-        match states.(i) with
-        | CS_focus f when ws_active f.win ->
-          let any = ref false in
-          for k = 0 to n - 1 do
-            if pat_matches f.m (Obs.name_of o enabled.(k)) then any := true
-          done;
-          if !any then live := true
-        | _ -> ()
-      done;
-      !live
-    in
-    let keep m =
-      let name = Obs.name_of o m in
-      let pruned = ref false in
-      if o.Obs.has_order then begin
-        match o.Obs.peek m with
-        | None -> ()
-        | Some ev ->
+    end
+
+  let schedule o (strategy : Strategy.t) ~enabled ~n ~step =
+    fact o (F_step step);
+    latch_quiet o ~enabled ~n ~step;
+    if not o.steer then strategy.next_schedule ~enabled ~n ~step
+    else begin
+      let states = o.states in
+      let ns = Array.length states in
+      let focus_live =
+        o.has_focus
+        &&
+        let live = ref false in
+        for i = 0 to ns - 1 do
+          match states.(i) with
+          | CS_focus f when ws_active f.win ->
+            let any = ref false in
+            for k = 0 to n - 1 do
+              if pat_matches f.m (name_of o enabled.(k)) then any := true
+            done;
+            if !any then live := true
+          | _ -> ()
+        done;
+        !live
+      in
+      let keep m =
+        let name = name_of o m in
+        let pruned = ref false in
+        if o.has_order then begin
+          match o.peek m with
+          | None -> ()
+          | Some ev ->
+            for i = 0 to ns - 1 do
+              match states.(i) with
+              | CS_order oc when (not oc.sat) && pat_matches oc.b ev ->
+                pruned := true
+              | _ -> ()
+            done
+        end;
+        if (not !pruned) && o.has_pause then
           for i = 0 to ns - 1 do
             match states.(i) with
-            | CS_order oc when (not oc.sat) && pat_matches oc.b ev ->
+            | CS_pause p when ws_active p.win && pat_matches p.m name ->
               pruned := true
             | _ -> ()
-          done
-      end;
-      if (not !pruned) && o.Obs.has_pause then
-        for i = 0 to ns - 1 do
-          match states.(i) with
-          | CS_pause p when ws_active p.win && pat_matches p.m name ->
-            pruned := true
-          | _ -> ()
-        done;
-      if (not !pruned) && focus_live then begin
-        let matched = ref false in
-        for i = 0 to ns - 1 do
-          match states.(i) with
-          | CS_focus f when ws_active f.win && pat_matches f.m name ->
-            matched := true
-          | _ -> ()
-        done;
-        if not !matched then pruned := true
-      end;
-      not !pruned
-    in
-    o.Obs.scratch <- Obs.grow o.Obs.scratch n 0;
-    let n' = ref 0 in
-    if o.Obs.has_order || o.Obs.has_pause || focus_live then
-      for i = 0 to n - 1 do
-        let m = enabled.(i) in
-        if keep m then begin
-          o.Obs.scratch.(!n') <- m;
-          incr n'
-        end
-      done
-    else begin
-      Array.blit enabled 0 o.Obs.scratch 0 n;
-      n' := n
-    end;
-    let arr, nn =
-      if !n' = 0 then begin
-        (* constraint pruning emptied the set: admit everything rather
-           than manufacture a deadlock, and count the wedge — the
-           conformance battery requires this counter to stay at zero *)
-        o.Obs.wedges <- o.Obs.wedges + 1;
-        Array.blit enabled 0 o.Obs.scratch 0 n;
-        (o.Obs.scratch, n)
-      end
-      else (o.Obs.scratch, !n')
-    in
-    let choice = base.Strategy.next_schedule ~enabled:arr ~n:nn ~step in
-    (* focus clauses leave no dequeue record for [check], so any post-
-       wedge bypass is caught here instead *)
-    if focus_live then
-      for i = 0 to ns - 1 do
-        match states.(i) with
-        | CS_focus f when ws_active f.win ->
-          let any = ref false in
-          for k = 0 to n - 1 do
-            if pat_matches f.m (Obs.name_of o enabled.(k)) then any := true
           done;
-          if !any && not (pat_matches f.m (Obs.name_of o choice)) then
-            o.Obs.violations_rev <-
-              Printf.sprintf
-                "focus %s bypassed at step %d: scheduled %s while a match \
-                 was enabled"
-                (pat_to_string f.m) step (Obs.name_of o choice)
-              :: o.Obs.violations_rev
-        | _ -> ()
-      done;
-    choice
-  in
-  let next_bool ~step =
-    match o.Obs.pending with
-    | Obs.P_send_coin sc ->
-      let inject =
-        match sc.Obs.sc_forced with
-        | Some _ -> true
-        | None -> base.Strategy.next_bool ~step
+        if (not !pruned) && focus_live then begin
+          let matched = ref false in
+          for i = 0 to ns - 1 do
+            match states.(i) with
+            | CS_focus f when ws_active f.win && pat_matches f.m name ->
+              matched := true
+            | _ -> ()
+          done;
+          if not !matched then pruned := true
+        end;
+        not !pruned
       in
-      if not inject then begin
-        journal_send o sc Passed;
-        o.Obs.pending <- Obs.P_none;
-        false
-      end
-      else begin
-        if Array.length o.Obs.kinds > 1 then o.Obs.pending <- Obs.P_kind sc
-        else resolve_kind o sc o.Obs.kinds.(0);
-        true
-      end
-    | Obs.P_delay_mode sc ->
-      let fast =
-        match sc.Obs.sc_forced with
-        | Some (FK_delay l) -> l <= 2
-        | _ -> base.Strategy.next_bool ~step
+      let choice =
+        if not (o.has_order || o.has_pause || focus_live) then
+          strategy.next_schedule ~enabled ~n ~step
+        else begin
+          o.scratch <- grow o.scratch n 0;
+          let n' = ref 0 in
+          for i = 0 to n - 1 do
+            let m = enabled.(i) in
+            if keep m then begin
+              o.scratch.(!n') <- m;
+              incr n'
+            end
+          done;
+          if !n' > 0 then strategy.next_schedule ~enabled:o.scratch ~n:!n' ~step
+          else begin
+            (* constraint pruning emptied the set: admit everything rather
+               than manufacture a deadlock, and count the wedge — the
+               conformance battery requires this counter to stay at zero *)
+            o.wedges <- o.wedges + 1;
+            strategy.next_schedule ~enabled ~n ~step
+          end
+        end
       in
-      o.Obs.pending <- Obs.P_delay_lat (sc, if fast then `Fast else `Slow);
-      fast
-    | Obs.P_crash_coin victims -> (
-        (* always resolved by the wrapper in steering mode: crashes fire
-           exactly when an eligible clause demands one, never otherwise *)
-        match Obs.pick_crash o victims with
-        | None ->
-          o.Obs.pending <- Obs.P_none;
-          false
-        | Some idx ->
-          o.Obs.pending <-
-            (if List.length victims > 1 then Obs.P_pick idx else Obs.P_none);
-          true)
-    | _ -> base.Strategy.next_bool ~step
-  in
-  let next_int ~bound ~step =
-    let clamp v = max 0 (min (bound - 1) v) in
-    match o.Obs.pending with
-    | Obs.P_kind sc ->
-      let idx =
-        match sc.Obs.sc_forced with
-        | Some fk -> clamp (kind_index o fk)
-        | None -> base.Strategy.next_int ~bound ~step
-      in
-      let kind =
-        if idx < Array.length o.Obs.kinds then o.Obs.kinds.(idx) else Fault.Drop
-      in
-      resolve_kind o sc kind;
-      idx
-    | Obs.P_delay_lat (sc, mode) ->
-      let idx =
-        match (sc.Obs.sc_forced, mode) with
-        | Some (FK_delay l), (`Uniform | `Fast) -> clamp (l - 1)
-        | Some (FK_delay l), `Slow ->
-          clamp (l - (2 * o.Obs.faults.Fault.max_delay))
-        | _ -> base.Strategy.next_int ~bound ~step
-      in
-      journal_send o sc Delayed;
-      o.Obs.pending <- Obs.P_none;
-      idx
-    | Obs.P_pick i ->
-      o.Obs.pending <- Obs.P_none;
-      clamp i
-    | _ -> base.Strategy.next_int ~bound ~step
-  in
-  {
-    Strategy.name = "scenario(" ^ base.Strategy.name ^ ")";
-    next_schedule;
-    next_bool;
-    next_int;
-  }
+      (* focus clauses leave no dequeue record for [check], so any post-
+         wedge bypass is caught here instead *)
+      if focus_live then
+        for i = 0 to ns - 1 do
+          match states.(i) with
+          | CS_focus f when ws_active f.win ->
+            let any = ref false in
+            for k = 0 to n - 1 do
+              if pat_matches f.m (name_of o enabled.(k)) then any := true
+            done;
+            if !any && not (pat_matches f.m (name_of o choice)) then
+              o.violations_rev <-
+                Printf.sprintf
+                  "focus %s bypassed at step %d: scheduled %s while a match \
+                   was enabled"
+                  (pat_to_string f.m) step (name_of o choice)
+                :: o.violations_rev
+          | _ -> ()
+        done;
+      choice
+    end
+end
 
 (* ---------- the independent checker ---------- *)
 

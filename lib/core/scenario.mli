@@ -1,18 +1,18 @@
-(** Declarative test scenarios compiled to constraining strategy wrappers.
+(** Declarative test scenarios, enforced through the runtime's probe.
 
     A scenario is a small set of declarative clauses over machine and event
     {e predicates} — ordering constraints ("no [Sync_report] is delivered
     before the first [Fail_en]"), fault placement ("crash some [EN*] after
     the harness enters [Repairing]", "drop every [Router]→[N*] message
     between step 30 and step 120") and scheduling focus ("pause the
-    migrator until the clients settle"). Scenarios compile to a strategy
-    {e wrapper}: the base strategy
-    (random, PCT, fuzz, …) still makes every choice, but the wrapper
-    prunes the enabled set and forces the fault draws the clauses demand.
-    Constraining rather than replacing the search keeps every downstream
-    tool working unchanged: scenario-found traces replay, shrink, feed
-    fuzz corpora and run under campaigns, because forced draws are
-    recorded in the trace exactly like free ones.
+    migrator until the clients settle"). A per-execution observer
+    ({!Obs}) sees every event through {!Probe} and, when it steers, the
+    runtime asks it two things: which enabled machines the clauses admit
+    before each scheduling pick, and which fault a send or crash tick is
+    forced to. The base strategy (random, PCT, fuzz, …) still makes every
+    free choice. A forced fault is recorded in the trace exactly like a
+    drawn one, so scenario-found traces replay, shrink, feed fuzz corpora
+    and run under campaigns unchanged.
 
     The text form is strict and canonical in the style of {!Trace} and
     {!Fault}: [of_string] accepts exactly what [to_string] produces (one
@@ -36,7 +36,7 @@ val pat_to_string : pat -> string
 
     Triggers are {e latching}: once fired they stay fired for the rest of
     the execution, so every clause's lifecycle is monotone and the
-    wrapper's pruning decisions are reproducible from the recorded
+    observer's pruning decisions are reproducible from the recorded
     journal. *)
 
 type trigger
@@ -141,6 +141,13 @@ val of_string : string -> (t, string) result
     [spec] unchanged. *)
 val arm : t -> Fault.spec -> Fault.spec
 
+(** [check_spec t spec] is [Ok ()] when [spec] arms every fault kind the
+    clauses need with a large enough [max_delay] and budget (what {!arm}
+    provides), and can draw every latency a [delay] clause forces: a
+    bimodal delay draws 1 or 2 on fast links, so it cannot force 3 or
+    more. {!Obs.create} raises on an [Error]. *)
+val check_spec : t -> Fault.spec -> (unit, string) result
+
 (** Number of [crash_when] clauses — the fault driver uses it as a floor
     for its crash allowance so multi-crash scenarios need no harness
     changes. *)
@@ -148,8 +155,8 @@ val crash_slots : t -> int
 
 (** {1 Journal}
 
-    Per-execution observations recorded by the runtime hooks and the
-    wrapper, sufficient for {!check} to revalidate every clause
+    Per-execution observations the runtime reports to the observer,
+    steering or not, sufficient for {!check} to revalidate every clause
     independently of the enforcement code paths. *)
 
 type fate = Passed | Dropped | Dupped | Delayed
@@ -169,8 +176,8 @@ type journal_entry =
       target : string;
       event : string;
       fate : fate;
-          (** what the draws actually resolved to — forced by the wrapper
-              on constrained links, chosen freely by the base elsewhere *)
+          (** what the draws actually resolved to — forced on constrained
+              links, chosen freely by the base strategy elsewhere *)
       budget : int;  (** faults remaining when the send was interposed *)
     }
   | J_state of { step : int; machine : string; state : string }
@@ -188,19 +195,25 @@ val journal_entry_to_string : journal_entry -> string
     fired clause accounts for). Returns the list of violations. *)
 val check : t -> journal_entry list -> (unit, string list) result
 
+(** A send's forced fault: drop, duplicate, or delay by a latency. *)
+type forced_kind = FK_drop | FK_dup | FK_delay of int
+
 (** {1 Per-execution observer} *)
 
 module Obs : sig
   type scenario := t
 
-  (** Mutable per-execution state shared between the runtime hooks and
-      the strategy wrapper. Create a fresh one per execution. *)
+  (** Mutable per-execution state fed by the runtime through {!Probe}.
+      Create a fresh one per execution. *)
   type t
 
-  (** [create scenario ~faults] — [faults] must be the (already
-      {!arm}ed) spec the execution runs under; the wrapper needs it to
-      know the kind-draw vocabulary of [send_faulty]. *)
-  val create : scenario -> faults:Fault.spec -> t
+  (** [create scenario ~faults ~steer] — [faults] must be the (already
+      {!arm}ed) spec the execution runs under. With [steer] the observer
+      prunes the enabled set and forces fault draws; without it (DFS,
+      replay, the shrinker) it only records the journal, which is then
+      the same journal the steering run recorded.
+      @raise Invalid_argument when {!check_spec} rejects [faults]. *)
+  val create : scenario -> faults:Fault.spec -> steer:bool -> t
 
   val scenario : t -> scenario
 
@@ -216,19 +229,32 @@ module Obs : sig
 
   (** Called immediately before [send_faulty] draws its fault coin (and
       only when it will draw: message faults armed, budget left, target
-      alive). Marks the semantic purpose of the imminent draws so the
-      wrapper can force them. *)
+      alive). Returns the fault the first active link clause forces on
+      this send when steering, [None] otherwise. *)
   val pre_send :
     t -> step:int -> time:int -> sender:int -> target:int -> event:string ->
-    budget:int -> unit
+    budget:int -> forced_kind option
+
+  (** What the send {!pre_send} announced resolved to; journals it. *)
+  val sent : t -> fate -> unit
 
   (** Number of crash clauses; when positive, the fault driver switches
       to steered ticks. *)
   val crash_slots : t -> int
 
-  (** Called by the fault driver immediately before its per-tick crash
-      coin, with the current crashable machine names in creation order. *)
-  val pre_crash_tick : t -> step:int -> victims:string list -> unit
+  (** A steered crash tick over the crashable machines [victims] (names,
+      in creation order): [`Crash i] strikes [victims]'s [i]-th when a
+      fired crash clause demands it, [`Skip] strikes none, and [`Draw]
+      (not steering) leaves both to the strategy. *)
+  val crash_victim :
+    t -> step:int -> victims:string list -> [ `Draw | `Skip | `Crash of int ]
+
+  (** [schedule t strategy ~enabled ~n ~step] picks the next machine:
+      it latches quiescence (journaled as {!J_quiet}), and when steering
+      it hands [strategy] only the machines the order, pause and focus
+      clauses admit. *)
+  val schedule :
+    t -> Strategy.t -> enabled:int array -> n:int -> step:int -> int
 
   (** The runtime installs a peek callback: machine creation index ↦ name
       of the event it would dequeue next (respecting its receive
@@ -240,16 +266,11 @@ module Obs : sig
   val journal : t -> journal_entry list
 
   (** Scheduling points where pruning emptied the enabled set and the
-      wrapper fell back to the full set rather than manufacture a
-      deadlock. A sound scenario keeps this at zero. *)
+      observer admitted the full set rather than manufacture a deadlock.
+      A sound scenario keeps this at zero. *)
   val wedges : t -> int
 
   (** Enforcement-time self-check failures (a focus clause bypassed after
       a wedge, …). Empty for a sound scenario. *)
   val violations : t -> string list
 end
-
-(** [wrap ~obs base] — the constraining wrapper. Composes over any base
-    (and over [sleep(...)]); parallel-safety is inherited from the base
-    since all wrapper state lives in [obs], created per execution. *)
-val wrap : obs:Obs.t -> Strategy.t -> Strategy.t

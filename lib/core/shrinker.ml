@@ -20,7 +20,7 @@ let attempt config ~monitors ~kind ~seed body candidate =
   let result =
     Runtime.execute
       (Engine.runtime_config
-         ?scenario:(Engine.scenario_obs config)
+         ?scenario:(Engine.scenario_obs ~steer:false config)
          config ~collect_log:false)
       strategy ~monitors:(monitors ()) ~name:"Harness" body
   in

@@ -127,8 +127,8 @@ let test_first_trace_bytes () =
            (Digest.string (Psharp.Trace.to_string result.Runtime.choices))))
     (cases ())
 
-(* Scenarios must cost nothing when they bind nothing: with the wrapper
-   fully installed but every clause's predicate matching no machine or
+(* Scenarios must cost nothing when they bind nothing: with a steering
+   observer installed but every clause's predicate matching no machine or
    event in the system, the engine must reproduce the pre-scenario golden
    digests byte for byte. This pins two properties at once — a [None]
    scenario config is the identity (the digests above were recorded

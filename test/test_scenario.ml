@@ -3,8 +3,8 @@
    Every catalog scenario is run against every one of its target bugs and
    each sampled execution is revalidated with [Scenario.check] — the
    journal-based checker that recomputes trigger and window state
-   independently of the enforcement code in the strategy wrapper — plus
-   the wrapper's own wedge counter and enforcement self-checks. The
+   independently of the observer's enforcement code — plus the observer's
+   own wedge counter and enforcement self-checks. The
    battery also pins catalog shape (>= 15 scenarios, every entry >= 2
    targets spanning >= 2 case studies, all targets real), journal
    determinism at a fixed seed, and worker-count invariance (the multiset
@@ -25,7 +25,7 @@ type acc = {
   mu : Mutex.t;
   mutable executions : int;
   mutable wedges : int;
-  mutable enforcement : string list;  (* wrapper self-check failures *)
+  mutable enforcement : string list;  (* observer self-check failures *)
   mutable check_failures : string list;  (* independent checker *)
   mutable journals : string list;  (* rendered, reverse audit order *)
 }
@@ -195,8 +195,94 @@ let test_worker_invariance () =
           "%s: journal multiset differs between 1 and 3 workers" name)
     [ ("crash-mid-handoff", 60); ("dup-storm", 60) ]
 
+(* --- replayed journals ----------------------------------------------------- *)
+
+(* A replay observes without steering, yet must journal exactly what the
+   steering run journaled (sends and quiescence included), and that
+   journal must pass the checker. The first target of every catalog
+   scenario is hunted at a few seeds; every bug found is replayed. *)
+let test_replay_journals () =
+  let replayed = ref 0 in
+  List.iter
+    (fun e ->
+      let scenario = e.Scat.scenario in
+      let target = List.hd e.Scat.targets in
+      let entry = Bug.find target in
+      let last = ref [] in
+      let config seed =
+        {
+          (Bug.config entry) with
+          E.seed;
+          max_executions = 30;
+          faults = Scenario.arm scenario entry.Bug.faults;
+          scenario = Some scenario;
+          scenario_audit = Some (fun o -> last := Scenario.Obs.journal o);
+        }
+      in
+      let render j = List.map Scenario.journal_entry_to_string j in
+      List.iter
+        (fun seed ->
+          match
+            E.run ~monitors:entry.Bug.monitors (config seed) entry.Bug.harness
+          with
+          | E.No_bug _ -> ()
+          | E.Bug_found (r, _) ->
+            let steered = render !last in
+            let (_ : Psharp.Runtime.exec_result) =
+              E.replay ~monitors:entry.Bug.monitors (config seed)
+                r.Psharp.Error.trace entry.Bug.harness
+            in
+            incr replayed;
+            Alcotest.(check (list string))
+              (Printf.sprintf "%s on %s, seed %Ld: replay journal" e.Scat.name
+                 target seed)
+              steered (render !last);
+            (match Scenario.check scenario !last with
+             | Ok () -> ()
+             | Error vs ->
+               Alcotest.failf "%s on %s, seed %Ld: replay journal fails check: %s"
+                 e.Scat.name target seed (head_of vs)))
+        [ 1L; 2L ])
+    Scat.all;
+  if !replayed < List.length Scat.all then
+    Alcotest.failf "only %d found traces replayed" !replayed
+
+(* --- spec checks ----------------------------------------------------------- *)
+
+let test_bimodal_latency () =
+  let scenario latency =
+    Scenario.make
+      [
+        Scenario.delay_link ~src:(Scenario.pat "*") ~dst:(Scenario.pat "*")
+          ~latency ~from_:Scenario.start ~until_:(Scenario.at_step 10);
+      ]
+  in
+  let spec dist = Psharp.Fault.make ~delay_dist:dist [ Psharp.Fault.Delay ] in
+  let accepts latency dist =
+    let sc = scenario latency in
+    Scenario.check_spec sc (Scenario.arm sc (spec dist)) = Ok ()
+  in
+  Alcotest.(check bool) "bimodal forces latency 2" true
+    (accepts 2 Psharp.Fault.Bimodal);
+  Alcotest.(check bool) "bimodal cannot force latency 3" false
+    (accepts 3 Psharp.Fault.Bimodal);
+  Alcotest.(check bool) "uniform forces latency 3" true
+    (accepts 3 Psharp.Fault.Uniform);
+  let sc = scenario 3 in
+  match
+    Scenario.Obs.create sc
+      ~faults:(Scenario.arm sc (spec Psharp.Fault.Bimodal))
+      ~steer:true
+  with
+  | _ -> Alcotest.fail "Obs.create accepted bimodal delays under lat=3"
+  | exception Invalid_argument _ -> ()
+
 let suite =
   Alcotest.test_case "catalog shape" `Quick test_catalog_shape
+  :: Alcotest.test_case "replay journals equal steering journals" `Quick
+       test_replay_journals
+  :: Alcotest.test_case "bimodal delays cannot force latency 3" `Quick
+       test_bimodal_latency
   :: Alcotest.test_case "journal determinism (fixed seed)" `Quick
        test_determinism
   :: Alcotest.test_case "worker-count invariance" `Quick
