@@ -334,9 +334,7 @@ let ablation budget =
     [
       ("random", E.Random);
       ("pct (d=2)", E.Pct { change_points = 2 });
-      ("round-robin", E.Round_robin);
       ("dfs (depth 60)", E.Dfs { max_depth = 60; int_cap = 2 });
-      ("delay-bounded (2)", E.Delay_bounded { delays = 2 });
     ]
   @ List.map
       (fun d ->

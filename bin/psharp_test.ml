@@ -44,9 +44,7 @@ let strategy_conv =
     [
       ("random", E.Random);
       ("pct", E.Pct { change_points = 2 });
-      ("rr", E.Round_robin);
       ("dfs", E.Dfs { max_depth = 200; int_cap = 3 });
-      ("delay", E.Delay_bounded { delays = 2 });
       ("fuzz", E.Fuzz { corpus_cap = 32 });
     ]
 
@@ -92,7 +90,7 @@ let bug_arg =
 
 let strategy_arg =
   let doc =
-    "Scheduling strategy: random, pct, rr, dfs, delay, or fuzz \
+    "Scheduling strategy: random, pct, dfs, or fuzz \
      (coverage-feedback-directed)."
   in
   Arg.(
@@ -386,8 +384,7 @@ type flag =
    default and explicit flags override it. The fault spec in force is the
    bug's own or --faults, with its budget replaced by an explicit
    --fault-budget; a scenario then arms what its clauses need (kinds,
-   budget, max latency), exactly once, here, and a spec it still cannot
-   steer (bimodal delays under a long forced latency) is a usage error. *)
+   budget, max latency), exactly once, here. *)
 let run_term ?(fixed = false) ?(collects = false) ?target flags =
   let on flag arg default =
     if List.mem flag flags then arg else Term.const default
@@ -458,17 +455,11 @@ let run_term ?(fixed = false) ?(collects = false) ?target flags =
     | Some budget -> { faults with Psharp.Fault.budget }
     | None -> faults
   in
-  let* faults =
-    match scenario with
-    | None -> Ok faults
-    | Some e -> (
-        let faults = Psharp.Scenario.arm e.Scenario_catalog.scenario faults in
-        match Psharp.Scenario.check_spec e.Scenario_catalog.scenario faults with
-        | Ok () -> Ok faults
-        | Error m ->
-          Error (Printf.sprintf "scenario %s: %s" e.Scenario_catalog.name m))
-  in
   let scenario = Option.map (fun e -> e.Scenario_catalog.scenario) scenario in
+  let faults =
+    Option.fold scenario ~none:faults ~some:(fun s ->
+        Psharp.Scenario.arm s faults)
+  in
   let config =
     {
       base with

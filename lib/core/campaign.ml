@@ -65,45 +65,6 @@ let record_witness t ~kind ~trace =
   if List.mem_assoc kind t.witnesses then t
   else { t with witnesses = t.witnesses @ [ (kind, trace) ] }
 
-(* --- Meta file escaping ------------------------------------------------- *)
-
-(* Harness names and bug-kind strings are free text; only backslash and
-   newline threaten the line format. *)
-let escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let unescape s =
-  let buf = Buffer.create (String.length s) in
-  let n = String.length s in
-  let rec go i =
-    if i >= n then ()
-    else
-      match s.[i] with
-      | '\\' ->
-        if i + 1 >= n then failwith "Campaign.load: dangling escape"
-        else begin
-          (match s.[i + 1] with
-           | '\\' -> Buffer.add_char buf '\\'
-           | 'n' -> Buffer.add_char buf '\n'
-           | c ->
-             failwith (Printf.sprintf "Campaign.load: unknown escape \\%c" c));
-          go (i + 2)
-        end
-      | c ->
-        Buffer.add_char buf c;
-        go (i + 1)
-  in
-  go 0;
-  Buffer.contents buf
-
 (* --- Paths -------------------------------------------------------------- *)
 
 let pointer_file dir = Filename.concat dir "CURRENT"
@@ -190,7 +151,8 @@ let to_meta t =
   let buf = Buffer.create 256 in
   Buffer.add_string buf meta_version;
   Buffer.add_char buf '\n';
-  Buffer.add_string buf (Printf.sprintf "harness:%s\n" (escape t.harness));
+  Buffer.add_string buf
+    (Printf.sprintf "harness:%s\n" (Coverage.escape_field t.harness));
   Buffer.add_string buf (Printf.sprintf "seed:%Ld\n" t.seed);
   Buffer.add_string buf (Printf.sprintf "executions:%d\n" t.executions);
   Buffer.add_string buf
@@ -203,7 +165,8 @@ let to_meta t =
     (Printf.sprintf "witnesses:%d\n" (List.length t.witnesses));
   List.iter
     (fun (kind, _) ->
-      Buffer.add_string buf (Printf.sprintf "witness:%s\n" (escape kind)))
+      Buffer.add_string buf
+        (Printf.sprintf "witness:%s\n" (Coverage.escape_field kind)))
     t.witnesses;
   Buffer.add_string buf "end:campaign\n";
   Buffer.contents buf
@@ -247,11 +210,6 @@ let save ~dir t = save_with ~write:write_file ~dir t
 
 (* --- Load --------------------------------------------------------------- *)
 
-let canonical_int s =
-  match int_of_string_opt s with
-  | Some n when string_of_int n = s -> Some n
-  | _ -> None
-
 let canonical_int64 s =
   match Int64.of_string_opt s with
   | Some n when Int64.to_string n = s -> Some n
@@ -291,12 +249,12 @@ let of_meta data =
     | None -> failwith "Campaign.load: bad seed"
   in
   let executions =
-    match canonical_int executions with
+    match Coverage.canonical_int executions with
     | Some n when n >= 0 -> n
     | _ -> failwith "Campaign.load: bad executions count"
   in
   let ints name s =
-    match canonical_int s with
+    match Coverage.canonical_int s with
     | Some n when n >= 0 -> n
     | _ -> failwith (Printf.sprintf "Campaign.load: bad %s count" name)
   in
@@ -308,7 +266,7 @@ let of_meta data =
     | [] -> failwith "Campaign.load: empty corpus entry"
     | e :: tags ->
       let energy =
-        match canonical_int e with
+        match Coverage.canonical_int e with
         | Some n when n >= 1 -> n
         | _ ->
           failwith
@@ -346,7 +304,7 @@ let of_meta data =
     if n = 0 then (List.rev acc, rest)
     else
       let kind, rest = field "witness" rest in
-      take_witnesses (n - 1) (unescape kind :: acc) rest
+      take_witnesses (n - 1) (Coverage.unescape_field kind :: acc) rest
   in
   let kinds, rest = take_witnesses witness_n [] rest in
   (match rest with
@@ -354,7 +312,7 @@ let of_meta data =
    | [] -> failwith "Campaign.load: truncated meta (missing end line)"
    | line :: _ ->
      failwith (Printf.sprintf "Campaign.load: unexpected meta line %S" line));
-  (unescape harness, seed, executions, centries, kinds)
+  (Coverage.unescape_field harness, seed, executions, centries, kinds)
 
 let load_trace path =
   try Trace.of_string (read_file path)

@@ -481,7 +481,8 @@ let unescape_field s =
     else
       match s.[i] with
       | '\\' ->
-        if i + 1 >= n then failwith "Coverage.of_save: dangling escape"
+        if i + 1 >= n then
+          failwith (Printf.sprintf "dangling escape in field %S" s)
         else begin
           (match s.[i + 1] with
            | '\\' -> Buffer.add_char buf '\\'
@@ -489,7 +490,7 @@ let unescape_field s =
            | 'n' -> Buffer.add_char buf '\n'
            | c ->
              failwith
-               (Printf.sprintf "Coverage.of_save: unknown escape \\%c" c));
+               (Printf.sprintf "unknown escape \\%c in field %S" c s));
           go (i + 2)
         end
       | c ->
@@ -498,6 +499,11 @@ let unescape_field s =
   in
   go 0;
   Buffer.contents buf
+
+let canonical_int s =
+  match int_of_string_opt s with
+  | Some n when string_of_int n = s -> Some n
+  | _ -> None
 
 let to_save (t : t) =
   let buf = Buffer.create 4096 in
@@ -546,11 +552,6 @@ let to_save (t : t) =
     sorted;
   Buffer.add_string buf (Printf.sprintf "end:%d\n" (List.length sorted));
   Buffer.contents buf
-
-let canonical_int s =
-  match int_of_string_opt s with
-  | Some n when string_of_int n = s -> Some n
-  | _ -> None
 
 let parse_count line s =
   match canonical_int s with

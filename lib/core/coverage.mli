@@ -206,6 +206,19 @@ val to_save : t -> string
     @raise Failure on malformed input. *)
 val of_save : string -> t
 
+(** The field codec of both save formats ({!to_save} and {!Campaign}'s
+    meta file): backslash, tab and newline are written as [\\], [\t]
+    and [\n], so a free-text field never breaks the line format. *)
+val escape_field : string -> string
+
+(** Inverse of {!escape_field}.
+    @raise Failure on a dangling or unknown escape. *)
+val unescape_field : string -> string
+
+(** [canonical_int s] is [Some n] only when [s] is exactly
+    [string_of_int n]: no plus sign, padding or leading zeros. *)
+val canonical_int : string -> int option
+
 (** {1 Reading} *)
 
 type totals = {

@@ -2,9 +2,6 @@ type strategy_spec =
   | Random
   | Pct of { change_points : int }
   | Dfs of { max_depth : int; int_cap : int }
-  | Round_robin
-  | Delay_bounded of { delays : int }
-  | Replay_trace of Trace.t
   | Fuzz of { corpus_cap : int }
 
 type reduction = No_reduction | Hb_track
@@ -86,11 +83,6 @@ let factory_of config =
     Pct_strategy.factory ~seed:config.seed ~change_points
       ~max_steps:config.max_steps ()
   | Dfs { max_depth; int_cap } -> Dfs_strategy.factory ~max_depth ~int_cap ()
-  | Round_robin -> Rr_strategy.factory ()
-  | Delay_bounded { delays } ->
-    Delay_strategy.factory ~seed:config.seed ~delays
-      ~max_steps:config.max_steps ()
-  | Replay_trace t -> Replay_strategy.factory t
   | Fuzz { corpus_cap } ->
     Fuzz_strategy.factory ~seed:config.seed ~corpus_cap
       ?exchange:config.resume.exchange ~energy:config.fuzz_energy
@@ -353,8 +345,8 @@ let tally w ~iteration kind result =
   | Some (report, n, first) -> Hashtbl.replace w.kinds key (report, n + 1, first)
   | None -> Hashtbl.replace w.kinds key (report_of kind result, 1, iteration)
 
-(* Strategies that keep state across executions (DFS, trace replay, fuzz
-   without an exchange hub) run on one worker, with a notice. *)
+(* Strategies that keep state across executions (DFS, fuzz without an
+   exchange hub) run on one worker, with a notice. *)
 let plan_workers config (factory : Strategy.factory) =
   let requested = Worker_pool.resolve config.workers in
   if requested > 1 && config.max_executions > 1
@@ -380,7 +372,7 @@ let plan_workers config (factory : Strategy.factory) =
 let drive ~mode ~monitors config body =
   let factory = factory_of config in
   (match (config.scenario, config.strategy) with
-   | Some _, (Dfs _ | Replay_trace _) ->
+   | Some _, Dfs _ ->
      Printf.eprintf
        "[engine] strategy %s retraces its own choices; the scenario is \
         observed but does not steer\n\
@@ -393,13 +385,10 @@ let drive ~mode ~monitors config body =
       Some (collector_of config)
     else None
   in
-  (* DFS enumerates its own tree and replay retraces recorded choices;
-     forcing their draws would change what those strategies mean. The
-     observer still records the journal, so conformance can be checked on
-     their traces. *)
-  let steer =
-    match config.strategy with Dfs _ | Replay_trace _ -> false | _ -> true
-  in
+  (* DFS enumerates its own tree; forcing its draws would change what the
+     strategy means. The observer still records the journal, so
+     conformance can be checked on its traces. *)
+  let steer = match config.strategy with Dfs _ -> false | _ -> true in
   let deadline =
     Option.map (fun b -> Unix.gettimeofday () +. b) config.max_seconds
   in

@@ -26,15 +26,15 @@ type strategy_spec =
       (** randomized priority-based scheduler; the paper uses 2 change
           points per execution *)
   | Dfs of { max_depth : int; int_cap : int }
-  | Round_robin
-  | Delay_bounded of { delays : int }
-      (** randomized delay-bounded scheduling (the paper's [11]) *)
-  | Replay_trace of Trace.t
+      (** depth-first enumeration of the choice tree ({!Dfs_strategy}):
+          stateful, hence sequential-only *)
   | Fuzz of { corpus_cap : int }
       (** coverage-feedback-directed schedule fuzzing ({!Fuzz_strategy}):
           keeps a corpus (bounded by [corpus_cap]) of schedules that found
           new coverage and mutates them (splice / truncate / re-randomize
-          suffix). Stateful, hence sequential-only. *)
+          suffix). Parallel-safe with an exchange hub
+          ([resume.exchange]); without one it keeps its corpus across
+          executions and runs sequentially. *)
 
 (** Happens-before instrumentation for an exploration run. *)
 type reduction =
@@ -125,9 +125,8 @@ type config = {
           every other (only wall-clock time and, when several distinct
           buggy schedules exist, which one is reported first can differ).
           Each worker owns its strategy factory and its hb recorder.
-          Stateful strategies (DFS, trace replay, fuzz without an exchange
-          hub) are not parallel-safe; the engine logs a notice and runs
-          one worker. *)
+          Stateful strategies (DFS, fuzz without an exchange hub) are not
+          parallel-safe; the engine logs a notice and runs one worker. *)
   coverage_mode : coverage_mode;  (** [Off] by default *)
   faults : Fault.spec;
       (** fault-injection spec handed to every execution's runtime
@@ -168,16 +167,15 @@ type config = {
           gets a fresh steering {!Scenario.Obs} observer in its runtime
           config: through {!Probe}, it prunes scheduling picks and forces
           fault draws so admitted schedules satisfy the scenario's
-          clauses. The base strategy (random, PCT, delay-bounded, fuzz)
-          still drives the search inside the constraint, and parallel
-          safety is inherited. [Dfs] and [Replay_trace] keep their own
-          schedule discipline: their observer records the journal but
-          does not steer, with a notice. {!replay} and the shrinker
-          likewise observe without steering — forced draws are ordinary
-          recorded choices, so witnesses replay and shrink as always, and
-          a replay journals what the steering run journaled. The spec in
-          [faults] must arm what the clauses need: pass it through
-          {!Scenario.arm} first. *)
+          clauses. The base strategy (random, PCT, fuzz) still drives the
+          search inside the constraint, and parallel safety is inherited.
+          [Dfs] keeps its own schedule discipline: its observer records
+          the journal but does not steer, with a notice. {!replay} and the
+          shrinker likewise observe without steering — forced draws are
+          ordinary recorded choices, so witnesses replay and shrink as
+          always, and a replay journals what the steering run journaled.
+          The spec in [faults] must arm what the clauses need: pass it
+          through {!Scenario.arm} first. *)
   scenario_audit : (Scenario.Obs.t -> unit) option;
       (** called once per execution with its fully-populated observer
           (journal, wedge count, violations) after the runtime returns —

@@ -1,5 +1,4 @@
 type kind = Drop | Duplicate | Delay | Crash
-type dist = Uniform | Bimodal
 
 type spec = {
   drop : bool;
@@ -8,7 +7,6 @@ type spec = {
   crash : bool;
   budget : int;
   max_delay : int;
-  delay_dist : dist;
 }
 
 let none =
@@ -19,7 +17,6 @@ let none =
     crash = false;
     budget = 0;
     max_delay = 3;
-    delay_dist = Uniform;
   }
 
 let message_faults s = s.budget > 0 && (s.drop || s.duplicate || s.delay)
@@ -38,7 +35,7 @@ let kind_of_string = function
   | "crash" -> Some Crash
   | _ -> None
 
-let make ?(budget = 1) ?(max_delay = 3) ?(delay_dist = Uniform) kinds =
+let make ?(budget = 1) ?(max_delay = 3) kinds =
   if budget < 0 then invalid_arg "Fault.make: budget must be non-negative";
   if max_delay <= 0 then invalid_arg "Fault.make: max_delay must be positive";
   {
@@ -48,9 +45,6 @@ let make ?(budget = 1) ?(max_delay = 3) ?(delay_dist = Uniform) kinds =
     crash = List.mem Crash kinds;
     budget;
     max_delay;
-    (* a distribution only means something with delay armed; normalizing
-       keeps to_string/parse a proper round-trip *)
-    delay_dist = (if List.mem Delay kinds then delay_dist else Uniform);
   }
 
 let kinds s =
@@ -102,55 +96,17 @@ let parse str =
       if parts = [] then
         Error "no fault kinds given (expected e.g. drop,crash)"
       else
-        (* [delay] may carry a latency distribution: plain ["delay"] (and
-           its alias ["delay:uniform"]) is one uniform draw over
-           [1..max_delay]; ["delay:bimodal"] splits links into a fast and
-           a slow mode. Mixing spellings with different distributions in
-           one spec is ambiguous, hence rejected. *)
-        let rec go acc dist = function
-          | [] -> Ok (List.rev acc, dist)
-          | p :: rest ->
-            let parsed =
-              match p with
-              | "delay" | "delay:uniform" -> Ok (Delay, Some Uniform)
-              | "delay:bimodal" -> Ok (Delay, Some Bimodal)
-              | p when String.length p > 6 && String.sub p 0 6 = "delay:" ->
-                Error
-                  (Printf.sprintf
-                     "unknown delay distribution %S (expected uniform or \
-                      bimodal)"
-                     (String.sub p 6 (String.length p - 6)))
-              | p ->
-                (match kind_of_string p with
-                 | Some k -> Ok (k, None)
-                 | None ->
-                   Error
-                     (Printf.sprintf
-                        "unknown fault kind %S (expected drop, dup, delay or \
-                         crash)" p))
-            in
-            (match parsed with
-             | Error _ as e -> e
-             | Ok (k, d) ->
-               (match (dist, d) with
-                | Some a, Some b when a <> b ->
-                  Error "conflicting delay distributions in one fault spec"
-                | _ -> go (k :: acc) (if d = None then dist else d) rest))
-        in
-        (match go [] None parts with
-         | Error _ as e -> e
-         | Ok (ks, dist) ->
-           let delay_dist = Option.value dist ~default:Uniform in
-           Ok (make ~budget ~delay_dist ks))
+        match List.find_opt (fun p -> kind_of_string p = None) parts with
+        | Some p ->
+          Error
+            (Printf.sprintf
+               "unknown fault kind %S (expected drop, dup, delay or crash)" p)
+        | None -> Ok (make ~budget (List.filter_map kind_of_string parts))
 
 let to_string s =
-  let kind_str = function
-    | Delay when s.delay_dist = Bimodal -> "delay:bimodal"
-    | k -> kind_to_string k
-  in
   match kinds s with
   | [] -> "none"
   | ks ->
     Printf.sprintf "%s(budget=%d)"
-      (String.concat "," (List.map kind_str ks))
+      (String.concat "," (List.map kind_to_string ks))
       s.budget

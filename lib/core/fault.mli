@@ -13,15 +13,6 @@ type kind =
   | Delay  (** the message is re-enqueued behind k later deliveries *)
   | Crash  (** a persistent machine loses inbox + volatile state, restarts *)
 
-(** Latency distribution for {!Delay} faults. *)
-type dist =
-  | Uniform  (** one draw over [1..max_delay] — the historical behavior *)
-  | Bimodal
-      (** links are either {e fast} (latency 1–2) or {e slow} (latency
-          [2*max_delay .. 3*max_delay - 1]) — the long-tail shape real
-          networks show, giving timeout races both a "just missed" and a
-          "wildly late" mode to explore *)
-
 type spec = {
   drop : bool;
   duplicate : bool;
@@ -30,12 +21,9 @@ type spec = {
   budget : int;
       (** total faults injectable per execution, shared across kinds *)
   max_delay : int;
-      (** scale of delay latencies: a [Uniform] delayed message is held
-          back [1 + nondet_int max_delay] deliveries (clock off) or
+      (** scale of delay latencies: a delayed message is held back
+          [1 + nondet_int max_delay] deliveries (clock off) or
           virtual-time units (clock on) *)
-  delay_dist : dist;
-      (** latency distribution for delayed messages; only meaningful with
-          [delay] armed ({!make} normalizes it to [Uniform] otherwise) *)
 }
 
 (** No faults: every [send_faulty] degenerates to a plain [send] with zero
@@ -49,12 +37,10 @@ val enabled : spec -> bool
     positive — i.e. [send_faulty] will actually draw. *)
 val message_faults : spec -> bool
 
-(** [make ?budget ?max_delay ?delay_dist kinds] builds a spec arming
-    exactly [kinds]. [budget] defaults to 1, [max_delay] to 3,
-    [delay_dist] to [Uniform] (and is forced to [Uniform] when [Delay] is
-    not among [kinds]).
+(** [make ?budget ?max_delay kinds] builds a spec arming exactly [kinds].
+    [budget] defaults to 1, [max_delay] to 3.
     @raise Invalid_argument on negative budget or non-positive max_delay. *)
-val make : ?budget:int -> ?max_delay:int -> ?delay_dist:dist -> kind list -> spec
+val make : ?budget:int -> ?max_delay:int -> kind list -> spec
 
 (** Armed kinds in canonical order (drop, dup, delay, crash). *)
 val kinds : spec -> kind list
@@ -63,17 +49,13 @@ val kind_to_string : kind -> string
 
 (** Parse a CLI spec like ["drop,dup,delay,crash"] (budget defaults to 1;
     override via record update), ["none"], or anything {!to_string}
-    produces — ["drop,crash(budget=2)"]. The delay kind may carry a
-    distribution: ["delay"] and ["delay:uniform"] are [Uniform],
-    ["delay:bimodal"] is [Bimodal]; mixing spellings with different
-    distributions in one spec is an error. Strict: unknown kinds or
-    distributions, an empty list, or a malformed budget suffix are
-    errors. [max_delay] is not part of the grammar, so [parse] of
-    [to_string s] round-trips every spec with the default [max_delay]. *)
+    produces — ["drop,crash(budget=2)"]. Strict: unknown kinds, an empty
+    list, or a malformed budget suffix are errors. [max_delay] is not part
+    of the grammar, so [parse] of [to_string s] round-trips every spec
+    with the default [max_delay]. *)
 val parse : string -> (spec, string) result
 
 (** Canonical rendering: ["none"] for a spec with no armed kinds,
     otherwise the comma-separated kind list with a ["(budget=N)"]
-    suffix; the delay kind renders as ["delay:bimodal"] under [Bimodal]
-    and plain ["delay"] under [Uniform]. A fixpoint of [parse]. *)
+    suffix. A fixpoint of [parse]. *)
 val to_string : spec -> string

@@ -430,8 +430,8 @@ let forced_index kinds forced =
    kinds / a delay distance with [nondet_int]; every decision is an
    ordinary recorded choice, so replay and shrinking see faults as just
    more schedule. A scenario that steers this link forces the same draws:
-   the coin, the kind index when several kinds are armed, the bimodal
-   mode, the latency index. *)
+   the coin, the kind index when several kinds are armed, the latency
+   index. *)
 let send_faulty ctx target e =
   let rt = ctx.rt in
   live rt;
@@ -487,26 +487,10 @@ let send_faulty ctx target e =
            [k] counts later deliveries (queue-position delay). Clock on:
            [k] is a latency duration — the message is armed on the clock
            and lands at [now + k] virtual time, so it races against timer
-           deadlines rather than queue positions.
-
-           Uniform keeps the historical single draw over [1..max_delay]
-           (existing fault traces and golden digests depend on it).
-           Bimodal first draws the link's mode, then a latency within the
-           mode: fast links land in 1..2, slow ones in
-           [2*max_delay .. 3*max_delay - 1] — a long-tail far past any
-           uniform draw, so timeouts race both narrowly and hopelessly. A
-           forced latency is at most 2 under bimodal (the scenario
-           observer rejects more), so it is always fast. *)
+           deadlines rather than queue positions. One draw over
+           [1..max_delay]. *)
         let lat = match forced with Some (Scenario.FK_delay l) -> l | _ -> 1 in
-        let k =
-          match spec.delay_dist with
-          | Fault.Uniform ->
-            1 + draw_int ctx forced ~bound:spec.max_delay (lat - 1)
-          | Fault.Bimodal ->
-            if draw_bool ctx forced true then
-              1 + draw_int ctx forced ~bound:2 (lat - 1)
-            else (2 * spec.max_delay) + nondet_int ctx spec.max_delay
-        in
+        let k = 1 + draw_int ctx forced ~bound:spec.max_delay (lat - 1) in
         Probe.sent rt.probe Scenario.Delayed;
         record_fault rt ~kind:"delay" ~target:m.id;
         if rt.log_on then

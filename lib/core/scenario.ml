@@ -403,7 +403,6 @@ let arm t (spec : Fault.spec) =
   if crashes = 0 && link_windows = 0 then spec
   else
     {
-      spec with
       Fault.drop = spec.Fault.drop || needs_drop;
       duplicate = spec.Fault.duplicate || needs_dup;
       delay = spec.Fault.delay || max_lat > 0;
@@ -431,14 +430,6 @@ let check_spec t (faults : Fault.spec) =
   else if
     List.exists (fun c -> link_needs c <> None) t && faults.Fault.budget <= 0
   then unarmed "a positive budget"
-  else if faults.Fault.delay_dist = Fault.Bimodal && max_latency t >= 3 then
-    (* a bimodal delay lands in 1..2 or at 2*max_delay and beyond, and
-       [arm] keeps max_delay at least the clause's latency *)
-    Error
-      (Printf.sprintf
-         "a bimodal delay cannot force latency %d (only 1 or 2); use \
-          delay:uniform"
-         (max_latency t))
   else Ok ()
 
 (* ---------- journal ---------- *)

@@ -141,13 +141,6 @@ val of_string : string -> (t, string) result
     [spec] unchanged. *)
 val arm : t -> Fault.spec -> Fault.spec
 
-(** [check_spec t spec] is [Ok ()] when [spec] arms every fault kind the
-    clauses need with a large enough [max_delay] and budget (what {!arm}
-    provides), and can draw every latency a [delay] clause forces: a
-    bimodal delay draws 1 or 2 on fast links, so it cannot force 3 or
-    more. {!Obs.create} raises on an [Error]. *)
-val check_spec : t -> Fault.spec -> (unit, string) result
-
 (** Number of [crash_when] clauses — the fault driver uses it as a floor
     for its crash allowance so multi-crash scenarios need no harness
     changes. *)
@@ -212,7 +205,9 @@ module Obs : sig
       prunes the enabled set and forces fault draws; without it (DFS,
       replay, the shrinker) it only records the journal, which is then
       the same journal the steering run recorded.
-      @raise Invalid_argument when {!check_spec} rejects [faults]. *)
+      @raise Invalid_argument when [faults] does not arm every fault
+      kind the clauses need with a large enough [max_delay] and budget,
+      as {!arm} does. *)
   val create : scenario -> faults:Fault.spec -> steer:bool -> t
 
   val scenario : t -> scenario

@@ -12,12 +12,12 @@ type factory = {
   feedback : (trace:Trace.t -> novelty:Coverage.novelty -> unit) option;
 }
 
-let stateless ?(parallel_safe = true) ?feedback ~name make =
+let stateless ~name make =
   {
     factory_name = name;
-    parallel_safe;
+    parallel_safe = true;
     fresh = (fun ~iteration -> Some (make ~iteration));
-    feedback;
+    feedback = None;
   }
 
 (* Helpers over the enabled prefix [enabled.(0 .. n-1)]. *)

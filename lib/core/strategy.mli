@@ -39,15 +39,9 @@ type factory = {
           and assign mutation energy; [None] for everything else. *)
 }
 
-(** A factory that returns the same strategy forever (for stateless
-    strategies built per-iteration from a seed). Stateless factories are
-    [parallel_safe] by default and take no [feedback]. *)
-val stateless :
-  ?parallel_safe:bool ->
-  ?feedback:(trace:Trace.t -> novelty:Coverage.novelty -> unit) ->
-  name:string ->
-  (iteration:int -> t) ->
-  factory
+(** A factory for strategies built per-iteration from a seed: it never
+    exhausts, is [parallel_safe] and takes no [feedback]. *)
+val stateless : name:string -> (iteration:int -> t) -> factory
 
 (** [enabled_mem enabled n m]: is [m] among [enabled.(0 .. n-1)]? *)
 val enabled_mem : int array -> int -> int -> bool

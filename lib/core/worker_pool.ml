@@ -47,16 +47,19 @@ let spaced_atomic v =
 
 (* Per-worker accumulator, allocated inside the worker's own domain (its
    own minor heap), so the hot per-iteration bumps never touch a cache
-   line another domain writes. *)
+   line another domain writes. [found] is the worker's lowest result: it
+   claims iterations in increasing order and a result lowers the stop
+   bound to its own iteration, so a worker reports at most once. *)
 type 'r local = {
-  mutable results : ('r * int) list;
+  mutable found : ('r * int) option;
   mutable execs : int;
   mutable steps : int;
 }
 
-let drive ?(batch = default_batch) ~workers ~max_iterations ?max_seconds
-    ~stop_on_result ~init ?on_batch ~body () =
-  if batch <= 0 then invalid_arg "Worker_pool.drive: batch size must be positive";
+let hunt ?(batch = default_batch) ~workers ~max_iterations ?max_seconds ~init
+    ?on_batch ~body () =
+  if batch <= 0 then
+    invalid_arg "Worker_pool.hunt: batch size must be positive";
   let workers = effective_workers ~workers ~max_iterations in
   let started = Unix.gettimeofday () in
   (* Early-stop bound: workers keep running iterations strictly below it.
@@ -93,7 +96,7 @@ let drive ?(batch = default_batch) ~workers ~max_iterations ?max_seconds
   in
   let worker_loop w =
     let state = init ~worker:w in
-    let acc = { results = []; execs = 0; steps = 0 } in
+    let acc = { found = None; execs = 0; steps = 0 } in
     locals.(w) <- Some acc;
     let flush () = match on_batch with Some f -> f state | None -> () in
     let count steps =
@@ -109,8 +112,8 @@ let drive ?(batch = default_batch) ~workers ~max_iterations ?max_seconds
         | Ran steps -> count steps
         | Found (v, steps) ->
           count steps;
-          acc.results <- (v, g) :: acc.results;
-          if stop_on_result then lower_stop_before g
+          acc.found <- Some (v, g);
+          lower_stop_before g
         | Final steps ->
           count steps;
           lower_stop_before (g + 1)
@@ -153,33 +156,25 @@ let drive ?(batch = default_batch) ~workers ~max_iterations ?max_seconds
   (match !failure with
    | Some (e, bt) -> Printexc.raise_with_backtrace e bt
    | None -> ());
-  let results, execs, steps =
+  let winner, execs, steps =
     Array.fold_left
-      (fun (rs, e, s) local ->
+      (fun ((best, e, s) as acc) local ->
         match local with
-        | None -> (rs, e, s)
-        | Some l -> (List.rev_append l.results rs, e + l.execs, s + l.steps))
-      ([], 0, 0) locals
+        | None -> acc
+        | Some l ->
+          let best =
+            match (best, l.found) with
+            | Some (_, g0), Some (_, g) when g0 < g -> best
+            | _, Some _ -> l.found
+            | _, None -> best
+          in
+          (best, e + l.execs, s + l.steps))
+      (None, 0, 0) locals
   in
-  let collected = List.sort (fun (_, g1) (_, g2) -> compare g1 g2) results in
-  ( collected,
+  ( winner,
     {
       executions = execs;
       total_steps = steps;
       elapsed = Unix.gettimeofday () -. started;
       timed_out = Atomic.get timed_out;
     } )
-
-let hunt ?batch ~workers ~max_iterations ?max_seconds ~init ?on_batch ~body ()
-    =
-  let collected, stats =
-    drive ?batch ~workers ~max_iterations ?max_seconds ~stop_on_result:true
-      ~init ?on_batch ~body ()
-  in
-  let winner = match collected with [] -> None | best :: _ -> Some best in
-  (winner, stats)
-
-let sweep ?batch ~workers ~max_iterations ?max_seconds ~init ?on_batch ~body
-    () =
-  drive ?batch ~workers ~max_iterations ?max_seconds ~stop_on_result:false
-    ~init ?on_batch ~body ()

@@ -85,17 +85,3 @@ val hunt :
   body:('w -> iteration:int -> 'r step) ->
   unit ->
   ('r * int) option * stats
-
-(** [sweep] is [hunt] without the early stop on results: every iteration
-    of the budget runs (subject to [max_seconds] and stop signals) and all
-    results are collected, sorted by iteration index. *)
-val sweep :
-  ?batch:int ->
-  workers:int ->
-  max_iterations:int ->
-  ?max_seconds:float ->
-  init:(worker:int -> 'w) ->
-  ?on_batch:('w -> unit) ->
-  body:('w -> iteration:int -> 'r step) ->
-  unit ->
-  ('r * int) list * stats

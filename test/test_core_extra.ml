@@ -101,17 +101,6 @@ let racy ctx =
   ignore (R.create ctx ~name:"W1" (fun c -> flag := true; R.send c referee (Probe 0)));
   ignore (R.create ctx ~name:"W2" (fun c -> R.send c referee (Probe 1)))
 
-let test_engine_round_robin_deterministic () =
-  let cfg =
-    { E.default_config with strategy = E.Round_robin; max_executions = 10 }
-  in
-  let a = E.run cfg racy and b = E.run cfg racy in
-  let key = function
-    | E.Bug_found (r, s) -> (Trace.to_string r.Error.trace, s.E.executions)
-    | E.No_bug s -> ("none", s.E.executions)
-  in
-  Alcotest.(check (pair string int)) "rr deterministic" (key a) (key b)
-
 let test_engine_ndc_none_without_bug () =
   let cfg = { E.default_config with max_executions = 5 } in
   let outcome = E.run cfg (fun _ctx -> ()) in
@@ -200,8 +189,6 @@ let suite =
     Alcotest.test_case "timer custom tick" `Quick test_timer_custom_tick;
     Alcotest.test_case "coalescing with custom equality" `Quick
       test_send_unless_pending_custom_same;
-    Alcotest.test_case "round robin deterministic" `Quick
-      test_engine_round_robin_deterministic;
     Alcotest.test_case "ndc none without bug" `Quick
       test_engine_ndc_none_without_bug;
     Alcotest.test_case "budget respected" `Quick test_engine_stops_at_budget;

@@ -37,6 +37,30 @@ let config = { E.default_config with max_executions = 500; max_steps = 200 }
 let step result steps =
   match result with Some v -> W.Found (v, steps) | None -> W.Ran steps
 
+(* A sweep is a hunt whose body never reports, so the whole budget runs.
+   [sweep] keeps what [body] would have reported instead, and returns those
+   values tagged with their iterations in iteration order, how many times
+   each iteration ran, and the pool's stats. *)
+let sweep ?batch ~workers ~max_iterations body =
+  let runs = Array.init max_iterations (fun _ -> Atomic.make 0) in
+  let kept = Array.make max_iterations None in
+  let winner, stats =
+    W.hunt ?batch ~workers ~max_iterations
+      ~init:(fun ~worker:_ -> ())
+      ~body:(fun () ~iteration ->
+        Atomic.incr runs.(iteration);
+        match body ~iteration with
+        | W.Found (v, steps) ->
+          kept.(iteration) <- Some (v, iteration);
+          W.Ran steps
+        | other -> other)
+      ()
+  in
+  if winner <> None then Alcotest.fail "a sweep body reported";
+  ( List.filter_map Fun.id (Array.to_list kept),
+    Array.to_list (Array.map Atomic.get runs),
+    stats )
+
 (* The domain clamp would fold every worker onto this machine's cores;
    lifting it exercises the real multi-domain machinery regardless of how
    small the machine is. *)
@@ -57,14 +81,13 @@ let test_resolve () =
       ignore (W.resolve (-1)))
 
 let test_pool_sweep_collects_everything () =
-  let results, stats =
-    W.sweep ~workers:4 ~max_iterations:20
-      ~init:(fun ~worker -> worker)
-      ~body:(fun _worker ~iteration ->
+  let results, runs, stats =
+    sweep ~workers:4 ~max_iterations:20 (fun ~iteration ->
         step (if iteration mod 2 = 0 then Some iteration else None) 1)
-      ()
   in
   Alcotest.(check int) "all iterations ran" 20 stats.W.executions;
+  Alcotest.(check (list int)) "each exactly once" (List.init 20 (fun _ -> 1))
+    runs;
   Alcotest.(check int) "steps summed" 20 stats.W.total_steps;
   Alcotest.(check (list (pair int int)))
     "even iterations, sorted by index"
@@ -124,7 +147,7 @@ let test_pool_propagates_exceptions () =
   Alcotest.check_raises "worker exception reaches the caller"
     (Failure "boom") (fun () ->
       ignore
-        (W.sweep ~workers:2 ~max_iterations:50
+        (W.hunt ~workers:2 ~max_iterations:50
            ~init:(fun ~worker:_ -> ())
            ~body:(fun () ~iteration ->
              if iteration = 3 then failwith "boom" else W.Ran 1)
@@ -272,7 +295,7 @@ let test_pool_stop_signals_count_no_phantoms () =
   (* [Final] counts its own iteration and stops the later ones; [Exhausted]
      counts nothing. *)
   let stop_at k last =
-    W.sweep ~workers:1 ~max_iterations:100
+    W.hunt ~workers:1 ~max_iterations:100
       ~init:(fun ~worker:_ -> ())
       ~body:(fun () ~iteration ->
         if iteration < k then W.Ran 2 else if last then W.Final 2 else W.Exhausted)
@@ -372,7 +395,7 @@ let test_sweep_equivalent_across_claims_and_workers () =
      engine change either without moving any golden digest. *)
   with_oversubscribe @@ fun () ->
   let iterations = 60 in
-  let body () ~iteration =
+  let body ~iteration =
     step
       (if iteration mod 3 = 0 then Some (iteration * iteration) else None)
       (1 + (iteration mod 5))
@@ -389,14 +412,16 @@ let test_sweep_equivalent_across_claims_and_workers () =
     (fun batch ->
       List.iter
         (fun workers ->
-          let results, stats =
-            W.sweep ~batch ~workers ~max_iterations:iterations
-              ~init:(fun ~worker:_ -> ())
-              ~body ()
+          let results, runs, stats =
+            sweep ~batch ~workers ~max_iterations:iterations body
           in
           let tag = Printf.sprintf "batch%d/%d-worker" batch workers in
           Alcotest.(check (list (pair int int)))
             (tag ^ ": same results") expected_results results;
+          Alcotest.(check (list int))
+            (tag ^ ": each iteration once")
+            (List.init iterations (fun _ -> 1))
+            runs;
           Alcotest.(check int)
             (tag ^ ": all iterations ran") iterations stats.W.executions;
           Alcotest.(check int)

@@ -1,9 +1,7 @@
-(* Push/pop state transitions (P# semantics) and the delay-bounded
-   scheduler. *)
+(* Push/pop state transitions (P# semantics). *)
 
 module R = Psharp.Runtime
 module Sm = Psharp.Statemachine
-module E = Psharp.Engine
 module Event = Psharp.Event
 module Error = Psharp.Error
 
@@ -117,71 +115,6 @@ let test_unhandled_searches_whole_stack () =
   | Some (Error.Unhandled_event { state = "Top"; _ }) -> ()
   | _ -> Alcotest.fail "expected unhandled event reported at the top state"
 
-(* --- Delay-bounded strategy ------------------------------------------------ *)
-
-let test_delay_strategy_deterministic () =
-  let get ~iteration =
-    match
-      (Psharp.Delay_strategy.factory ~seed:4L ~delays:2 ~max_steps:100 ())
-        .Psharp.Strategy.fresh ~iteration
-    with
-    | Some s -> s
-    | None -> assert false
-  in
-  let drive s =
-    List.init 50 (fun step ->
-        s.Psharp.Strategy.next_schedule ~enabled:[| 0; 1; 2 |] ~n:3 ~step)
-  in
-  Alcotest.(check (list int)) "same iteration, same schedule"
-    (drive (get ~iteration:0))
-    (drive (get ~iteration:0));
-  Alcotest.(check bool) "iterations differ" true
-    (drive (get ~iteration:0) <> drive (get ~iteration:1))
-
-let test_delay_strategy_run_to_completion () =
-  (* With zero delays, the schedule must stick to one machine while it
-     stays enabled. *)
-  let s =
-    match
-      (Psharp.Delay_strategy.factory ~seed:4L ~delays:0 ~max_steps:100 ())
-        .Psharp.Strategy.fresh ~iteration:0
-    with
-    | Some s -> s
-    | None -> assert false
-  in
-  let picks =
-    List.init 20 (fun step ->
-        s.Psharp.Strategy.next_schedule ~enabled:[| 0; 1 |] ~n:2 ~step)
-  in
-  Alcotest.(check bool) "constant without delays" true
-    (List.for_all (fun p -> p = List.hd picks) picks)
-
-let test_delay_engine_finds_race () =
-  let racy ctx =
-    let flag = ref false in
-    let referee =
-      R.create ctx ~name:"Ref" (fun rctx ->
-          ignore (R.receive rctx);
-          R.assert_here rctx !flag "loser ran first")
-    in
-    ignore
-      (R.create ctx ~name:"W1" (fun c ->
-           flag := true;
-           R.send c referee (Shared 0)));
-    ignore (R.create ctx ~name:"W2" (fun c -> R.send c referee (Shared 1)))
-  in
-  let cfg =
-    {
-      E.default_config with
-      strategy = E.Delay_bounded { delays = 2 };
-      max_executions = 500;
-      max_steps = 100;
-    }
-  in
-  match E.run cfg racy with
-  | E.Bug_found _ -> ()
-  | E.No_bug _ -> Alcotest.fail "delay-bounded should find the race"
-
 let suite =
   [
     Alcotest.test_case "push inherits lower handlers" `Quick
@@ -190,10 +123,4 @@ let suite =
       test_pop_from_initial_is_bug;
     Alcotest.test_case "unhandled searches whole stack" `Quick
       test_unhandled_searches_whole_stack;
-    Alcotest.test_case "delay strategy deterministic" `Quick
-      test_delay_strategy_deterministic;
-    Alcotest.test_case "delay strategy run-to-completion" `Quick
-      test_delay_strategy_run_to_completion;
-    Alcotest.test_case "delay engine finds race" `Quick
-      test_delay_engine_finds_race;
   ]

@@ -59,11 +59,7 @@ let random_spec prng =
       [ Fault.Drop; Fault.Duplicate; Fault.Delay; Fault.Crash ]
   in
   if kinds = [] then Fault.none
-  else
-    let delay_dist =
-      if Prng.bool prng then Fault.Bimodal else Fault.Uniform
-    in
-    Fault.make ~budget:(Prng.int prng 10) ~delay_dist kinds
+  else Fault.make ~budget:(Prng.int prng 10) kinds
 
 let test_fault_roundtrip () =
   let prng = Prng.create ~seed:0xfa17L in
@@ -76,8 +72,6 @@ let test_fault_roundtrip () =
       (* max_delay is not serialized; everything else must survive *)
       if Fault.kinds s' <> Fault.kinds s then
         Alcotest.failf "case %d: kinds changed through %S" i str;
-      if s'.Fault.delay_dist <> s.Fault.delay_dist then
-        Alcotest.failf "case %d: delay_dist changed through %S" i str;
       let budget' = if Fault.kinds s = [] then 0 else s.Fault.budget in
       if s'.Fault.budget <> budget' then
         Alcotest.failf "case %d: budget changed through %S" i str;
@@ -95,27 +89,11 @@ let test_fault_parse_accepts () =
      Alcotest.(check int) "budget suffix parsed" 3 s.Fault.budget;
      Alcotest.(check bool) "kinds parsed" true (s.Fault.drop && s.Fault.crash)
    | Error e -> Alcotest.failf "budget suffix rejected: %s" e);
-  (match Fault.parse "delay" with
-   | Ok s ->
-     Alcotest.(check int) "no suffix: budget 1" 1 s.Fault.budget;
-     Alcotest.(check bool) "plain delay is uniform" true
-       (s.Fault.delay_dist = Fault.Uniform)
-   | Error e -> Alcotest.failf "plain kind rejected: %s" e);
-  (match Fault.parse "delay:uniform" with
-   | Ok s ->
-     Alcotest.(check bool) "delay:uniform alias" true
-       (s.Fault.delay && s.Fault.delay_dist = Fault.Uniform);
-     (* the alias canonicalizes to the plain spelling *)
-     Alcotest.(check string) "alias canonical form" "delay(budget=1)"
-       (Fault.to_string s)
-   | Error e -> Alcotest.failf "delay:uniform rejected: %s" e);
-  match Fault.parse "drop,delay:bimodal(budget=4)" with
+  match Fault.parse "delay" with
   | Ok s ->
-    Alcotest.(check bool) "bimodal parsed" true
-      (s.Fault.drop && s.Fault.delay && s.Fault.delay_dist = Fault.Bimodal);
-    Alcotest.(check string) "bimodal canonical form"
-      "drop,delay:bimodal(budget=4)" (Fault.to_string s)
-  | Error e -> Alcotest.failf "delay:bimodal rejected: %s" e
+    Alcotest.(check int) "no suffix: budget 1" 1 s.Fault.budget;
+    Alcotest.(check bool) "plain delay parsed" true s.Fault.delay
+  | Error e -> Alcotest.failf "plain kind rejected: %s" e
 
 let test_fault_rejections () =
   List.iter
@@ -133,11 +111,12 @@ let test_fault_rejections () =
       "drop(limit=1)";
       "(budget=1)";         (* no kinds *)
       "none,drop";          (* none only stands alone *)
-      "delay:";             (* empty distribution *)
-      "delay:gaussian";     (* unknown distribution *)
-      "drop:bimodal";       (* distributions are delay-only *)
-      "delay,delay:bimodal";   (* conflicting distributions *)
-      "delay:uniform,delay:bimodal";
+      "delay:";             (* kinds take no distribution suffix *)
+      "delay:gaussian";
+      "delay:uniform";
+      "delay:bimodal";
+      "drop:bimodal";
+      "delay,delay:bimodal";
     ]
 
 (* --- Scenario ------------------------------------------------------------ *)

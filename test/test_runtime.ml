@@ -13,11 +13,6 @@ let strategy ~seed =
   | Some s -> s
   | None -> assert false
 
-let rr_strategy () =
-  match (Psharp.Rr_strategy.factory ()).Psharp.Strategy.fresh ~iteration:0 with
-  | Some s -> s
-  | None -> assert false
-
 let config =
   { R.default_config with max_steps = 1_000; deadlock_is_bug = true }
 
@@ -262,7 +257,7 @@ let test_liveness_grace_suppresses_fresh_hot () =
   in
   let cfg = { config with R.max_steps = 100; liveness_grace = Some 50 } in
   let result =
-    R.execute cfg (rr_strategy ()) ~monitors:[ monitor () ] ~name:"Root"
+    R.execute cfg (strategy ~seed:1L) ~monitors:[ monitor () ] ~name:"Root"
       (fun ctx ->
         let rec spin n =
           if n = 95 then R.notify ctx "L" Ping;

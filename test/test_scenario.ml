@@ -247,42 +247,10 @@ let test_replay_journals () =
   if !replayed < List.length Scat.all then
     Alcotest.failf "only %d found traces replayed" !replayed
 
-(* --- spec checks ----------------------------------------------------------- *)
-
-let test_bimodal_latency () =
-  let scenario latency =
-    Scenario.make
-      [
-        Scenario.delay_link ~src:(Scenario.pat "*") ~dst:(Scenario.pat "*")
-          ~latency ~from_:Scenario.start ~until_:(Scenario.at_step 10);
-      ]
-  in
-  let spec dist = Psharp.Fault.make ~delay_dist:dist [ Psharp.Fault.Delay ] in
-  let accepts latency dist =
-    let sc = scenario latency in
-    Scenario.check_spec sc (Scenario.arm sc (spec dist)) = Ok ()
-  in
-  Alcotest.(check bool) "bimodal forces latency 2" true
-    (accepts 2 Psharp.Fault.Bimodal);
-  Alcotest.(check bool) "bimodal cannot force latency 3" false
-    (accepts 3 Psharp.Fault.Bimodal);
-  Alcotest.(check bool) "uniform forces latency 3" true
-    (accepts 3 Psharp.Fault.Uniform);
-  let sc = scenario 3 in
-  match
-    Scenario.Obs.create sc
-      ~faults:(Scenario.arm sc (spec Psharp.Fault.Bimodal))
-      ~steer:true
-  with
-  | _ -> Alcotest.fail "Obs.create accepted bimodal delays under lat=3"
-  | exception Invalid_argument _ -> ()
-
 let suite =
   Alcotest.test_case "catalog shape" `Quick test_catalog_shape
   :: Alcotest.test_case "replay journals equal steering journals" `Quick
        test_replay_journals
-  :: Alcotest.test_case "bimodal delays cannot force latency 3" `Quick
-       test_bimodal_latency
   :: Alcotest.test_case "journal determinism (fixed seed)" `Quick
        test_determinism
   :: Alcotest.test_case "worker-count invariance" `Quick

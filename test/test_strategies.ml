@@ -68,11 +68,6 @@ let test_pct_change_points_change_schedule () =
   let distinct = List.sort_uniq compare picks in
   Alcotest.(check bool) "schedule not constant" true (List.length distinct > 1)
 
-let test_rr_cycles () =
-  let s = get_fresh (Psharp.Rr_strategy.factory ()) ~iteration:0 in
-  let picks = drive s 6 in
-  Alcotest.(check (list int)) "round robin" [ 0; 1; 2; 0; 1; 2 ] picks
-
 let test_replay_feeds_back () =
   let trace =
     Trace.of_list [ Trace.Schedule 2; Trace.Bool true; Trace.Int 5 ]
@@ -162,7 +157,6 @@ let suite =
       test_pct_prefers_priority;
     Alcotest.test_case "pct change points take effect" `Quick
       test_pct_change_points_change_schedule;
-    Alcotest.test_case "round robin cycles" `Quick test_rr_cycles;
     Alcotest.test_case "replay feeds back" `Quick test_replay_feeds_back;
     Alcotest.test_case "replay single iteration" `Quick
       test_replay_single_iteration;
