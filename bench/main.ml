@@ -622,19 +622,20 @@ let scenario budget =
 (* Golden determinism digests                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* The values test/test_golden.ml pins: per fixed harness, the schedule
-   digest of a [budget]-execution [E.explore] (sequential and 2-worker)
-   and the MD5 of the first execution's choice trace; per fault-only bug,
-   the MD5 of the witness of a 2*[budget]-execution hunt at 1 and 2
-   workers. Rerun this section to regenerate the literals after an
-   intentional schedule-semantics change. *)
+(* The values test/test_golden.ml pins: per fixed harness and strategy
+   (random, and PCT with two change points), the schedule digest of a
+   [budget]-execution [E.explore] (sequential and 2-worker) and the MD5
+   of the first execution's choice trace; per fault-only bug, the MD5 of
+   the witness of a 2*[budget]-execution hunt at 1 and 2 workers. Rerun
+   this section to regenerate the literals after an intentional
+   schedule-semantics change. *)
 let golden_digests budget =
   let md5 trace =
     Digest.to_hex (Digest.string (Psharp.Trace.to_string trace))
   in
-  let fixed (label, bug) =
+  let fixed strategy (label, bug) =
     let e = find bug in
-    let cfg = config e ~budget in
+    let cfg = { (config e ~budget) with E.strategy } in
     let explore workers =
       let stats =
         E.explore ~monitors:e.Bug_catalog.monitors { cfg with E.workers }
@@ -642,11 +643,15 @@ let golden_digests budget =
       in
       Str (Coverage.schedule_digest (Option.get stats.E.coverage))
     in
-    let first =
-      Option.get
-        ((Psharp.Random_strategy.factory ~seed:base_seed).Psharp.Strategy.fresh
-           ~iteration:0)
+    let strategy_name, factory =
+      match strategy with
+      | E.Pct { change_points } ->
+        ( "pct",
+          Psharp.Pct_strategy.factory ~seed:base_seed ~change_points
+            ~max_steps:cfg.E.max_steps () )
+      | _ -> ("random", Psharp.Random_strategy.factory ~seed:base_seed)
     in
+    let first = Option.get (factory.Psharp.Strategy.fresh ~iteration:0) in
     let result =
       Psharp.Runtime.execute
         (E.runtime_config cfg ~collect_log:false)
@@ -656,6 +661,7 @@ let golden_digests budget =
     in
     [
       ("harness", Str label);
+      ("strategy", Str strategy_name);
       ("sequential", explore 1);
       ("workers2", explore 2);
       ("trace_md5", Str (md5 result.Psharp.Runtime.choices));
@@ -674,12 +680,15 @@ let golden_digests budget =
     in
     [ ("bug", Str bug); ("workers1", witness 1); ("workers2", witness 2) ]
   in
-  List.map fixed
+  let harnesses =
     [
       ("vnext", "ExtentNodeLivenessViolation");
       ("chaintable", "DeletePrimaryKey");
       ("fabric", "FabricPromoteDuringCopy");
     ]
+  in
+  List.map (fixed E.Random) harnesses
+  @ List.map (fixed (E.Pct { change_points = 2 })) harnesses
   @ List.map fault_hunt
       [ "ExtentNodeCrashLosesBinding"; "ChaintableDuplicateBackendRequest" ]
 

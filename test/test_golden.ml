@@ -22,6 +22,9 @@ type case = {
   golden_digest : string;
   (* MD5 of the first execution's rendered choice trace *)
   golden_trace_md5 : string;
+  (* the same two pins under PCT with two change points (d = 2) *)
+  pct_digest : string;
+  pct_trace_md5 : string;
 }
 
 let cases () =
@@ -35,6 +38,8 @@ let cases () =
       max_steps = 3_000;
       golden_digest = "0b48ed138c32609d";
       golden_trace_md5 = "4b506c88815289198d726594445b39a7";
+      pct_digest = "a3ea598ad0677378";
+      pct_trace_md5 = "8a8488bc64cf58d0e4aec1b603264801";
     };
     {
       name = "chaintable";
@@ -43,6 +48,8 @@ let cases () =
       max_steps = 4_000;
       golden_digest = "1aae025392bb0c0c";
       golden_trace_md5 = "fa8775d81012b583001fdaef24cbaf48";
+      pct_digest = "48257a81cd694709";
+      pct_trace_md5 = "6ef06ae62a358e2c6ab703f8a9acec8d";
     };
     {
       name = "fabric";
@@ -51,16 +58,21 @@ let cases () =
       max_steps = 3_000;
       golden_digest = "3f90e1f24bf3a97a";
       golden_trace_md5 = "8990aeb18464f7ec8f73ce436b10e535";
+      pct_digest = "b7d7862aa069ff0c";
+      pct_trace_md5 = "1cba91a8038f1d38f4900f30a4270314";
     };
   ]
 
 let seed = 1L
 let executions = 25
 
-let digest_of_explore ?scenario case ~workers =
+let pct = E.Pct { change_points = 2 }
+
+let digest_of_explore ?scenario ?(strategy = E.Random) case ~workers =
   let cfg =
     {
       E.default_config with
+      strategy;
       seed;
       max_executions = executions;
       max_steps = case.max_steps;
@@ -91,40 +103,61 @@ let test_parallel_digests () =
         (digest_of_explore case ~workers:2))
     (cases ())
 
+let first_trace_md5 factory case =
+  let strategy =
+    match factory.Psharp.Strategy.fresh ~iteration:0 with
+    | Some s -> s
+    | None -> Alcotest.fail "factory returned no strategy"
+  in
+  let cfg =
+    {
+      Runtime.max_steps = case.max_steps;
+      liveness_grace = None;
+      deadlock_is_bug = true;
+      collect_log = false;
+      coverage = None;
+      hb = None;
+      faults = Psharp.Fault.none;
+      deadline = None;
+      clock = None;
+      scenario = None;
+    }
+  in
+  let result =
+    Runtime.execute cfg strategy ~monitors:(case.monitors ()) ~name:"Harness"
+      case.harness
+  in
+  Digest.to_hex (Digest.string (Psharp.Trace.to_string result.Runtime.choices))
+
 let test_first_trace_bytes () =
   List.iter
     (fun case ->
-      let strategy =
-        match
-          (Psharp.Random_strategy.factory ~seed).Psharp.Strategy.fresh
-            ~iteration:0
-        with
-        | Some s -> s
-        | None -> Alcotest.fail "random factory returned no strategy"
-      in
-      let cfg =
-        {
-          Runtime.max_steps = case.max_steps;
-          liveness_grace = None;
-          deadlock_is_bug = true;
-          collect_log = false;
-          coverage = None;
-          hb = None;
-          faults = Psharp.Fault.none;
-          deadline = None;
-          clock = None;
-          scenario = None;
-        }
-      in
-      let result =
-        Runtime.execute cfg strategy ~monitors:(case.monitors ())
-          ~name:"Harness" case.harness
-      in
       Alcotest.(check string)
         (case.name ^ " first-execution trace md5")
         case.golden_trace_md5
-        (Digest.to_hex
-           (Digest.string (Psharp.Trace.to_string result.Runtime.choices))))
+        (first_trace_md5 (Psharp.Random_strategy.factory ~seed) case))
+    (cases ())
+
+(* PCT pins: nothing else fixes a PCT schedule, so a change to the
+   priority scan or to the order in which it draws priorities and change
+   steps fails here. The trace is [E.run]'s iteration 0 for [pct]. *)
+let test_pct_pins () =
+  List.iter
+    (fun case ->
+      List.iter
+        (fun workers ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s pct %d-worker schedule digest" case.name workers)
+            case.pct_digest
+            (digest_of_explore ~strategy:pct case ~workers))
+        [ 1; 2 ];
+      Alcotest.(check string)
+        (case.name ^ " pct first-execution trace md5")
+        case.pct_trace_md5
+        (first_trace_md5
+           (Psharp.Pct_strategy.factory ~seed ~change_points:2
+              ~max_steps:case.max_steps ())
+           case))
     (cases ())
 
 (* Scenarios must cost nothing when they bind nothing: with a steering
@@ -533,6 +566,8 @@ let suite =
       test_parallel_digests;
     Alcotest.test_case "first-execution trace bytes" `Quick
       test_first_trace_bytes;
+    Alcotest.test_case "pct d=2 digests and first trace" `Quick
+      test_pct_pins;
     Alcotest.test_case "observability does not perturb schedules" `Quick
       test_observability_does_not_perturb;
     Alcotest.test_case "inert scenario leaves golden digests intact" `Quick
