@@ -1,71 +1,76 @@
-module Int_set = Set.Make (Int)
-
 let make ~seed ~change_points ~max_steps ~iteration : Strategy.t =
-  (* Domain-safety audit: the Prng, change-point set and priority table
-     are all created fresh per execution and owned by the strategy value;
-     no state escapes to other executions or worker domains. *)
+  (* Domain-safety audit: the Prng, change steps and priority table are
+     all created fresh per execution and owned by the strategy value; no
+     state escapes to other executions or worker domains. *)
   let rng =
     Prng.create ~seed:(Int64.add seed (Int64.of_int (iteration * 2 + 1)))
   in
-  (* Steps at which the highest-priority enabled machine is demoted. *)
-  let change_steps =
-    let rec sample acc remaining =
-      if remaining = 0 then acc
-      else
-        let s = Prng.int rng max_steps in
-        if Int_set.mem s acc then sample acc remaining
-        else sample (Int_set.add s acc) (remaining - 1)
-    in
-    sample Int_set.empty (min change_points max_steps)
-  in
-  (* Priority per machine creation index; 0 = not yet assigned (initial
-     priorities are >= 1, demotions <= -1). An array rather than a table:
-     [best] reads two priorities per enabled machine per step. *)
+  (* Steps at which the highest-priority enabled machine is demoted:
+     distinct draws (a repeat is redrawn), kept sorted by insertion and
+     read through a cursor. *)
+  let k = min change_points max_steps in
+  let changes = Array.make k 0 in
+  let drawn = ref 0 in
+  while !drawn < k do
+    let s = Prng.int rng max_steps in
+    let j = ref 0 in
+    while !j < !drawn && changes.(!j) < s do incr j done;
+    if !j = !drawn || changes.(!j) <> s then begin
+      Array.blit changes !j changes (!j + 1) (!drawn - !j);
+      changes.(!j) <- s;
+      incr drawn
+    end
+  done;
+  let cursor = ref 0 in
+  let next_change = ref (if k > 0 then changes.(0) else max_int) in
+  (* Priority per machine creation index; 0 = not yet drawn (initial
+     priorities are >= 1, demotions <= -1). *)
   let priorities = ref (Array.make 16 0) in
-  let slot m =
+  let lowest = ref 0 in
+  (* The highest-priority machine of [enabled.(0 .. n-1)], n >= 2, drawing
+     undrawn priorities in ascending enabled order; the first of equals
+     wins. *)
+  let scan enabled n =
     let a = !priorities in
-    if m >= Array.length a then begin
-      let bigger = Array.make (max (2 * Array.length a) (m + 1)) 0 in
+    let best = ref (-1) and best_p = ref min_int in
+    for i = 0 to n - 1 do
+      let m = Array.unsafe_get enabled i in
+      let p = Array.unsafe_get a m in
+      let p =
+        if p <> 0 then p
+        else begin
+          (* Random initial priority, strictly above any demotion slot. *)
+          let p = 1 + Prng.int rng 1_000_000 in
+          Array.unsafe_set a m p;
+          p
+        end
+      in
+      if p > !best_p then begin best := m; best_p := p end
+    done;
+    !best
+  in
+  let next_schedule ~enabled ~n ~step =
+    if n <= 0 then invalid_arg "Pct_strategy: empty enabled set";
+    (* The prefix is sorted, so one grow check covers every index read. *)
+    let last = enabled.(n - 1) in
+    let a = !priorities in
+    if last >= Array.length a then begin
+      let bigger = Array.make (max (2 * Array.length a) (last + 1)) 0 in
       Array.blit a 0 bigger 0 (Array.length a);
       priorities := bigger
     end;
-    !priorities
-  in
-  let lowest = ref 0 in
-  let priority_of m =
-    let a = slot m in
-    match a.(m) with
-    | 0 ->
-      (* Random initial priority, strictly above any demotion slot. *)
-      let p = 1 + Prng.int rng 1_000_000 in
-      a.(m) <- p;
-      p
-    | p -> p
-  in
-  (* The highest-priority enabled machine, or -1 when none is enabled. *)
-  let best enabled n =
-    let acc = ref (-1) in
-    for i = 0 to n - 1 do
-      let m = enabled.(i) in
-      if !acc < 0 then acc := m
-      else begin
-        let b = !acc in
-        if priority_of m > priority_of b then acc := m
-      end
-    done;
-    !acc
-  in
-  let next_schedule ~enabled ~n ~step =
-    let b = best enabled n in
-    if b < 0 then invalid_arg "Pct_strategy: empty enabled set";
-    if Int_set.mem step change_steps then begin
+    (* A single enabled machine draws no priority, as in the first PCT
+       implementation; it runs whatever its priority. *)
+    let b = if n = 1 then last else scan enabled n in
+    if step < !next_change then b
+    else begin
+      incr cursor;
+      next_change := if !cursor < k then changes.(!cursor) else max_int;
       (* Demote the machine that would have run; rerun the choice. *)
       decr lowest;
-      (slot b).(b) <- !lowest;
-      let b' = best enabled n in
-      if b' < 0 then b else b'
+      (!priorities).(b) <- !lowest;
+      if n = 1 then b else scan enabled n
     end
-    else b
   in
   {
     name = "pct";
@@ -74,6 +79,8 @@ let make ~seed ~change_points ~max_steps ~iteration : Strategy.t =
     next_int = (fun ~bound ~step:_ -> Prng.int rng bound);
   }
 
-let factory ~seed ?(change_points = 2) ?(max_steps = 10_000) () =
+let factory ~seed ~change_points ~max_steps () =
+  if change_points < 0 then
+    invalid_arg "Pct_strategy.factory: change_points must be >= 0";
   Strategy.stateless ~name:"pct" (fun ~iteration ->
       make ~seed ~change_points ~max_steps ~iteration)

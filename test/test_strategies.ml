@@ -68,6 +68,101 @@ let test_pct_change_points_change_schedule () =
   let distinct = List.sort_uniq compare picks in
   Alcotest.(check bool) "schedule not constant" true (List.length distinct > 1)
 
+(* A negative change-point budget used to hang [fresh]: the change-step
+   sampler counted down from it and never reached zero. *)
+let test_pct_rejects_negative_change_points () =
+  Alcotest.check_raises "factory rejects change_points = -1"
+    (Invalid_argument "Pct_strategy.factory: change_points must be >= 0")
+    (fun () ->
+      ignore
+        (Psharp.Pct_strategy.factory ~seed:1L ~change_points:(-1) ~max_steps:50 ()));
+  let cfg =
+    {
+      Psharp.Engine.default_config with
+      strategy = Psharp.Engine.Pct { change_points = -1 };
+      max_executions = 1;
+      max_steps = 50;
+    }
+  in
+  Alcotest.check_raises "Engine.run rejects Pct { change_points = -1 }"
+    (Invalid_argument "Pct_strategy.factory: change_points must be >= 0")
+    (fun () -> ignore (Psharp.Engine.run cfg (fun _ -> ())))
+
+(* Seed 347415, iteration 0, draws the same initial priority (367,913)
+   for machines 0 and 1; the first of equal priorities must win, as it
+   does in the reference. Random inputs almost never tie. *)
+let test_pct_tie_goes_to_lower_index () =
+  let fast =
+    get_fresh
+      (Psharp.Pct_strategy.factory ~seed:347415L ~change_points:0 ~max_steps:10 ())
+      ~iteration:0
+  in
+  let slow = Pct_ref.make ~seed:347415L ~change_points:0 ~max_steps:10 ~iteration:0 in
+  Alcotest.(check int) "reference picks machine 0" 0
+    (slow.S.next_schedule ~enabled:[| 0; 1 |] ~n:2 ~step:0);
+  Alcotest.(check int) "pct picks machine 0" 0
+    (fast.S.next_schedule ~enabled:[| 0; 1 |] ~n:2 ~step:0)
+
+(* One call on a PCT strategy: a pick over a sorted enabled prefix, or a
+   [nondet] draw from the same stream. *)
+type pct_call = Pick of int array | Bool | Int of int
+
+(* The tight scan against [Pct_ref], the scheduler as first written: for
+   random seeds, budgets and call sequences every answer must agree.
+   Sequences run past [max_steps] (so every change step is reached) with
+   [step] rising by one per pick, as the runtime passes it; small step
+   bounds with a large budget make every step a change point (step 0 and
+   [max_steps - 1] included); single-machine picks demote undrawn
+   machines; and machine indices reach 40, so the priority table grows. *)
+let prop_pct_matches_reference =
+  let open QCheck in
+  let gen =
+    Gen.(
+      let* seed = map Int64.of_int nat in
+      let* iteration = 0 -- 5 in
+      let* max_steps = frequency [ (1, 1 -- 12); (2, 1 -- 300) ] in
+      let* change_points = 0 -- 50 in
+      let* machines = 1 -- 40 in
+      let pick =
+        let* size = frequency [ (1, return 1); (3, 2 -- 14) ] in
+        map
+          (fun ms -> Pick (Array.of_list (List.sort_uniq compare ms)))
+          (list_repeat size (0 -- (machines - 1)))
+      in
+      let call =
+        frequency
+          [ (6, pick); (1, return Bool); (1, map (fun b -> Int b) (1 -- 9)) ]
+      in
+      let* calls = list_repeat (max_steps + 10) call in
+      return (seed, iteration, change_points, max_steps, calls))
+  in
+  let print (seed, iteration, change_points, max_steps, calls) =
+    Printf.sprintf "seed %Ld iteration %d change_points %d max_steps %d calls %d"
+      seed iteration change_points max_steps (List.length calls)
+  in
+  Test.make ~count:300 ~name:"pct matches the reference scheduler"
+    (make ~print gen)
+    (fun (seed, iteration, change_points, max_steps, calls) ->
+      let fast =
+        get_fresh
+          (Psharp.Pct_strategy.factory ~seed ~change_points ~max_steps ())
+          ~iteration
+      in
+      let slow = Pct_ref.make ~seed ~change_points ~max_steps ~iteration in
+      let step = ref 0 in
+      List.for_all
+        (function
+          | Pick enabled ->
+            let n = Array.length enabled and step' = !step in
+            incr step;
+            fast.S.next_schedule ~enabled ~n ~step:step'
+            = slow.S.next_schedule ~enabled ~n ~step:step'
+          | Bool -> fast.S.next_bool ~step:!step = slow.S.next_bool ~step:!step
+          | Int bound ->
+            fast.S.next_int ~bound ~step:!step
+            = slow.S.next_int ~bound ~step:!step)
+        calls)
+
 let test_replay_feeds_back () =
   let trace =
     Trace.of_list [ Trace.Schedule 2; Trace.Bool true; Trace.Int 5 ]
@@ -157,6 +252,11 @@ let suite =
       test_pct_prefers_priority;
     Alcotest.test_case "pct change points take effect" `Quick
       test_pct_change_points_change_schedule;
+    Alcotest.test_case "pct rejects negative change points" `Quick
+      test_pct_rejects_negative_change_points;
+    QCheck_alcotest.to_alcotest prop_pct_matches_reference;
+    Alcotest.test_case "pct tie goes to the lower index" `Quick
+      test_pct_tie_goes_to_lower_index;
     Alcotest.test_case "replay feeds back" `Quick test_replay_feeds_back;
     Alcotest.test_case "replay single iteration" `Quick
       test_replay_single_iteration;
