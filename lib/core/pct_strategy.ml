@@ -1,74 +1,66 @@
 let make ~seed ~change_points ~max_steps ~iteration : Strategy.t =
-  (* Domain-safety audit: the Prng, change steps and priority table are
-     all created fresh per execution and owned by the strategy value; no
-     state escapes to other executions or worker domains. *)
+  (* Domain-safety audit: all state is created fresh per execution and
+     owned by the strategy value; none escapes to other executions. *)
   let rng =
     Prng.create ~seed:(Int64.add seed (Int64.of_int (iteration * 2 + 1)))
   in
-  (* Steps at which the highest-priority enabled machine is demoted:
-     distinct draws (a repeat is redrawn), kept sorted by insertion and
-     read through a cursor. *)
+  (* Demotion steps: distinct draws kept sorted by insertion, read through
+     a cursor and closed by a [max_int] sentinel. *)
   let k = min change_points max_steps in
-  let changes = Array.make k 0 in
+  let changes = Array.make (k + 1) max_int in
   let drawn = ref 0 in
   while !drawn < k do
     let s = Prng.int rng max_steps in
     let j = ref 0 in
-    while !j < !drawn && changes.(!j) < s do incr j done;
-    if !j = !drawn || changes.(!j) <> s then begin
+    while changes.(!j) < s do incr j done;
+    if changes.(!j) <> s then begin
       Array.blit changes !j changes (!j + 1) (!drawn - !j);
       changes.(!j) <- s;
       incr drawn
     end
   done;
   let cursor = ref 0 in
-  let next_change = ref (if k > 0 then changes.(0) else max_int) in
-  (* Priority per machine creation index; 0 = not yet drawn (initial
-     priorities are >= 1, demotions <= -1). *)
+  (* Priority per machine creation index; 0 = not yet drawn. Initial
+     priorities are >= 1; the i-th demotion (i = [!cursor]) sets -i. *)
   let priorities = ref (Array.make 16 0) in
-  let lowest = ref 0 in
-  (* The highest-priority machine of [enabled.(0 .. n-1)], n >= 2, drawing
-     undrawn priorities in ascending enabled order; the first of equals
-     wins. *)
+  (* Room for every index of the sorted [enabled.(0 .. n-1)]: one
+     allocation of the size that growing for each index in turn reaches. *)
+  let room enabled n =
+    let a = !priorities in
+    if enabled.(n - 1) >= Array.length a then begin
+      let len = ref (Array.length a) in
+      for i = 0 to n - 1 do
+        if enabled.(i) >= !len then len := max (2 * !len) (enabled.(i) + 1)
+      done;
+      priorities := Array.make !len 0;
+      Array.blit a 0 !priorities 0 (Array.length a)
+    end
+  in
+  (* The highest-priority machine of [enabled.(0 .. n-1)], drawing undrawn
+     priorities in ascending order; the first of equals wins. *)
   let scan enabled n =
+    room enabled n;
     let a = !priorities in
     let best = ref (-1) and best_p = ref min_int in
     for i = 0 to n - 1 do
       let m = Array.unsafe_get enabled i in
+      if Array.unsafe_get a m = 0 then
+        Array.unsafe_set a m (1 + Prng.int rng 1_000_000);
       let p = Array.unsafe_get a m in
-      let p =
-        if p <> 0 then p
-        else begin
-          (* Random initial priority, strictly above any demotion slot. *)
-          let p = 1 + Prng.int rng 1_000_000 in
-          Array.unsafe_set a m p;
-          p
-        end
-      in
       if p > !best_p then begin best := m; best_p := p end
     done;
     !best
   in
   let next_schedule ~enabled ~n ~step =
     if n <= 0 then invalid_arg "Pct_strategy: empty enabled set";
-    (* The prefix is sorted, so one grow check covers every index read. *)
-    let last = enabled.(n - 1) in
-    let a = !priorities in
-    if last >= Array.length a then begin
-      let bigger = Array.make (max (2 * Array.length a) (last + 1)) 0 in
-      Array.blit a 0 bigger 0 (Array.length a);
-      priorities := bigger
-    end;
-    (* A single enabled machine draws no priority, as in the first PCT
-       implementation; it runs whatever its priority. *)
-    let b = if n = 1 then last else scan enabled n in
-    if step < !next_change then b
+    (* A single enabled machine runs without drawing a priority. *)
+    let b = if n = 1 then enabled.(0) else scan enabled n in
+    if step < Array.unsafe_get changes !cursor then b
     else begin
-      incr cursor;
-      next_change := if !cursor < k then changes.(!cursor) else max_int;
       (* Demote the machine that would have run; rerun the choice. *)
-      decr lowest;
-      (!priorities).(b) <- !lowest;
+      incr cursor;
+      room enabled n;
+      (!priorities).(b) <- - !cursor;
       if n = 1 then b else scan enabled n
     end
   in
@@ -80,7 +72,7 @@ let make ~seed ~change_points ~max_steps ~iteration : Strategy.t =
   }
 
 let factory ~seed ~change_points ~max_steps () =
-  if change_points < 0 then
-    invalid_arg "Pct_strategy.factory: change_points must be >= 0";
+  if change_points < 0 || max_steps < 0 then
+    invalid_arg "Pct_strategy.factory: negative change_points or max_steps";
   Strategy.stateless ~name:"pct" (fun ~iteration ->
       make ~seed ~change_points ~max_steps ~iteration)

@@ -25,4 +25,4 @@
 
 val factory :
   seed:int64 -> change_points:int -> max_steps:int -> unit -> Strategy.factory
-(** @raise Invalid_argument if [change_points < 0]. *)
+(** @raise Invalid_argument if [change_points] or [max_steps] is negative. *)

@@ -14,7 +14,10 @@ type t = {
           keep the scheduling hot path allocation-free (and keeps
           up to date from step to step), so strategies must neither write
           to it, read beyond [n - 1], nor retain it (copy the prefix if
-          the choice point must be recorded, as DFS does). *)
+          the choice point must be recorded, as DFS does). [step] is the
+          number of earlier picks in the execution: it starts at 0 and
+          rises by one per [next_schedule] call ([next_bool] and
+          [next_int] receive the number of picks made so far). *)
   next_bool : step:int -> bool;
   next_int : bound:int -> step:int -> int;  (** in [\[0, bound)] *)
 }

@@ -69,13 +69,14 @@ let test_pct_change_points_change_schedule () =
   Alcotest.(check bool) "schedule not constant" true (List.length distinct > 1)
 
 (* A negative change-point budget used to hang [fresh]: the change-step
-   sampler counted down from it and never reached zero. *)
+   sampler counted down from it and never reached zero. A negative step
+   bound is rejected with it, up front rather than at the first [fresh]. *)
 let test_pct_rejects_negative_change_points () =
-  Alcotest.check_raises "factory rejects change_points = -1"
-    (Invalid_argument "Pct_strategy.factory: change_points must be >= 0")
-    (fun () ->
-      ignore
-        (Psharp.Pct_strategy.factory ~seed:1L ~change_points:(-1) ~max_steps:50 ()));
+  let negative = Invalid_argument "Pct_strategy.factory: negative change_points or max_steps" in
+  Alcotest.check_raises "factory rejects change_points = -1" negative (fun () ->
+      ignore (Psharp.Pct_strategy.factory ~seed:1L ~change_points:(-1) ~max_steps:50 ()));
+  Alcotest.check_raises "factory rejects max_steps = -1" negative (fun () ->
+      ignore (Psharp.Pct_strategy.factory ~seed:1L ~change_points:2 ~max_steps:(-1) ()));
   let cfg =
     {
       Psharp.Engine.default_config with
@@ -84,8 +85,7 @@ let test_pct_rejects_negative_change_points () =
       max_steps = 50;
     }
   in
-  Alcotest.check_raises "Engine.run rejects Pct { change_points = -1 }"
-    (Invalid_argument "Pct_strategy.factory: change_points must be >= 0")
+  Alcotest.check_raises "Engine.run rejects Pct { change_points = -1 }" negative
     (fun () -> ignore (Psharp.Engine.run cfg (fun _ -> ())))
 
 (* Seed 347415, iteration 0, draws the same initial priority (367,913)
