@@ -109,11 +109,12 @@ type pct_call = Pick of int array | Bool | Int of int
 
 (* The tight scan against [Pct_ref], the scheduler as first written: for
    random seeds, budgets and call sequences every answer must agree.
-   Sequences run past [max_steps] (so every change step is reached) with
-   [step] rising by one per pick, as the runtime passes it; small step
-   bounds with a large budget make every step a change point (step 0 and
-   [max_steps - 1] included); single-machine picks demote undrawn
-   machines; and machine indices reach 40, so the priority table grows. *)
+   Each sequence makes [max_steps + 5] picks, [step] rising by one per
+   pick as the runtime passes it, so every change step is reached; up to
+   two [nondet] draws follow each pick. Small step bounds with a large
+   budget make every step a change point (step 0 and [max_steps - 1]
+   included); single-machine picks demote undrawn machines; machine
+   indices reach 40, so the priority table grows. *)
 let prop_pct_matches_reference =
   let open QCheck in
   let gen =
@@ -129,12 +130,12 @@ let prop_pct_matches_reference =
           (fun ms -> Pick (Array.of_list (List.sort_uniq compare ms)))
           (list_repeat size (0 -- (machines - 1)))
       in
-      let call =
-        frequency
-          [ (6, pick); (1, return Bool); (1, map (fun b -> Int b) (1 -- 9)) ]
+      let draw = frequency [ (1, return Bool); (1, map (fun b -> Int b) (1 -- 9)) ] in
+      let* calls =
+        list_repeat (max_steps + 5)
+          (map2 (fun p ds -> p :: ds) pick (list_size (0 -- 2) draw))
       in
-      let* calls = list_repeat (max_steps + 10) call in
-      return (seed, iteration, change_points, max_steps, calls))
+      return (seed, iteration, change_points, max_steps, List.concat calls))
   in
   let print (seed, iteration, change_points, max_steps, calls) =
     Printf.sprintf "seed %Ld iteration %d change_points %d max_steps %d calls %d"
