@@ -66,8 +66,6 @@ let cases () =
 let seed = 1L
 let executions = 25
 
-let pct = E.Pct { change_points = 2 }
-
 let digest_of_explore ?scenario ?(strategy = E.Random) case ~workers =
   let cfg =
     {
@@ -140,7 +138,7 @@ let test_first_trace_bytes () =
 
 (* PCT pins: nothing else fixes a PCT schedule, so a change to the
    priority scan or to the order in which it draws priorities and change
-   steps fails here. The trace is [E.run]'s iteration 0 for [pct]. *)
+   steps fails here. The trace is [E.run]'s iteration 0 under PCT d=2. *)
 let test_pct_pins () =
   List.iter
     (fun case ->
@@ -149,7 +147,8 @@ let test_pct_pins () =
           Alcotest.(check string)
             (Printf.sprintf "%s pct %d-worker schedule digest" case.name workers)
             case.pct_digest
-            (digest_of_explore ~strategy:pct case ~workers))
+            (digest_of_explore ~strategy:(E.Pct { change_points = 2 }) case
+               ~workers))
         [ 1; 2 ];
       Alcotest.(check string)
         (case.name ^ " pct first-execution trace md5")
