@@ -146,10 +146,21 @@ let fuzz_config ?(v2 = false) e ~budget =
 
 let stats_of = function E.Bug_found (_, s) | E.No_bug s -> s
 
+(* A report is the entry's bug only when its class is the entry's kind:
+   a liveness entry is found by a liveness violation or a deadlock, a
+   safety entry by any other report. *)
+let is_entry_bug e (r : Error.report) =
+  let liveness =
+    match r.Error.kind with
+    | Error.Liveness_violation _ | Error.Deadlock _ -> true
+    | _ -> false
+  in
+  liveness = (e.Bug_catalog.kind = `Liveness)
+
 let execs_to_bug e cfg =
   match E.run ~monitors:e.Bug_catalog.monitors cfg e.Bug_catalog.harness with
-  | E.Bug_found (_, s) -> Some s.E.executions
-  | E.No_bug _ -> None
+  | E.Bug_found (r, s) when is_entry_bug e r -> Some s.E.executions
+  | E.Bug_found _ | E.No_bug _ -> None
 
 let timed f =
   let started = Unix.gettimeofday () in
@@ -258,10 +269,10 @@ let hunt ?(prefix = "") e ~strategy ~budget =
       timed (fun () -> E.run ~monitors:e.Bug_catalog.monitors cfg harness)
     in
     match outcome with
-    | E.Bug_found (r, s) ->
+    | E.Bug_found (r, s) when is_entry_bug e r ->
       Some
         [ Float t; Int (Psharp.Trace.length r.Error.trace); Int s.E.executions ]
-    | E.No_bug _ -> None
+    | E.Bug_found _ | E.No_bug _ -> None
   in
   let found, cells =
     match once e.Bug_catalog.harness with
@@ -334,7 +345,6 @@ let ablation budget =
     [
       ("random", E.Random);
       ("pct (d=2)", E.Pct { change_points = 2 });
-      ("dfs (depth 60)", E.Dfs { max_depth = 60; int_cap = 2 });
     ]
   @ List.map
       (fun d ->

@@ -44,7 +44,6 @@ let strategy_conv =
     [
       ("random", E.Random);
       ("pct", E.Pct { change_points = 2 });
-      ("dfs", E.Dfs { max_depth = 200; int_cap = 3 });
       ("fuzz", E.Fuzz { corpus_cap = 32 });
     ]
 
@@ -90,7 +89,7 @@ let bug_arg =
 
 let strategy_arg =
   let doc =
-    "Scheduling strategy: random, pct, dfs, or fuzz \
+    "Scheduling strategy: random, pct, or fuzz \
      (coverage-feedback-directed)."
   in
   Arg.(
@@ -109,8 +108,8 @@ let executions_arg =
 let workers_arg =
   let doc =
     "Explore with $(docv) parallel worker domains (0 = one per core). \
-     Parallel runs cover the same schedules as sequential runs; stateful \
-     strategies (dfs) fall back to sequential."
+     Parallel runs cover the same schedules as sequential runs; fuzz \
+     outside a campaign falls back to sequential."
   in
   Arg.(
     value & opt (nonneg "worker count") 1 & info [ "workers" ] ~docv:"N" ~doc)
@@ -592,9 +591,8 @@ let hunt trace_out shrink run =
       run stats;
     0
   | E.No_bug stats ->
-    Format.printf "no bug found in %d execution(s) (%.2fs%s%s%s)@."
+    Format.printf "no bug found in %d execution(s) (%.2fs%s%s)@."
       stats.E.executions stats.E.elapsed
-      (if stats.E.search_exhausted then ", search exhausted" else "")
       (if stats.E.plateaued then ", coverage plateau" else "")
       (if stats.E.timed_out then ", stopped at the time budget" else "");
     print_throughput stats;

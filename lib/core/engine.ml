@@ -1,7 +1,6 @@
 type strategy_spec =
   | Random
   | Pct of { change_points : int }
-  | Dfs of { max_depth : int; int_cap : int }
   | Fuzz of { corpus_cap : int }
 
 type reduction = No_reduction | Hb_track
@@ -66,7 +65,6 @@ type stats = {
   executions : int;
   elapsed : float;
   total_steps : int;
-  search_exhausted : bool;
   coverage : Coverage.t option;
   plateaued : bool;
   timed_out : bool;
@@ -82,7 +80,6 @@ let factory_of config =
   | Pct { change_points } ->
     Pct_strategy.factory ~seed:config.seed ~change_points
       ~max_steps:config.max_steps ()
-  | Dfs { max_depth; int_cap } -> Dfs_strategy.factory ~max_depth ~int_cap ()
   | Fuzz { corpus_cap } ->
     Fuzz_strategy.factory ~seed:config.seed ~corpus_cap
       ?exchange:config.resume.exchange ~energy:config.fuzz_energy
@@ -140,16 +137,12 @@ let audit_scenario config sobs =
 let no_monitors () = []
 
 let replay ?(monitors = no_monitors) config trace body =
-  let strategy =
-    match (Replay_strategy.factory trace).fresh ~iteration:0 with
-    | Some s -> s
-    | None -> assert false
-  in
   let sobs = scenario_obs ~steer:false config in
   let result =
     Runtime.execute
       (runtime_config ?scenario:sobs config ~collect_log:true)
-      strategy ~monitors:(monitors ()) ~name:"Harness" body
+      (Replay_strategy.make trace) ~monitors:(monitors ()) ~name:"Harness"
+      body
   in
   audit_scenario config sobs;
   result
@@ -345,8 +338,8 @@ let tally w ~iteration kind result =
   | Some (report, n, first) -> Hashtbl.replace w.kinds key (report, n + 1, first)
   | None -> Hashtbl.replace w.kinds key (report_of kind result, 1, iteration)
 
-(* Strategies that keep state across executions (DFS, fuzz without an
-   exchange hub) run on one worker, with a notice. *)
+(* Fuzz without an exchange hub keeps its corpus across executions, so it
+   runs on one worker, with a notice. *)
 let plan_workers config (factory : Strategy.factory) =
   let requested = Worker_pool.resolve config.workers in
   if requested > 1 && config.max_executions > 1
@@ -371,28 +364,16 @@ let plan_workers config (factory : Strategy.factory) =
    stats and the workers (for the survey tally). *)
 let drive ~mode ~monitors config body =
   let factory = factory_of config in
-  (match (config.scenario, config.strategy) with
-   | Some _, Dfs _ ->
-     Printf.eprintf
-       "[engine] strategy %s retraces its own choices; the scenario is \
-        observed but does not steer\n\
-        %!"
-       factory.Strategy.factory_name
-   | _ -> ());
   let workers = plan_workers config factory in
   let collector =
     if mode = Explore || (mode = Run && wants_coverage config factory) then
       Some (collector_of config)
     else None
   in
-  (* DFS enumerates its own tree; forcing its draws would change what the
-     strategy means. The observer still records the journal, so
-     conformance can be checked on its traces. *)
-  let steer = match config.strategy with Dfs _ -> false | _ -> true in
   let deadline =
     Option.map (fun b -> Unix.gettimeofday () +. b) config.max_seconds
   in
-  let exhausted = Atomic.make false and exec_timed_out = Atomic.make false in
+  let exec_timed_out = Atomic.make false in
   let registered = ref [] and mu = Mutex.create () in
   let init ~worker =
     let factory = if worker = 0 then factory else factory_of config in
@@ -415,11 +396,12 @@ let drive ~mode ~monitors config body =
     let first = config.resume.first_iteration in
     match w.factory.Strategy.fresh ~iteration:(first + iteration) with
     | None ->
-      Atomic.set exhausted true;
-      Worker_pool.Exhausted
+      Printf.ksprintf invalid_arg
+        "Engine: strategy factory %s returned no strategy"
+        w.factory.Strategy.factory_name
     | Some strategy ->
       Option.iter Hb.reset w.hb;
-      let sobs = scenario_obs ~steer config in
+      let sobs = scenario_obs ~steer:true config in
       let map = exec_map w.sink in
       let mark =
         match w.sink with
@@ -460,7 +442,6 @@ let drive ~mode ~monitors config body =
       executions = pool.Worker_pool.executions;
       elapsed = pool.Worker_pool.elapsed;
       total_steps = pool.Worker_pool.total_steps;
-      search_exhausted = Atomic.get exhausted;
       coverage = Option.map (fun c -> c.acc) collector;
       plateaued = (match winner with Some Plateau -> true | _ -> false);
       timed_out = pool.Worker_pool.timed_out || Atomic.get exec_timed_out;
@@ -520,7 +501,5 @@ let pp_outcome fmt = function
       stats.executions stats.total_steps stats.elapsed pp_stats_extra stats
       Error.pp_report report
   | No_bug stats ->
-    Format.fprintf fmt "no bug found in %d execution(s) (%d total step(s), %.2fs%s%a)"
-      stats.executions stats.total_steps stats.elapsed
-      (if stats.search_exhausted then ", search space exhausted" else "")
-      pp_stats_extra stats
+    Format.fprintf fmt "no bug found in %d execution(s) (%d total step(s), %.2fs%a)"
+      stats.executions stats.total_steps stats.elapsed pp_stats_extra stats

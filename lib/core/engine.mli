@@ -25,9 +25,6 @@ type strategy_spec =
   | Pct of { change_points : int }
       (** randomized priority-based scheduler; the paper uses 2 change
           points per execution *)
-  | Dfs of { max_depth : int; int_cap : int }
-      (** depth-first enumeration of the choice tree ({!Dfs_strategy}):
-          stateful, hence sequential-only *)
   | Fuzz of { corpus_cap : int }
       (** coverage-feedback-directed schedule fuzzing ({!Fuzz_strategy}):
           keeps a corpus (bounded by [corpus_cap]) of schedules that found
@@ -125,8 +122,8 @@ type config = {
           every other (only wall-clock time and, when several distinct
           buggy schedules exist, which one is reported first can differ).
           Each worker owns its strategy factory and its hb recorder.
-          Stateful strategies (DFS, fuzz without an exchange hub) are not
-          parallel-safe; the engine logs a notice and runs one worker. *)
+          Fuzz without an exchange hub is not parallel-safe; the engine
+          logs a notice and runs one worker. *)
   coverage_mode : coverage_mode;  (** [Off] by default *)
   faults : Fault.spec;
       (** fault-injection spec handed to every execution's runtime
@@ -169,9 +166,8 @@ type config = {
           fault draws so admitted schedules satisfy the scenario's
           clauses. The base strategy (random, PCT, fuzz) still drives the
           search inside the constraint, and parallel safety is inherited.
-          [Dfs] keeps its own schedule discipline: its observer records
-          the journal but does not steer, with a notice. {!replay} and the
-          shrinker likewise observe without steering — forced draws are
+          {!replay} and the shrinker observe without steering — forced
+          draws are
           ordinary recorded choices, so witnesses replay and shrink as
           always, and a replay journals what the steering run journaled.
           The spec in [faults] must arm what the clauses need: pass it
@@ -193,7 +189,6 @@ type stats = {
   executions : int;  (** executions performed (including the buggy one) *)
   elapsed : float;  (** wall-clock seconds *)
   total_steps : int;
-  search_exhausted : bool;  (** strategy ran out of schedules (DFS) *)
   coverage : Coverage.t option;
       (** merged coverage of every execution of the run; [Some] whenever
           the run collected coverage ([coverage_mode] other than [Off],
@@ -220,9 +215,8 @@ val pp_outcome : Format.formatter -> outcome -> unit
     a parallel-safe strategy, executions fan out across domains
     ({!Worker_pool}); the first bug min-updates an atomic stop bound, and
     the lowest buggy iteration wins at every worker count. The run also
-    stops at a coverage plateau, at [max_seconds], and when the strategy's
-    search space is exhausted; neither stop counts an execution that did
-    not run. *)
+    stops at a coverage plateau and at [max_seconds]; neither stop counts
+    an execution that did not run. *)
 val run :
   ?monitors:(unit -> Monitor.t list) ->
   config ->

@@ -82,13 +82,3 @@ let lenient ~name ~seed trace : Strategy.t =
       Prng.int rng bound
   in
   { Strategy.name; next_schedule; next_bool; next_int }
-
-let factory trace : Strategy.factory =
-  {
-    factory_name = "replay";
-    (* Single-execution by construction; nothing to fan out. *)
-    parallel_safe = false;
-    fresh =
-      (fun ~iteration -> if iteration = 0 then Some (make trace) else None);
-    feedback = None;
-  }

@@ -2,10 +2,10 @@
 
     Feeds back the exact choices of a previous execution. If the program has
     changed (or the trace is stale) so that a recorded choice is no longer
-    possible, the execution aborts with [Error.Replay_divergence]. The
-    factory yields exactly one strategy: replay is a single execution. *)
+    possible, the execution aborts with [Error.Replay_divergence]. *)
 
-val factory : Trace.t -> Strategy.factory
+(** [make trace] is the strategy of one execution that retraces [trace]. *)
+val make : Trace.t -> Strategy.t
 
 (** [lenient ~name ~seed trace] follows [trace] while its choices fit the
     unfolding execution (schedule picks must be enabled, int picks must

@@ -31,8 +31,8 @@ let default_config =
    continuation) and the return/exception branches just fall back to the
    scheduler. A served machine ([serve]) has no fiber once its body has
    parked it: each delivery calls its handler directly, and the machine
-   stays [Serving] while the handler runs, which is how [receive] and
-   [sleep] tell a handler from a fiber. *)
+   stays [Serving] while the handler runs, which is how [receive] tells a
+   handler from a fiber. *)
 type status =
   | Not_started of (ctx -> unit)
   | Waiting of (Event.t, unit) Effect.Deep.continuation
@@ -116,7 +116,6 @@ and t = {
          extended exactly once when cut-off delayed messages are flushed at
          the bound, granting a bounded drain before the liveness verdict *)
   mutable draining : bool;
-  mutable next_wakeup : int;  (* fresh tokens for [sleep] wakeup events *)
   mutable crashed : (Event.t, unit) Effect.Deep.continuation list;
       (* continuations [crash] took from its victims, released with the
          waiting machines' when the execution ends *)
@@ -155,11 +154,6 @@ type _ Effect.t += Receive_eff : (Event.t -> bool) option -> Event.t Effect.t
 
 (* The unfiltered receive, built once: [receive] runs on every step. *)
 let receive_any = Receive_eff None
-
-(* Private wakeup event delivered by the clock to a sleeping machine; the
-   token is the arming sequence number, so concurrent sleeps on one machine
-   never cross wires. *)
-type Event.t += Clock_wakeup of int
 
 (* Zero-cost-when-disabled logging contract: [logf] itself always formats,
    so every call site is guarded by [rt.log_on] — with logging off the
@@ -599,38 +593,6 @@ let send_after ctx target e ~after =
         (Id.to_string ctx.me.id) (Id.to_string target) after (Event.to_string e)
   end
 
-(* Block this machine for [d] units of virtual time: arm a private wakeup
-   on the clock and wait for exactly it. Other events arriving in the
-   meantime stay queued (the filtered receive leaves them in order). While
-   asleep the machine is idle, not deadlocked: its pending clock entry is
-   what will make it progress. *)
-let sleep ctx d =
-  let rt = ctx.rt in
-  live rt;
-  match rt.clock with
-  | None -> invalid_arg "Runtime.sleep: virtual time is off"
-  | Some ck ->
-    if d <= 0 then invalid_arg "Runtime.sleep: duration must be positive";
-    not_in_handler ctx "Runtime.sleep";
-    let tok = rt.next_wakeup in
-    rt.next_wakeup <- tok + 1;
-    let me = Id.index ctx.me.id in
-    in_flight rt ~after:d ~target:me ~sender:me (Clock_wakeup tok);
-    if rt.log_on then
-      logf rt "[%d] %s sleeps %d (until t=%d)" rt.steps
-        (Id.to_string ctx.me.id) d (Clock.now ck + d);
-    match
-      Effect.perform
-        (Receive_eff
-           (Some (function Clock_wakeup t -> t = tok | _ -> false)))
-    with
-    | Clock_wakeup _ -> ()
-    | _ -> assert false
-
-let sleep_until ctx t =
-  let n = now ctx in
-  if t > n then sleep ctx (t - n)
-
 (* Draw-free observation: restarted machines use it to tell a live peer
    from a torn-down one (e.g. a cluster whose manager already halted). *)
 let alive ctx id =
@@ -1057,7 +1019,6 @@ let execute config strategy ~monitors ~name body =
         (match config.clock with Some c -> c.Clock.max_time | None -> 0);
       step_limit = config.max_steps;
       draining = false;
-      next_wakeup = 0;
       crashed = [];
       releasing = false;
     }

@@ -64,8 +64,8 @@ type config = {
   clock : Clock.config option;
       (** when set, the execution runs under {e virtual time}: a
           discrete-event clock ({!Clock}) that machines arm timed
-          deliveries on ({!send_after}, {!sleep}, {!Timer} when built on
-          it) and that advances {e only at quiescence} — when no machine
+          deliveries on ({!send_after}, {!Timer} when built on it) and
+          that advances {e only at quiescence} — when no machine
           is enabled, the earliest armed entry fires, so simulated seconds
           cost nothing. Delay faults become per-link latency durations
           (the drawn value is virtual time units instead of a delivery
@@ -194,8 +194,8 @@ val receive_where : ctx -> (Event.t -> bool) -> Event.t
 
     Write a machine this way when every handler runs to completion; a
     machine that waits for a reply in the middle of handling an event
-    needs a fiber. [handler] must not call {!receive}, {!receive_where}
-    or {!sleep}. Like {!halt}, [serve] unwinds the body with an exception,
+    needs a fiber. [handler] must not call {!receive} or
+    {!receive_where}. Like {!halt}, [serve] unwinds the body with an exception,
     so do not call it under a handler that catches every exception. *)
 val serve : ctx -> (Event.t -> unit) -> 'a
 
@@ -322,18 +322,6 @@ val now : ctx -> int
     [target] cancels its in-flight timed deliveries.
     @raise Invalid_argument if [after <= 0] while the clock is on. *)
 val send_after : ctx -> Id.t -> Event.t -> after:int -> unit
-
-(** [sleep ctx d] blocks this machine for [d] units of virtual time.
-    Implemented as a timed self-delivery plus a filtered receive, so other
-    events arriving during the sleep stay queued in order.
-    @raise Invalid_argument if the clock is off (a sleeping machine would
-    block forever), if [d <= 0], or when called from a served handler. *)
-val sleep : ctx -> int -> unit
-
-(** [sleep_until ctx t] is [sleep ctx (t - now ctx)] when [t] lies in the
-    future, and a draw-free no-op otherwise.
-    @raise Invalid_argument if the clock is off. *)
-val sleep_until : ctx -> int -> unit
 
 (** {1 Testing hook} *)
 

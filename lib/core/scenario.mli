@@ -202,8 +202,8 @@ module Obs : sig
 
   (** [create scenario ~faults ~steer] — [faults] must be the (already
       {!arm}ed) spec the execution runs under. With [steer] the observer
-      prunes the enabled set and forces fault draws; without it (DFS,
-      replay, the shrinker) it only records the journal, which is then
+      prunes the enabled set and forces fault draws; without it (replay,
+      the shrinker) it only records the journal, which is then
       the same journal the steering run recorded.
       @raise Invalid_argument when [faults] does not arm every fault
       kind the clauses need with a large enough [max_delay] and budget,

@@ -3,7 +3,8 @@
     A strategy resolves every nondeterministic choice of one execution:
     which enabled machine runs next, and the value of each [nondet] choice.
     The engine asks the factory for a fresh strategy before each execution;
-    factories may carry state across executions (e.g. DFS backtracking). *)
+    factories may carry state across executions (fuzz without an exchange
+    hub keeps its corpus). *)
 
 type t = {
   name : string;
@@ -14,7 +15,7 @@ type t = {
           keep the scheduling hot path allocation-free (and keeps
           up to date from step to step), so strategies must neither write
           to it, read beyond [n - 1], nor retain it (copy the prefix if
-          the choice point must be recorded, as DFS does). [step] is the
+          the choice point must be recorded). [step] is the
           number of earlier picks in the execution: it starts at 0 and
           rises by one per [next_schedule] call ([next_bool] and
           [next_int] receive the number of picks made so far). *)
@@ -27,11 +28,13 @@ type factory = {
   parallel_safe : bool;
       (** [fresh] carries no state across iterations, so disjoint iteration
           sets may be explored concurrently by independent factory copies
-          (one per domain). Enumerative strategies (DFS, replay) are not
-          parallel-safe: their factory mutates shared search state. *)
+          (one per domain). Fuzz without an exchange hub is not
+          parallel-safe: its factory grows one corpus across executions. *)
   fresh : iteration:int -> t option;
-      (** strategy for execution number [iteration] (0-based), or [None]
-          when the strategy has exhausted its search space *)
+      (** strategy for execution number [iteration] (0-based). Every
+          factory answers [Some]: no strategy runs out of schedules, and
+          the engine raises [Invalid_argument] naming the factory if one
+          answers [None]. *)
   feedback : (trace:Trace.t -> novelty:Coverage.novelty -> unit) option;
       (** coverage feedback channel: when present, the engine calls it
           after each execution with that execution's full choice trace and
@@ -42,8 +45,8 @@ type factory = {
           and assign mutation energy; [None] for everything else. *)
 }
 
-(** A factory for strategies built per-iteration from a seed: it never
-    exhausts, is [parallel_safe] and takes no [feedback]. *)
+(** A factory for strategies built per-iteration from a seed: it is
+    [parallel_safe] and takes no [feedback]. *)
 val stateless : name:string -> (iteration:int -> t) -> factory
 
 (** [enabled_mem enabled n m]: is [m] among [enabled.(0 .. n-1)]? *)

@@ -2,7 +2,6 @@ type 'r step =
   | Ran of int
   | Found of 'r * int
   | Final of int
-  | Exhausted
 
 type stats = {
   executions : int;
@@ -72,8 +71,8 @@ let hunt ?(batch = default_batch) ~workers ~max_iterations ?max_seconds ~init
      possibly lower the bound further), so the winner is the lowest
      reporting iteration at every worker count. Batch claims are monotone,
      so every iteration below a reported one is already claimed by some
-     worker and will run to completion. A stop signal ([Final],
-     [Exhausted]) lowers the same bound. *)
+     worker and will run to completion. A [Final] stop lowers the same
+     bound. *)
   let stop_before = spaced_atomic max_int in
   let next = spaced_atomic 0 in (* batch-claim cursor *)
   let timed_out = Atomic.make false in
@@ -117,7 +116,6 @@ let hunt ?(batch = default_batch) ~workers ~max_iterations ?max_seconds ~init
         | Final steps ->
           count steps;
           lower_stop_before (g + 1)
-        | Exhausted -> lower_stop_before g
     in
     (* Claim [batch] consecutive global iterations per shared-counter
        bump; the wall clock is polled once per claimed batch. *)

@@ -29,9 +29,6 @@ type 'r step =
   | Final of int
       (** it ran, and no later iteration may start — e.g. it hit the
           run's deadline. Iterations below it still complete. *)
-  | Exhausted
-      (** there was nothing to run (the strategy's search space is used
-          up): neither this iteration nor any later one runs or counts *)
 
 type stats = {
   executions : int;  (** iterations that ran, across all workers *)

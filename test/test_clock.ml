@@ -1,6 +1,6 @@
 (* The discrete-event virtual clock (ISSUE 6): unit behavior of [Clock],
-   quiescence-driven advancement through the runtime ([send_after],
-   [sleep], [sleep_until]), the timer's clocked drive mode restoring
+   quiescence-driven advancement through the runtime ([send_after]), the
+   timer's clocked drive mode restoring
    quiescence to timer-bearing harnesses (satellite 1), countdown-ordered
    release of delayed messages (satellite 2), the drain-at-bound grace
    before the liveness verdict (satellite 3), and the timeout/retry
@@ -26,12 +26,7 @@ let random_strategy ~seed =
   | Some s -> s
   | None -> assert false
 
-let replay_strategy trace =
-  match
-    (Psharp.Replay_strategy.factory trace).Psharp.Strategy.fresh ~iteration:0
-  with
-  | Some s -> s
-  | None -> assert false
+let replay_strategy = Psharp.Replay_strategy.make
 
 let clock_cfg ?(max_time = 10_000) ?(max_steps = 2_000) () =
   { R.default_config with R.max_steps; clock = Some { Clock.max_time } }
@@ -112,26 +107,6 @@ let test_send_after_fires_in_deadline_order () =
     (List.rev !order);
   Alcotest.(check int) "execution ends at the last deadline" 7
     result.R.final_time
-
-let test_sleep_and_sleep_until () =
-  let stamps = ref [] in
-  let result =
-    R.execute (clock_cfg ()) (random_strategy ~seed:1L) ~monitors:[]
-      ~name:"Root" (fun ctx ->
-        let note () = stamps := R.now ctx :: !stamps in
-        Alcotest.(check bool) "clock is on" true (R.clock_on ctx);
-        R.sleep ctx 4;
-        note ();
-        R.sleep_until ctx 10;
-        note ();
-        R.sleep_until ctx 5;
-        (* already past: a draw-free no-op *)
-        note ())
-  in
-  Alcotest.(check bool) "no bug" true (result.R.bug = None);
-  Alcotest.(check (list int)) "sleeps land at the requested instants"
-    [ 4; 10; 10 ] (List.rev !stamps);
-  Alcotest.(check int) "final time" 10 result.R.final_time
 
 let test_clock_off_send_after_is_plain_send () =
   let got = ref [] in
@@ -407,7 +382,6 @@ let suite =
       test_clock_horizon_and_cancel;
     Alcotest.test_case "send_after fires in deadline order" `Quick
       test_send_after_fires_in_deadline_order;
-    Alcotest.test_case "sleep and sleep_until" `Quick test_sleep_and_sleep_until;
     Alcotest.test_case "clock-off send_after is a plain send" `Quick
       test_clock_off_send_after_is_plain_send;
     Alcotest.test_case "timer quiesces under the clock" `Quick

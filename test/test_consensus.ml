@@ -37,34 +37,28 @@ let test_paxos_choose_own_value () =
        paxos_config
        (Paxos.test ~bugs:Paxos.bug_choose_own_value ()))
 
+(* The full instance under random, then a tiny one (single proposer, one
+   ballot) explored far deeper under random and under PCT. *)
 let test_paxos_correct_clean () =
-  match
-    E.run
-      ~monitors:(fun () -> Paxos.monitors ())
-      { paxos_config with max_executions = 3_000 }
-      (Paxos.test ())
-  with
-  | E.No_bug _ -> ()
-  | E.Bug_found (r, _) ->
-    Alcotest.failf "false positive: %s" (Error.kind_to_string r.Error.kind)
-
-let test_paxos_correct_clean_dfs () =
-  (* Exhaustive-ish ground truth on a tiny instance: single proposer, no
-     competition, bounded depth. *)
-  match
-    E.run
-      ~monitors:(fun () -> Paxos.monitors ())
-      {
-        paxos_config with
-        strategy = E.Dfs { max_depth = 40; int_cap = 2 };
-        max_executions = 30_000;
-      }
-      (Paxos.test ~n_proposers:1 ~max_ballots:1 ())
-  with
-  | E.No_bug _ -> ()
-  | E.Bug_found (r, _) ->
-    Alcotest.failf "false positive under dfs: %s"
-      (Error.kind_to_string r.Error.kind)
+  let tiny = Paxos.test ~n_proposers:1 ~max_ballots:1 () in
+  List.iter
+    (fun (label, config, harness) ->
+      match E.run ~monitors:(fun () -> Paxos.monitors ()) config harness with
+      | E.No_bug _ -> ()
+      | E.Bug_found (r, _) ->
+        Alcotest.failf "false positive (%s): %s" label
+          (Error.kind_to_string r.Error.kind))
+    [
+      ("random", { paxos_config with max_executions = 3_000 }, Paxos.test ());
+      ("tiny, random", { paxos_config with max_executions = 30_000 }, tiny);
+      ( "tiny, pct d=2",
+        {
+          paxos_config with
+          strategy = E.Pct { change_points = 2 };
+          max_executions = 30_000;
+        },
+        tiny );
+    ]
 
 let test_raft_double_vote () =
   match
@@ -131,8 +125,6 @@ let suite =
     Alcotest.test_case "paxos: choose-own-value found" `Slow
       test_paxos_choose_own_value;
     Alcotest.test_case "paxos: correct clean" `Slow test_paxos_correct_clean;
-    Alcotest.test_case "paxos: correct clean under dfs" `Slow
-      test_paxos_correct_clean_dfs;
     Alcotest.test_case "raft: double-vote found" `Slow test_raft_double_vote;
     Alcotest.test_case "raft: stale-leader found" `Slow test_raft_stale_leader;
     Alcotest.test_case "raft: correct clean" `Slow test_raft_correct_clean;

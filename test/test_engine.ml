@@ -1,4 +1,4 @@
-(* The testing engine: bug search, determinism, replay, DFS ground truth. *)
+(* The testing engine: bug search, determinism, replay. *)
 
 module E = Psharp.Engine
 module R = Psharp.Runtime
@@ -84,25 +84,6 @@ let test_no_bug_on_correct_program () =
   | E.Bug_found (r, _) ->
     Alcotest.failf "unexpected bug: %s" (Error.kind_to_string r.Error.kind)
 
-let test_dfs_finds_and_exhausts () =
-  (* DFS over the racy program must find the bug. *)
-  let dfs_config =
-    { config with E.strategy = E.Dfs { max_depth = 50; int_cap = 2 } }
-  in
-  (match E.run dfs_config racy_harness with
-   | E.Bug_found _ -> ()
-   | E.No_bug _ -> Alcotest.fail "dfs should find the race");
-  (* And on a correct program it must exhaust the space. *)
-  let harness ctx =
-    let echo = R.create ctx ~name:"Echo" (fun ectx -> ignore (R.receive ectx)) in
-    R.send ctx echo Token
-  in
-  match E.run { dfs_config with max_executions = 10_000 } harness with
-  | E.No_bug stats ->
-    Alcotest.(check bool) "search exhausted" true stats.E.search_exhausted
-  | E.Bug_found (r, _) ->
-    Alcotest.failf "unexpected bug: %s" (Error.kind_to_string r.Error.kind)
-
 let test_pct_finds_race () =
   let pct_config = { config with E.strategy = E.Pct { change_points = 2 } } in
   match E.run pct_config racy_harness with
@@ -136,7 +117,6 @@ let suite =
     Alcotest.test_case "log collected on bug" `Quick test_replay_log_collected;
     Alcotest.test_case "ndc equals trace length" `Quick test_ndc_matches_trace;
     Alcotest.test_case "no false positives" `Quick test_no_bug_on_correct_program;
-    Alcotest.test_case "dfs finds and exhausts" `Quick test_dfs_finds_and_exhausts;
     Alcotest.test_case "pct finds race" `Quick test_pct_finds_race;
     Alcotest.test_case "monitors fresh per execution" `Quick
       test_monitors_fresh_per_execution;

@@ -237,16 +237,8 @@ let test_swap_invariance () =
         scenario = None;
       }
     in
-    let strategy =
-      match
-        (Psharp.Replay_strategy.factory trace').Psharp.Strategy.fresh
-          ~iteration:0
-      with
-      | Some s -> s
-      | None -> Alcotest.fail "replay factory returned no strategy"
-    in
     let result' =
-      R.execute cfg strategy
+      R.execute cfg (Psharp.Replay_strategy.make trace')
         ~monitors:(Vnext.Testing_driver.monitors ())
         ~name:"Harness"
         (Vnext.Testing_driver.test ~bugs:Vnext.Bug_flags.none

@@ -215,22 +215,51 @@ let test_parallel_same_vnext_bug_kind_as_sequential () =
     Alcotest.failf "kinds differ: %s vs %s" (Error.kind_to_string k1)
       (Error.kind_to_string k2)
 
-let test_dfs_falls_back_to_sequential () =
-  (* Stateful strategies ignore [workers] (with a notice) and must still
-     work — including reporting search exhaustion. *)
-  let cfg =
-    {
-      config with
-      E.strategy = E.Dfs { max_depth = 50; int_cap = 2 };
-      max_executions = 10_000;
-      workers = 4;
-    }
+(* Four writers race to a referee that fails only when they ran in reverse
+   creation order: a hunt takes tens of executions, not one or two. *)
+let reverse_order_harness ctx =
+  let order = ref [] in
+  let referee =
+    R.create ctx ~name:"Referee" (fun rctx ->
+        for _ = 1 to 4 do
+          ignore (R.receive rctx)
+        done;
+        R.assert_here rctx (!order <> [ 0; 1; 2; 3 ]) "writers ran in reverse")
   in
-  match E.run cfg clean_harness with
-  | E.No_bug stats ->
-    Alcotest.(check bool) "search exhausted" true stats.E.search_exhausted
-  | E.Bug_found (r, _) ->
-    Alcotest.failf "unexpected bug: %s" (Error.kind_to_string r.Error.kind)
+  List.iter
+    (fun i ->
+      ignore
+        (R.create ctx ~name:(Printf.sprintf "W%d" i) (fun wctx ->
+             order := i :: !order;
+             R.send wctx referee Token)))
+    [ 0; 1; 2; 3 ]
+
+let test_hubless_fuzz_falls_back_to_sequential () =
+  (* Fuzz without an exchange hub grows one corpus across executions, so it
+     ignores [workers] (with a notice) and runs the one-worker hunt. *)
+  with_oversubscribe @@ fun () ->
+  let hunt workers =
+    let cfg =
+      {
+        config with
+        E.strategy = E.Fuzz { corpus_cap = 32 };
+        workers;
+        seed = 3L;
+      }
+    in
+    match E.run cfg reverse_order_harness with
+    | E.Bug_found (report, stats) ->
+      ( stats.E.executions,
+        stats.E.total_steps,
+        Digest.to_hex (Digest.string (Trace.to_string report.Error.trace)) )
+    | E.No_bug _ -> Alcotest.failf "race not found with %d worker(s)" workers
+  in
+  let execs, steps, witness = hunt 1 in
+  Alcotest.(check bool) "the hunt spans batches" true (execs > 16);
+  let execs4, steps4, witness4 = hunt 4 in
+  Alcotest.(check int) "same executions" execs execs4;
+  Alcotest.(check int) "same total steps" steps steps4;
+  Alcotest.(check string) "same witness" witness witness4
 
 (* --- Survey budget fixes ----------------------------------------------- *)
 
@@ -292,21 +321,15 @@ let test_deadline_aborts_inside_an_execution () =
     [ 1; 2 ]
 
 let test_pool_stop_signals_count_no_phantoms () =
-  (* [Final] counts its own iteration and stops the later ones; [Exhausted]
-     counts nothing. *)
-  let stop_at k last =
+  (* [Final] counts its own iteration and stops the later ones. *)
+  let _, final =
     W.hunt ~workers:1 ~max_iterations:100
       ~init:(fun ~worker:_ -> ())
-      ~body:(fun () ~iteration ->
-        if iteration < k then W.Ran 2 else if last then W.Final 2 else W.Exhausted)
+      ~body:(fun () ~iteration -> if iteration < 5 then W.Ran 2 else W.Final 2)
       ()
   in
-  let _, final = stop_at 5 true in
   Alcotest.(check int) "final: its iteration counts" 6 final.W.executions;
-  Alcotest.(check int) "final: its steps count" 12 final.W.total_steps;
-  let _, exhausted = stop_at 5 false in
-  Alcotest.(check int) "exhausted: nothing counted" 5 exhausted.W.executions;
-  Alcotest.(check int) "exhausted: no steps" 10 exhausted.W.total_steps
+  Alcotest.(check int) "final: its steps count" 12 final.W.total_steps
 
 let test_survey_partial_results_at_deadline () =
   let cfg =
@@ -521,8 +544,8 @@ let suite =
       test_parallel_finds_race;
     Alcotest.test_case "engine: parallel finds same vnext bug kind" `Slow
       test_parallel_same_vnext_bug_kind_as_sequential;
-    Alcotest.test_case "engine: dfs ignores workers, still exhausts" `Quick
-      test_dfs_falls_back_to_sequential;
+    Alcotest.test_case "engine: hub-less fuzz ignores workers" `Quick
+      test_hubless_fuzz_falls_back_to_sequential;
     Alcotest.test_case "survey: honors max_seconds" `Quick
       test_survey_honors_max_seconds;
     Alcotest.test_case "deadline aborts inside an execution" `Quick

@@ -377,8 +377,7 @@ let expect_named_misuse fn block =
 let test_misuse_is_named () =
   expect_named_misuse "Runtime.receive" (fun ctx -> ignore (R.receive ctx));
   expect_named_misuse "Runtime.receive_where" (fun ctx ->
-      ignore (R.receive_where ctx (fun _ -> true)));
-  expect_named_misuse "Runtime.sleep" (fun ctx -> R.sleep ctx 5)
+      ignore (R.receive_where ctx (fun _ -> true)))
 
 type Event.t += Restarted of int | Handled of int
 
@@ -488,7 +487,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_served_equals_fiber;
     Alcotest.test_case "differential scripts reach every outcome" `Quick
       test_generator_reaches_outcomes;
-    Alcotest.test_case "receive, receive_where, sleep in a handler are named"
+    Alcotest.test_case "receive and receive_where in a handler are named"
       `Quick test_misuse_is_named;
     Alcotest.test_case "a served machine crashes and restarts" `Quick
       test_served_crash_restart;

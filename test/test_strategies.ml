@@ -1,4 +1,4 @@
-(* Scheduling strategies: determinism, coverage, replay, DFS exhaustion. *)
+(* Scheduling strategies: determinism, coverage, replay. *)
 
 module S = Psharp.Strategy
 module Trace = Psharp.Trace
@@ -6,7 +6,7 @@ module Trace = Psharp.Trace
 let get_fresh factory ~iteration =
   match factory.S.fresh ~iteration with
   | Some s -> s
-  | None -> Alcotest.fail "strategy exhausted unexpectedly"
+  | None -> Alcotest.fail "factory returned no strategy"
 
 let drive strategy n =
   List.init n (fun step ->
@@ -168,76 +168,31 @@ let test_replay_feeds_back () =
   let trace =
     Trace.of_list [ Trace.Schedule 2; Trace.Bool true; Trace.Int 5 ]
   in
-  let s = get_fresh (Psharp.Replay_strategy.factory trace) ~iteration:0 in
+  let s = Psharp.Replay_strategy.make trace in
   Alcotest.(check int) "schedule" 2
     (s.S.next_schedule ~enabled:[| 0; 1; 2 |] ~n:3 ~step:0);
   Alcotest.(check bool) "bool" true (s.S.next_bool ~step:1);
   Alcotest.(check int) "int" 5 (s.S.next_int ~bound:10 ~step:2)
 
 let test_replay_single_iteration () =
-  let f = Psharp.Replay_strategy.factory Trace.empty in
-  Alcotest.(check bool) "first iteration available" true
-    (f.S.fresh ~iteration:0 <> None);
-  Alcotest.(check bool) "second iteration exhausted" true
-    (f.S.fresh ~iteration:1 = None)
+  (* A replay retraces one execution: once its trace is spent, the next
+     choice diverges. *)
+  let s = Psharp.Replay_strategy.make (Trace.of_list [ Trace.Bool false ]) in
+  Alcotest.(check bool) "recorded choice" false (s.S.next_bool ~step:0);
+  Alcotest.(check bool) "spent trace diverges" true
+    (try
+       ignore (s.S.next_bool ~step:1);
+       false
+     with Psharp.Error.Bug (Psharp.Error.Replay_divergence _) -> true)
 
 let test_replay_divergence_raises () =
   let trace = Trace.of_list [ Trace.Schedule 7 ] in
-  let s = get_fresh (Psharp.Replay_strategy.factory trace) ~iteration:0 in
+  let s = Psharp.Replay_strategy.make trace in
   Alcotest.(check bool) "divergence raises Bug" true
     (try
        ignore (s.S.next_schedule ~enabled:[| 0; 1 |] ~n:2 ~step:0);
        false
      with Psharp.Error.Bug (Psharp.Error.Replay_divergence _) -> true)
-
-let test_dfs_enumerates_booleans () =
-  (* A "program" with two boolean choices: DFS must enumerate all four
-     outcomes, then exhaust. *)
-  let f = Psharp.Dfs_strategy.factory () in
-  let outcomes = ref [] in
-  let rec go iteration =
-    match f.S.fresh ~iteration with
-    | None -> ()
-    | Some s ->
-      let a = s.S.next_bool ~step:0 in
-      let b = s.S.next_bool ~step:1 in
-      outcomes := (a, b) :: !outcomes;
-      go (iteration + 1)
-  in
-  go 0;
-  let sorted = List.sort_uniq compare !outcomes in
-  Alcotest.(check int) "four distinct outcomes" 4 (List.length sorted);
-  Alcotest.(check int) "exactly four executions" 4 (List.length !outcomes)
-
-let test_dfs_enumerates_schedules () =
-  (* Two scheduling choices over two machines: 4 paths. *)
-  let f = Psharp.Dfs_strategy.factory () in
-  let outcomes = ref [] in
-  let rec go iteration =
-    match f.S.fresh ~iteration with
-    | None -> ()
-    | Some s ->
-      let a = s.S.next_schedule ~enabled:[| 0; 1 |] ~n:2 ~step:0 in
-      let b = s.S.next_schedule ~enabled:[| 0; 1 |] ~n:2 ~step:1 in
-      outcomes := (a, b) :: !outcomes;
-      go (iteration + 1)
-  in
-  go 0;
-  Alcotest.(check int) "four paths" 4 (List.length (List.sort_uniq compare !outcomes))
-
-let test_dfs_int_cap () =
-  let f = Psharp.Dfs_strategy.factory ~int_cap:2 () in
-  let outcomes = ref [] in
-  let rec go iteration =
-    match f.S.fresh ~iteration with
-    | None -> ()
-    | Some s ->
-      outcomes := s.S.next_int ~bound:100 ~step:0 :: !outcomes;
-      go (iteration + 1)
-  in
-  go 0;
-  Alcotest.(check (list int)) "capped enumeration" [ 0; 1 ]
-    (List.sort compare !outcomes)
 
 let suite =
   [
@@ -262,9 +217,4 @@ let suite =
     Alcotest.test_case "replay single iteration" `Quick
       test_replay_single_iteration;
     Alcotest.test_case "replay divergence" `Quick test_replay_divergence_raises;
-    Alcotest.test_case "dfs enumerates booleans" `Quick
-      test_dfs_enumerates_booleans;
-    Alcotest.test_case "dfs enumerates schedules" `Quick
-      test_dfs_enumerates_schedules;
-    Alcotest.test_case "dfs int cap" `Quick test_dfs_int_cap;
   ]
