@@ -6,12 +6,15 @@ module Key_map = Map.Make (struct
   let compare = T.compare_key
 end)
 
+(* One key's versions, newest first. *)
+type log = { mutable versions : (int * T.row option) list }
+
 type t = {
   mutable rows : T.row Key_map.t;
   mutable clock : int;
   mutable next_etag : int;
   etag_step : int;
-  history : (T.key, (int * T.row option) list ref) Hashtbl.t;
+  mutable history : log Key_map.t;
 }
 
 (* Real table etags are globally unique opaque tokens; numbering tables in
@@ -23,7 +26,7 @@ let create ?(first_etag = 1) ?(etag_step = 1) () =
     clock = 0;
     next_etag = first_etag;
     etag_step;
-    history = Hashtbl.create 32;
+    history = Key_map.empty;
   }
 
 let now t = t.clock
@@ -37,16 +40,13 @@ let fresh_etag t =
   t.next_etag <- e + t.etag_step;
   e
 
+(* A key's log is added to [history] once; later versions go into it in
+   place, so a commit allocates only the new version's cell. *)
 let record_version t key version ~at =
-  let log =
-    match Hashtbl.find_opt t.history key with
-    | Some log -> log
-    | None ->
-      let log = ref [] in
-      Hashtbl.replace t.history key log;
-      log
-  in
-  log := (at, version) :: !log
+  match Key_map.find key t.history with
+  | log -> log.versions <- (at, version) :: log.versions
+  | exception Not_found ->
+    t.history <- Key_map.add key { versions = [ (at, version) ] } t.history
 
 let retrieve t key = Key_map.find_opt key t.rows
 
@@ -162,10 +162,8 @@ let rows t = List.map snd (Key_map.bindings t.rows)
 let size t = Key_map.cardinal t.rows
 
 let history t key =
-  match Hashtbl.find_opt t.history key with
-  | Some log -> List.rev !log
+  match Key_map.find_opt key t.history with
+  | Some log -> List.rev log.versions
   | None -> []
 
-let known_keys t =
-  Hashtbl.fold (fun key _ acc -> key :: acc) t.history []
-  |> List.sort T.compare_key
+let known_keys t = List.map fst (Key_map.bindings t.history)

@@ -9,13 +9,39 @@ type model = {
   mutable vclock : int;
   mutable phase : Phase.t;
   mutable in_flight : (Psharp.Id.t * Phase.t) list;
-  pending : (int, Linearize.pending) Hashtbl.t;
+  (* The two per-client tables are indexed by the client machine's
+     creation index ({!Psharp.Id.index}) and grown on demand. *)
+  mutable pending : Linearize.pending option array;
   mutable queued_advance : (Psharp.Id.t * Phase.t) option;
   mutable deferred_begins : (Psharp.Id.t * Linearize.pending option) list;
-  (* highest backend-request sequence number handled per client, so a
-     request duplicated by the fault substrate is executed exactly once *)
-  last_seq : (int, int) Hashtbl.t;
+  (* highest backend-request sequence number handled per client, [-1]
+     before its first (sequence numbers start at 0), so a request
+     duplicated by the fault substrate is executed exactly once *)
+  mutable last_seq : int array;
 }
+
+let grown a i fill =
+  let b = Array.make (max (i + 1) (2 * Array.length a)) fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
+let pending_of m id =
+  let i = Psharp.Id.index id in
+  if i < Array.length m.pending then m.pending.(i) else None
+
+let set_pending m id p =
+  let i = Psharp.Id.index id in
+  if i >= Array.length m.pending then m.pending <- grown m.pending i None;
+  m.pending.(i) <- p
+
+let last_seq_of m id =
+  let i = Psharp.Id.index id in
+  if i < Array.length m.last_seq then m.last_seq.(i) else -1
+
+let set_last_seq m id seq =
+  let i = Psharp.Id.index id in
+  if i >= Array.length m.last_seq then m.last_seq <- grown m.last_seq i (-1);
+  m.last_seq.(i) <- seq
 
 let table_of m = function
   | B.Old -> m.old_table
@@ -38,9 +64,9 @@ let handle_backend_request ctx m ~reply_to ~seq ~table ~call ~lin =
   let rt_outcome =
     match lin with
     | Some pred when pred result -> begin
-      match Hashtbl.find_opt m.pending (Psharp.Id.index reply_to) with
+      match pending_of m reply_to with
       | Some pending ->
-        Hashtbl.remove m.pending (Psharp.Id.index reply_to);
+        set_pending m reply_to None;
         let outcome = Linearize.apply m.rt ~at:m.vclock pending in
         if R.logging ctx then
           R.log ctx
@@ -71,9 +97,7 @@ let handle_backend_request ctx m ~reply_to ~seq ~table ~call ~lin =
 
 let register_begin ctx m (requester, pending) =
   m.in_flight <- (requester, m.phase) :: m.in_flight;
-  (match pending with
-   | Some p -> Hashtbl.replace m.pending (Psharp.Id.index requester) p
-   | None -> ());
+  if Option.is_some pending then set_pending m requester pending;
   R.send ctx requester (Events.Begin_reply { phase = m.phase })
 
 let try_apply_advance ctx m =
@@ -110,7 +134,7 @@ let handle_begin ctx m ~reply_to ~pending =
 let handle_end ctx m ~service =
   m.in_flight <-
     List.filter (fun (id, _) -> not (Psharp.Id.equal id service)) m.in_flight;
-  (match Hashtbl.find_opt m.pending (Psharp.Id.index service) with
+  (match pending_of m service with
    | Some pending ->
      R.assert_here ctx false
        (Printf.sprintf
@@ -145,10 +169,10 @@ let machine ?(bugs = Bug_flags.none) ~initial_rows ctx =
       vclock = 0;
       phase = Phase.Use_old;
       in_flight = [];
-      pending = Hashtbl.create 8;
+      pending = [||];
       queued_advance = None;
       deferred_begins = [];
-      last_seq = Hashtbl.create 8;
+      last_seq = [||];
     }
   in
   List.iter
@@ -163,11 +187,7 @@ let machine ?(bugs = Bug_flags.none) ~initial_rows ctx =
   R.serve ctx (function
     | Events.Backend_request { reply_to; seq; table; call; lin } ->
       let duplicate =
-        (not bugs.Bug_flags.backend_no_dedup)
-        &&
-        match Hashtbl.find_opt m.last_seq (Psharp.Id.index reply_to) with
-        | Some s -> seq <= s
-        | None -> false
+        (not bugs.Bug_flags.backend_no_dedup) && seq <= last_seq_of m reply_to
       in
       if duplicate then
         (* ChaintableDuplicateBackendRequest: without this dedup a request
@@ -179,7 +199,7 @@ let machine ?(bugs = Bug_flags.none) ~initial_rows ctx =
              (Printf.sprintf "discarded duplicate backend request seq=%d"
                 seq))
       else begin
-        Hashtbl.replace m.last_seq (Psharp.Id.index reply_to) seq;
+        set_last_seq m reply_to seq;
         handle_backend_request ctx m ~reply_to ~seq ~table ~call ~lin
       end
     | Events.Begin_op { reply_to; pending } ->

@@ -58,6 +58,22 @@ let name (e : t) =
 let constructor_id (e : t) =
   Obj.Extension_constructor.id (Obj.Extension_constructor.of_val e)
 
+(* The block the runtime allocates once per declared constructor: a
+   constant constructor's value is that block itself (tagged
+   [Obj.object_tag]), and a value built by a constructor with arguments
+   holds it in field 0. Every event is a block of at least one field. *)
+type constructor = Obj.t
+
+let constructor (e : t) =
+  let r = Obj.repr e in
+  if Obj.tag r = Obj.object_tag then r else Obj.field r 0
+
+(* A constant event's field 0 is its name string, never a constructor
+   block, so testing an event needs no tag read. *)
+let[@inline] has_constructor c (e : t) =
+  let r = Obj.repr e in
+  r == c || Obj.field r 0 == c
+
 (* Registration happens lazily from machine bodies, which may execute
    concurrently across domains; publish the list with a CAS loop so no
    registration is lost. Reads are plain: a momentarily stale list only

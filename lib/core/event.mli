@@ -2,8 +2,11 @@
 
     [Event.t] is an extensible variant: each system under test declares its
     own message constructors ([type Event.t += ClientReq of data | ...]).
-    The engine identifies events by constructor name (used for tracing and
-    for the declarative state-machine layer's handler tables). *)
+    Harness code names events by bare constructor name ({!name}: traces,
+    logs, the declarative state-machine layer's handler tables); the step
+    path tells them apart by constructor ({!constructor}), which needs no
+    string: coalescing in [Runtime.send_unless_pending] and
+    [Statemachine]'s cached dispatch. *)
 
 type t = ..
 
@@ -22,6 +25,19 @@ val name : t -> string
     (payloads aside). Allocation-free; constructors that share a bare
     {!name} still get distinct ids. *)
 val constructor_id : t -> int
+
+(** An event's extension constructor, compared with [==]: one per
+    [type t += C ...] declaration, so constructors that share a bare
+    {!name} in different modules are distinct. *)
+type constructor
+
+(** [constructor e] is the constructor that built [e], payloads aside.
+    Allocation-free, one tag read. *)
+val constructor : t -> constructor
+
+(** [has_constructor c e]: was [e] built by [c]? Allocation-free, a
+    physical comparison and no tag read. *)
+val has_constructor : constructor -> t -> bool
 
 (** Register a pretty-printer used by [to_string]. Printers are tried most
     recent first; the first to return [Some] wins. *)

@@ -93,10 +93,10 @@ let peek_first t pred =
 
 let exists t pred = find t pred >= 0
 
-let exists_name t name =
+let exists_constructor t c =
   let rec go i =
     i < t.len
-    && (String.equal (Event.name (Array.unsafe_get t.events (slot t i))) name
+    && (Event.has_constructor c (Array.unsafe_get t.events (slot t i))
        || go (i + 1))
   in
   go 0

@@ -46,10 +46,10 @@ val peek_first : t -> (Event.t -> bool) -> Event.t option
 (** Does any queued event satisfy [pred]? *)
 val exists : t -> (Event.t -> bool) -> bool
 
-(** [exists_name t n]: does any queued event have {!Event.name} [n]? The
+(** [exists_constructor t c]: was any queued event built by [c]? The
     default coalescing test of [Runtime.send_unless_pending], with no
-    predicate closure. *)
-val exists_name : t -> string -> bool
+    predicate closure and no name lookup. *)
+val exists_constructor : t -> Event.constructor -> bool
 
 (** Queued events, front first (for diagnostics). *)
 val to_list : t -> Event.t list

@@ -273,7 +273,7 @@ let send_unless_pending ?same ctx target e =
   let duplicate =
     match same with
     | Some pred -> Inbox.exists m.inbox pred
-    | None -> Inbox.exists_name m.inbox (Event.name e)
+    | None -> Inbox.exists_constructor m.inbox (Event.constructor e)
   in
   if duplicate then begin
     (* the coalesce decision read the target's inbox: conservatively
@@ -344,10 +344,9 @@ let choose ctx xs =
   | [] -> invalid_arg "Runtime.choose: empty list"
   | [ x ] -> x
   | _ ->
-    (* One traversal to an array, O(1) indexing; same [nondet_int] draw
-       (bound = length) as the old List.length/List.nth pair. *)
-    let arr = Array.of_list xs in
-    arr.(nondet_int ctx (Array.length arr))
+    (* Two traversals and no copy: the one [nondet_int] draw, bound =
+       length, picks the element. *)
+    List.nth xs (nondet_int ctx (List.length xs))
 
 let halt _ctx = raise Halt_exn
 

@@ -161,10 +161,14 @@ val send : ctx -> Id.t -> Event.t -> unit
 val send_faulty : ctx -> Id.t -> Event.t -> unit
 
 (** Like [send], but coalesces: if the target's inbox already holds a
-    duplicate (same constructor name by default, tested without building a
-    closure; [same] overrides the test), the new event is dropped. Used for periodic signals — timer ticks,
-    heartbeats, sync reports — whose missed occurrences collapse, so they
-    cannot flood a slow machine's queue. *)
+    duplicate, the new event is dropped. By default a duplicate is an
+    event built by the same constructor ({!Event.constructor}), whatever
+    its payload: a physical comparison per queued event, with no name
+    lookup and no closure. Constructors declared in different modules
+    are different even when they share a bare {!Event.name}, so neither
+    coalesces the other. [same] overrides the test. Used for periodic
+    signals — timer ticks, heartbeats, sync reports — whose missed
+    occurrences collapse, so they cannot flood a slow machine's queue. *)
 val send_unless_pending :
   ?same:(Event.t -> bool) -> ctx -> Id.t -> Event.t -> unit
 
@@ -206,7 +210,9 @@ val nondet : ctx -> bool
     @raise Invalid_argument if [bound <= 0]. *)
 val nondet_int : ctx -> int -> int
 
-(** Uniform controlled choice among a list.
+(** Uniform controlled choice among a list: one [nondet_int] draw
+    bounded by the list's length (none for a one-element list), which
+    indexes the list without copying it.
     @raise Invalid_argument on the empty list. *)
 val choose : ctx -> 'a list -> 'a
 

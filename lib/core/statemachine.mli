@@ -14,6 +14,15 @@
     - [Goto] transitions run the exit action of the source state and the
       entry action of the target state.
 
+    Names stay the key: a state's handlers, deferred and ignored events
+    are declared by bare constructor name, and two constructors that
+    share a name are dispatched alike. The lookup by name runs once per
+    (state, constructor) pair in each started machine, on that
+    constructor's first delivery in that state; the answer is cached by
+    constructor ({!Event.constructor}) in the started machine, not in the
+    state value, so later deliveries and deferred-event replays compare
+    no strings and allocate nothing.
+
     Declared states and handlers are recorded in {!Registry} (Table 1's
     #ST and #AH columns); observed transitions accumulate there too. *)
 

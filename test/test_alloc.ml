@@ -77,7 +77,7 @@ let gates () =
       g_monitors = vnext.Cat.monitors;
       g_run = Plain (config vnext);
       g_executions = 8;
-      g_ceiling = 9.43;  (* measured 8.57 *)
+      g_ceiling = 9.36;  (* measured 8.51 *)
     };
     {
       g_name = "vnext (fixed, PCT d=2)";
@@ -85,7 +85,7 @@ let gates () =
       g_monitors = vnext.Cat.monitors;
       g_run = Plain_pct (config vnext);
       g_executions = 8;
-      g_ceiling = 4.58;  (* measured 4.16 *)
+      g_ceiling = 4.52;  (* measured 4.11 *)
     };
     {
       g_name = "chaintable (fixed, legacy oracle)";
@@ -93,7 +93,7 @@ let gates () =
       g_monitors = (fun () -> []);
       g_run = Plain { Runtime.default_config with Runtime.max_steps = 4_000 };
       g_executions = 100;
-      g_ceiling = 55.69;  (* measured 50.63 *)
+      g_ceiling = 52.32;  (* measured 47.56 *)
     };
     {
       g_name = "chaintable (fixed, Lin oracle)";
@@ -101,7 +101,7 @@ let gates () =
       g_monitors = (fun () -> []);
       g_run = Plain { Runtime.default_config with Runtime.max_steps = 4_000 };
       g_executions = 100;
-      g_ceiling = 65.52;  (* measured 59.56 *)
+      g_ceiling = 62.14;  (* measured 56.49 *)
     };
     {
       g_name = "shardkv (fixed, crash+delay, clock)";
@@ -112,9 +112,9 @@ let gates () =
       g_ceiling = 101.81;  (* measured 92.55 *)
     };
     observed "chaintable (fixed, fuzz v2 + hb)"
-      (Cat.find "ChaintableDuplicateBackendRequest") 300 59.35 (* measured 53.95 *);
+      (Cat.find "ChaintableDuplicateBackendRequest") 300 56.27 (* measured 51.15 *);
     observed "fabric (fixed, fuzz v2 + hb)" (Cat.find "FabricCrashSilentRestart")
-      300 44.57 (* measured 40.52 *);
+      300 42.85 (* measured 38.95 *);
   ]
 
 let plain_steps g config (factory : Psharp.Strategy.factory) ~clean =

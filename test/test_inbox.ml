@@ -3,13 +3,22 @@
 module Inbox = Psharp.Inbox
 module Event = Psharp.Event
 
-type Event.t += N of int | M of int
+type Event.t += N of int | M of int | Tick
+
+(* A constructor whose bare name is also [Tick]'s. *)
+module Other = struct
+  type Event.t += Tick
+end
 
 let n i = N i
 
 let push q e = Inbox.push q ~sender:(-1) ~stamp:(-1) e
 
-let to_int = function N i | M i -> i | _ -> -1
+let to_int = function
+  | N i | M i -> i
+  | Tick -> 100
+  | Other.Tick -> 200
+  | _ -> -1
 
 let drain inbox =
   let rec go acc =
@@ -106,15 +115,29 @@ let prop_model =
 
 (* Model test of the whole interface against a list of (event, sender,
    stamp) entries: tagged pushes, filtered dequeues through find / the tag
-   accessors / take, pop_first, peek_first, exists, exists_name, clear, and
-   enough pushes between dequeues to wrap and grow the ring buffer. *)
+   accessors / take, pop_first, peek_first, exists, exists_constructor,
+   clear, and enough pushes between dequeues to wrap and grow the ring
+   buffer. The events come from four constructors: [M] and [N] with
+   payloads, and two constant ones that share the bare name [Tick]. *)
 type op =
-  | Push of bool * int * int * int  (* M or N, value, sender, stamp *)
+  | Push of int * int * int * int  (* constructor, value, sender, stamp *)
   | Take of int  (* remove the first entry with value mod 3 = k *)
   | Pop_first of int
   | Peek of int
-  | Exists_name of bool
+  | Exists_constructor of int
   | Clear
+
+let event_of kind v =
+  match kind with 0 -> M v | 1 -> N v | 2 -> Tick | _ -> Other.Tick
+
+let kind_of = function
+  | M _ -> 0
+  | N _ -> 1
+  | Tick -> 2
+  | Other.Tick -> 3
+  | _ -> -1
+
+let kind_name = [| "M"; "N"; "Tick"; "Other.Tick" |]
 
 let gen_op =
   QCheck.Gen.(
@@ -122,21 +145,23 @@ let gen_op =
       [
         ( 6,
           map
-            (fun (m, v, s, t) -> Push (m, v, s, t))
-            (quad bool (int_range 0 9) (int_range (-1) 5) (int_range (-1) 50)) );
+            (fun (k, v, s, t) -> Push (k, v, s, t))
+            (quad (int_range 0 3) (int_range 0 9) (int_range (-1) 5)
+               (int_range (-1) 50)) );
         (3, map (fun k -> Take k) (int_range 0 3));
         (2, map (fun k -> Pop_first k) (int_range 0 3));
         (1, map (fun k -> Peek k) (int_range 0 3));
-        (1, map (fun m -> Exists_name m) bool);
+        (1, map (fun k -> Exists_constructor k) (int_range 0 3));
         (1, return Clear);
       ])
 
 let show_op = function
-  | Push (m, v, s, t) -> Printf.sprintf "push %s%d s%d t%d" (if m then "M" else "N") v s t
+  | Push (k, v, s, t) ->
+    Printf.sprintf "push %s %d s%d t%d" kind_name.(k) v s t
   | Take k -> Printf.sprintf "take %d" k
   | Pop_first k -> Printf.sprintf "pop %d" k
   | Peek k -> Printf.sprintf "peek %d" k
-  | Exists_name m -> Printf.sprintf "exists_name %b" m
+  | Exists_constructor k -> Printf.sprintf "exists_constructor %s" kind_name.(k)
   | Clear -> "clear"
 
 let prop_tagged_model =
@@ -165,8 +190,8 @@ let prop_tagged_model =
         (fun op ->
           let ok =
             match op with
-            | Push (is_m, v, sender, stamp) ->
-              let e = if is_m then M v else N v in
+            | Push (kind, v, sender, stamp) ->
+              let e = event_of kind v in
               Inbox.push q ~sender ~stamp e;
               model := !model @ [ (e, sender, stamp) ];
               true
@@ -197,13 +222,11 @@ let prop_tagged_model =
                   (List.find_opt (fun x -> matches k (value x)) !model)
               && Inbox.exists q p
                  = List.exists (fun x -> matches k (value x)) !model
-            | Exists_name is_m ->
-              let name = if is_m then "M" else "N" in
-              Inbox.exists_name q name
-              = List.exists
-                  (fun (e, _, _) ->
-                    match e with M _ -> is_m | N _ -> not is_m | _ -> false)
-                  !model
+            | Exists_constructor kind ->
+              (* the probe's payload differs from every pushed one *)
+              let c = Event.constructor (event_of kind (-7)) in
+              Inbox.exists_constructor q c
+              = List.exists (fun (e, _, _) -> kind_of e = kind) !model
             | Clear ->
               Inbox.clear q;
               model := [];

@@ -172,6 +172,56 @@ let test_send_unless_pending_coalesces () =
   Alcotest.(check bool) "no bug" true (result.R.bug = None);
   Alcotest.(check int) "coalesced to one" 1 !count
 
+(* A constructor whose bare name is also [Ping]'s. *)
+module Other = struct
+  type Event.t += Ping
+end
+
+(* The events a receiver gets when the root sends [events] in one step,
+   each through [send_unless_pending], then [Pong]. *)
+let coalesced events =
+  let got = ref [] in
+  let result =
+    execute (fun ctx ->
+        let receiver =
+          R.create ctx ~name:"Receiver" (fun rctx ->
+              let rec loop () =
+                match R.receive rctx with
+                | Pong -> ()
+                | e ->
+                  got := e :: !got;
+                  loop ()
+              in
+              loop ())
+        in
+        List.iter (R.send_unless_pending ctx receiver) events;
+        R.send ctx receiver Pong)
+  in
+  Alcotest.(check bool) "no bug" true (result.R.bug = None);
+  List.rev !got
+
+(* Delivered events are the sent values themselves: compare by address. *)
+let same_events =
+  Alcotest.testable
+    (fun ppf e -> Format.pp_print_string ppf (Event.to_string e))
+    ( == )
+
+let test_coalesce_constant_tick () =
+  let tick = Psharp.Timer.Timer_tick and msg = Msg 1 in
+  Alcotest.(check (list same_events)) "one tick, behind it the message"
+    [ tick; msg ]
+    (coalesced [ tick; msg; tick; tick ])
+
+let test_coalesce_any_payload () =
+  let first = Msg 1 in
+  Alcotest.(check (list same_events)) "the first Msg only" [ first; Ping ]
+    (coalesced [ first; Msg 2; Ping; Msg 1 ])
+
+let test_coalesce_same_name_other_module () =
+  Alcotest.(check (list same_events)) "both Pings, once each"
+    [ Ping; Other.Ping ]
+    (coalesced [ Ping; Other.Ping; Ping; Other.Ping ])
+
 let test_ping_pong_round_trip () =
   let rounds = ref 0 in
   let result =
@@ -400,6 +450,12 @@ let suite =
     Alcotest.test_case "choose singleton" `Quick test_choose_singleton_no_choice;
     Alcotest.test_case "send_unless_pending coalesces" `Quick
       test_send_unless_pending_coalesces;
+    Alcotest.test_case "coalescing: constant tick" `Quick
+      test_coalesce_constant_tick;
+    Alcotest.test_case "coalescing: any payload" `Quick
+      test_coalesce_any_payload;
+    Alcotest.test_case "coalescing: same name, other module" `Quick
+      test_coalesce_same_name_other_module;
     Alcotest.test_case "ping-pong round trips" `Quick test_ping_pong_round_trip;
     Alcotest.test_case "monitor safety violation" `Quick
       test_monitor_safety_violation;

@@ -193,6 +193,204 @@ let test_registry_counts () =
   Alcotest.(check int) "observed transitions" 1
     (Psharp.Registry.transitions ~machine:"RegistryProbe")
 
+(* Cached dispatch against [Statemachine_ref], the by-name dispatcher as
+   first written. A case is a random stack of states (handler lists with
+   repeated names, defer and ignore lists that overlap them, transitions
+   of every kind, [Halt_event] handled, ignored or left to the implicit
+   halt) and a random event stream over six names. Two pairs of the
+   events come from constructors that share a bare name: [Noise] and
+   [Other.Noise] (constant), [Work] and [Other.Work] (with a payload),
+   which by-name dispatch treats alike. Each handler logs its call and
+   picks its transition by the event's payload, so one (state,
+   constructor) pair can take different transitions on different
+   deliveries. Both dispatchers run the case as a root machine that
+   feeds its handler the stream; their logs (handler calls, entry and
+   exit actions, transitions, in stash-replay order) and outcomes
+   (clean, halted, unhandled event, pop from the initial state) must
+   match. *)
+module Other = struct
+  type Event.t += Noise | Work of int
+end
+
+module Ref = Statemachine_ref
+
+let names = [| "Go"; "Work"; "Noise"; "Finish"; "Halt_event"; "Unit_event" |]
+
+let events =
+  [|
+    (fun _ -> Go);
+    (fun i -> Work i);
+    (fun _ -> Noise);
+    (fun _ -> Finish);
+    (fun _ -> Event.Halt_event);
+    (fun _ -> Event.Unit_event);
+    (fun _ -> Other.Noise);
+    (fun i -> Other.Work i);
+  |]
+
+let show_event = function
+  | Go -> "Go"
+  | Work i -> Printf.sprintf "Work %d" i
+  | Noise -> "Noise"
+  | Finish -> "Finish"
+  | Event.Halt_event -> "Halt_event"
+  | Event.Unit_event -> "Unit_event"
+  | Other.Noise -> "Other.Noise"
+  | Other.Work i -> Printf.sprintf "Other.Work %d" i
+  | _ -> "?"
+
+let payload = function Work i | Other.Work i -> i | _ -> 0
+
+type tr = T_stay | T_goto of int | T_push of int | T_pop | T_halt | T_unhandled
+
+type sspec = {
+  handles : (int * tr list) list;  (* name index, transitions by payload *)
+  defers : int list;
+  ignores : int list;
+}
+
+type case = { specs : sspec list; stream : (int * int) list }
+
+let show_tr = function
+  | T_stay -> "stay"
+  | T_goto s -> Printf.sprintf "goto S%d" s
+  | T_push s -> Printf.sprintf "push S%d" s
+  | T_pop -> "pop"
+  | T_halt -> "halt"
+  | T_unhandled -> "unhandled"
+
+let show_case c =
+  let names_of l = String.concat "," (List.map (fun i -> names.(i)) l) in
+  let show_spec i sp =
+    Printf.sprintf "S%d{%s; defer %s; ignore %s}" i
+      (String.concat "; "
+         (List.map
+            (fun (n, trs) ->
+              Printf.sprintf "%s -> [%s]" names.(n)
+                (String.concat "," (List.map show_tr trs)))
+            sp.handles))
+      (names_of sp.defers) (names_of sp.ignores)
+  in
+  Printf.sprintf "%s\nstream: %s"
+    (String.concat "\n" (List.mapi show_spec c.specs))
+    (String.concat " "
+       (List.map (fun (k, i) -> show_event (events.(k) i)) c.stream))
+
+let gen_case =
+  let open QCheck.Gen in
+  frequency [ (1, return 1); (4, int_range 2 4) ] >>= fun n ->
+  let gen_tr =
+    frequency
+      [
+        (3, return T_stay);
+        (3, map (fun s -> T_goto s) (int_bound (n - 1)));
+        (3, map (fun s -> T_push s) (int_bound (n - 1)));
+        (1, return T_pop);
+        (1, return T_halt);
+        (1, return T_unhandled);
+      ]
+  in
+  (* Skewed towards three names so that states often disagree about the
+     same event: one handles it, another defers or ignores it. *)
+  let name =
+    frequency
+      [ (3, return 1); (3, return 2); (2, return 0); (1, int_bound 5) ]
+  in
+  let gen_spec =
+    map3
+      (fun handles defers ignores -> { handles; defers; ignores })
+      (list_size (int_range 0 3) (pair name (list_size (int_range 1 3) gen_tr)))
+      (list_size (int_range 0 3) name)
+      (list_size (int_range 0 3) name)
+  in
+  map2
+    (fun specs stream -> { specs; stream })
+    (list_repeat n gen_spec)
+    (list_size (int_range 0 60)
+       (pair
+          (frequency
+             [ (3, int_range 1 2); (2, int_range 6 7); (2, return 0);
+               (1, int_bound 7) ])
+          (int_range 0 5)))
+
+(* One state of a case, as either dispatcher's [state] takes it. *)
+type decl = {
+  d_name : string;
+  d_log : string -> R.ctx -> model -> unit;
+  d_defer : string list;
+  d_ignore : string list;
+  d_handlers : (string * model Sm.handler) list;
+}
+
+let start_cached ctx decls =
+  Sm.handler ctx ~machine:"DispatchProp" ~init:"S0" { log = [] }
+    ~states:
+      (List.map
+         (fun d ->
+           Sm.state ~entry:(d.d_log "enter") ~exit_:(d.d_log "exit")
+             ~defer:d.d_defer ~ignore_:d.d_ignore d.d_name d.d_handlers)
+         decls)
+
+let start_reference ctx decls =
+  Ref.handler ctx ~machine:"DispatchProp" ~init:"S0" { log = [] }
+    ~states:
+      (List.map
+         (fun d ->
+           Ref.state ~entry:(d.d_log "enter") ~exit_:(d.d_log "exit")
+             ~defer:d.d_defer ~ignore_:d.d_ignore d.d_name d.d_handlers)
+         decls)
+
+(* Run [c] through the handler [start] builds; the bug and the log. *)
+let run_case c ~start =
+  let handle s j trs : model Sm.handler =
+   fun ctx _ e ->
+    R.log ctx (Printf.sprintf "S%d.h%d %s" s j (show_event e));
+    match List.nth trs (payload e mod List.length trs) with
+    | T_stay -> Sm.Stay
+    | T_goto t -> Sm.Goto (Printf.sprintf "S%d" t)
+    | T_push t -> Sm.Push (Printf.sprintf "S%d" t)
+    | T_pop -> Sm.Pop
+    | T_halt -> Sm.Halt_machine
+    | T_unhandled -> Sm.Unhandled
+  in
+  let decl s sp =
+    let d_name = Printf.sprintf "S%d" s in
+    {
+      d_name;
+      d_log = (fun what ctx _ -> R.log ctx (what ^ " " ^ d_name));
+      d_defer = List.map (fun i -> names.(i)) sp.defers;
+      d_ignore = List.map (fun i -> names.(i)) sp.ignores;
+      d_handlers =
+        List.mapi (fun j (n, trs) -> (names.(n), handle s j trs)) sp.handles;
+    }
+  in
+  let result =
+    R.execute
+      { config with R.collect_log = true }
+      (strategy ~seed:1L) ~monitors:[] ~name:"Root"
+      (fun ctx ->
+        let deliver = start ctx (List.mapi decl c.specs) in
+        List.iter (fun (k, i) -> deliver (events.(k) i)) c.stream;
+        R.log ctx "end of stream")
+  in
+  (result.R.bug, result.R.log)
+
+(* 20,000 cases take well under a second. A subtle mutant, a deferral
+   test that lets an ignoring state fall through, shows only when the
+   event it strands in the stash is later handled: 5,000 cases caught it
+   in about half the runs, 20,000 in every run. *)
+let prop_cached_dispatch_matches_reference =
+  QCheck.Test.make ~name:"cached dispatch matches the by-name reference"
+    ~count:20000
+    (QCheck.make ~print:show_case gen_case)
+    (fun c ->
+      let cached = run_case c ~start:start_cached in
+      let reference = run_case c ~start:start_reference in
+      cached = reference
+      || QCheck.Test.fail_reportf "cached:\n%s\nreference:\n%s"
+           (String.concat "\n" (snd cached))
+           (String.concat "\n" (snd reference)))
+
 let suite =
   [
     Alcotest.test_case "goto + entry/exit" `Quick test_goto_entry_exit;
@@ -208,4 +406,5 @@ let suite =
     Alcotest.test_case "handler receives payload" `Quick
       test_transition_handler_receives_event;
     Alcotest.test_case "registry counts" `Quick test_registry_counts;
+    QCheck_alcotest.to_alcotest prop_cached_dispatch_matches_reference;
   ]
