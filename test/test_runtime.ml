@@ -148,30 +148,6 @@ let test_choose_singleton_no_choice () =
   in
   Alcotest.(check int) "no choice recorded for singleton" 0 (List.length ints)
 
-let test_send_unless_pending_coalesces () =
-  let count = ref 0 in
-  let result =
-    execute (fun ctx ->
-        let receiver =
-          R.create ctx ~name:"Receiver" (fun rctx ->
-              let rec loop () =
-                match R.receive rctx with
-                | Ping ->
-                  incr count;
-                  loop ()
-                | Pong -> ()
-                | _ -> loop ()
-              in
-              loop ())
-        in
-        R.send_unless_pending ctx receiver Ping;
-        R.send_unless_pending ctx receiver Ping;
-        R.send_unless_pending ctx receiver Ping;
-        R.send ctx receiver Pong)
-  in
-  Alcotest.(check bool) "no bug" true (result.R.bug = None);
-  Alcotest.(check int) "coalesced to one" 1 !count
-
 (* A constructor whose bare name is also [Ping]'s. *)
 module Other = struct
   type Event.t += Ping
@@ -206,7 +182,9 @@ let same_events =
     (fun ppf e -> Format.pp_print_string ppf (Event.to_string e))
     ( == )
 
-let test_coalesce_constant_tick () =
+let test_send_unless_pending_coalesces () =
+  Alcotest.(check (list same_events)) "coalesced to one" [ Ping ]
+    (coalesced [ Ping; Ping; Ping ]);
   let tick = Psharp.Timer.Timer_tick and msg = Msg 1 in
   Alcotest.(check (list same_events)) "one tick, behind it the message"
     [ tick; msg ]
@@ -450,8 +428,6 @@ let suite =
     Alcotest.test_case "choose singleton" `Quick test_choose_singleton_no_choice;
     Alcotest.test_case "send_unless_pending coalesces" `Quick
       test_send_unless_pending_coalesces;
-    Alcotest.test_case "coalescing: constant tick" `Quick
-      test_coalesce_constant_tick;
     Alcotest.test_case "coalescing: any payload" `Quick
       test_coalesce_any_payload;
     Alcotest.test_case "coalescing: same name, other module" `Quick
