@@ -35,8 +35,24 @@ let memo : memo Domain.DLS.key =
         all = Hashtbl.create 64;
       })
 
+(* The block the runtime allocates once per declared constructor: a
+   constant constructor's value is that block itself (tagged
+   [Obj.object_tag]), and a value built by a constructor with arguments
+   holds it in field 0. Every event is a block of at least one field. *)
+type constructor = Obj.t
+
+let constructor (e : t) =
+  let r = Obj.repr e in
+  if Obj.tag r = Obj.object_tag then r else Obj.field r 0
+
+(* The constructor block holds the qualified name in field 0 and the id in
+   field 1; reading them through [constructor] costs one tag read, where
+   [Obj.Extension_constructor.of_val] makes up to three. *)
+let[@inline] slot e : Obj.Extension_constructor.t = Obj.obj (constructor e)
+let constructor_id e = Obj.Extension_constructor.id (slot e)
+
 let name (e : t) =
-  let c = Obj.Extension_constructor.of_val e in
+  let c = slot e in
   let id = Obj.Extension_constructor.id c in
   let m = Domain.DLS.get memo in
   let j = id land (front - 1) in
@@ -54,19 +70,6 @@ let name (e : t) =
     m.strs.(j) <- s;
     s
   end
-
-let constructor_id (e : t) =
-  Obj.Extension_constructor.id (Obj.Extension_constructor.of_val e)
-
-(* The block the runtime allocates once per declared constructor: a
-   constant constructor's value is that block itself (tagged
-   [Obj.object_tag]), and a value built by a constructor with arguments
-   holds it in field 0. Every event is a block of at least one field. *)
-type constructor = Obj.t
-
-let constructor (e : t) =
-  let r = Obj.repr e in
-  if Obj.tag r = Obj.object_tag then r else Obj.field r 0
 
 (* A constant event's field 0 is its name string, never a constructor
    block, so testing an event needs no tag read. *)

@@ -22,8 +22,8 @@ val name : t -> string
 
 (** [constructor_id e] identifies [e]'s constructor within the process:
     two events share it iff they were built by the same constructor
-    (payloads aside). Allocation-free; constructors that share a bare
-    {!name} still get distinct ids. *)
+    (payloads aside). Allocation-free, one tag read; constructors that
+    share a bare {!name} still get distinct ids. *)
 val constructor_id : t -> int
 
 (** An event's extension constructor, compared with [==]: one per

@@ -1,151 +1,114 @@
-(* Vector clocks over machine creation indices, kept in flat int buffers
-   and updated in place.
+(* Happens-before as an append-only log of the hook calls.
 
-   - The working clocks (per machine, per inbox, per monitor) are rows of
-     three int matrices with row stride [mcap]. Every write stays inside
-     the active square (rows and columns below [nmach]), so everything
-     outside it is zero: a machine created mid-execution starts from a
-     zero row, and a row's components past [nmach] read as 0.
-   - Step and message clocks are snapshots copied into one int arena:
-     [off, len] regions, components past [len] reading as 0. A message
-     snapshot is taken at send time; a step's snapshot when the step
-     closes (the next [begin_step]) or when a query needs it, since the
-     open step keeps absorbing object clocks while it runs.
-   - Step payloads are int64 FNV hashes kept unboxed in [Bytes]; the
-     happening feed is two parallel int arrays, decoded into the
-     [happening] variant only on read.
+   - Every hook appends one entry to [log], three ints [tag; a; b] (tags
+     below), and keeps only O(1) bookkeeping beside it: the step's
+     machine and payload, the message's sender and per-sender ordinal,
+     the happening count. [reset] rewinds the counters and nothing else.
+   - [canonical_fingerprint] derives step-level dependency edges from the
+     log in one pass and emits greedily over them (see there).
+   - The vector clocks that [clock_of], [ordered], [independent] and the
+     happening feed read are rebuilt only when a query asks, by replaying
+     the log through the clock code below, and cached by log length.
+   - Step payloads are int64 FNV hashes kept unboxed in [Bytes].
 
-   [reset] rewinds a recorder to empty without freeing its buffers, so a
-   caller that runs many executions reuses one recorder; [create] starts
-   small and every buffer grows by doubling. *)
+   Log tags: 0 create (parent, child), 1 begin (machine, msg), 2 send
+   (target, stamp), 3 delayed send (target, stamp), 4 delayed delivery
+   (target, msg), 5 touch or crash (target, _), 6 notify (monitor, _).
+
+   Buffers grow by doubling and outlive [reset], so a reused recorder
+   stops allocating once they fit the longest execution. *)
 
 external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
-
-(* Int-typed copy and fill. [Array.blit] and [Array.fill] go through the
-   runtime's generic versions, which pay a write barrier per element once
-   an array lives in the major heap — where a reused recorder's buffers
-   always are. *)
-let[@inline] copy_ints (src : int array) soff (dst : int array) doff len =
-  for q = 0 to len - 1 do
-    Array.unsafe_set dst (doff + q) (Array.unsafe_get src (soff + q))
-  done
-
-let[@inline] zero_ints (a : int array) off len =
-  for q = off to off + len - 1 do
-    Array.unsafe_set a q 0
-  done
 
 type happening =
   | Touch of { target : int; actor : int }
   | Notify of { actor : int; monitor : int }
 
 type t = {
-  (* machines *)
-  mutable mcap : int;  (* row stride of [mclock], [iclock], [monclock] *)
+  mutable log : int array;
+  mutable nlog : int;  (* ints used: three per entry *)
   mutable nmach : int;
-  mutable mclock : int array;  (* machine -> clock of its causal past *)
-  mutable iclock : int array;
-      (* machine -> inbox conflict clock: join of every enqueue (and
-         crash/touch) against this machine's inbox. Dequeues do not join
-         it — enqueue-at-back commutes with dequeue-at-front whenever the
-         dequeuer is enabled either way. *)
-  mutable send_count : int array;  (* per machine *)
-  (* monitors *)
-  mutable mon_names : string array;
-  mutable mon_hash : int array;
-  mutable monclock : int array;  (* monitor -> conflict clock *)
-  mutable nmons : int;
-  (* snapshot arena *)
-  mutable arena : int array;
-  mutable top : int;
-  (* steps *)
+  mutable send_count : int array;  (* per machine, zeroed as it appears *)
   mutable smach : int array;  (* machine that executed the step *)
-  mutable soff : int array;
-  mutable slen : int array;  (* -1: no snapshot yet *)
   mutable payload : Bytes.t;
       (* 8 bytes per step: hash of the step's schedule-invariant content
          (delivered message identity as sender + per-sender ordinal,
          nondet draws, send / crash / notify effects) *)
   mutable nsteps : int;
-  mutable open_dirty : bool;
-      (* the open (last) step's snapshot lags its machine's clock row *)
-  (* messages *)
-  mutable moff : int array;
-  mutable mlen : int array;
   mutable msender : int array;
   mutable mord : int array;  (* per-sender send ordinal (stable) *)
   mutable nmsg : int;
-  (* happenings: [hx] is the touched target, or [-1 - monitor] for a
-     notification; [hy] is the actor *)
-  mutable hx : int array;
-  mutable hy : int array;
   mutable nhaps : int;
+  mutable mon_names : string array;
+  mutable mon_hash : int array;
+  mutable nmons : int;
+  (* what the last replay built, valid while [replayed] = [nlog] *)
+  mutable replayed : int;
+  mutable sclock : int array array;  (* step -> its final clock *)
+  mutable haps : int array;
+      (* happening [i] at [2i], [2i + 1]: the touched target, or [-1 -
+         monitor] for a notification, then the actor *)
   (* canonical-fingerprint scratch, reused across calls *)
-  mutable ffin : int array;
-  mutable fnext : int array;
+  mutable flast : int array;  (* per machine ... *)
+  mutable fpend : int array;
+  mutable finbox : int array;
   mutable fhead : int array;
-  mutable femit : int array;
   mutable fblk : int array;
-  mutable forder : int array;
+  mutable fnext : int array;  (* per step ... *)
+  mutable fpre : int array;
+  mutable fmsg : int array;  (* per message *)
+  mutable fmon : int array;  (* per monitor *)
+  mutable pool : int array;  (* set nodes: a step, then the next node *)
+  mutable np : int;
+  mutable epred : int array;  (* edge sources, grouped by target step *)
+  mutable ne : int;
   facc : Bytes.t;
 }
 
 let create () =
-  let mcap = 4 in
   {
-    mcap;
+    log = Array.make 192 0;
+    nlog = 0;
     nmach = 0;
-    mclock = Array.make (mcap * mcap) 0;
-    iclock = Array.make (mcap * mcap) 0;
-    send_count = Array.make mcap 0;
-    mon_names = [||];
-    mon_hash = [||];
-    monclock = [||];
-    nmons = 0;
-    arena = Array.make 64 0;
-    top = 0;
+    send_count = Array.make 4 0;
     smach = Array.make 16 0;
-    soff = Array.make 16 0;
-    slen = Array.make 16 0;
     payload = Bytes.create (8 * 16);
     nsteps = 0;
-    open_dirty = false;
-    moff = Array.make 16 0;
-    mlen = Array.make 16 0;
     msender = Array.make 16 0;
     mord = Array.make 16 0;
     nmsg = 0;
-    hx = Array.make 16 0;
-    hy = Array.make 16 0;
     nhaps = 0;
-    ffin = [||];
-    fnext = [||];
+    mon_names = [||];
+    mon_hash = [||];
+    nmons = 0;
+    replayed = -1;
+    sclock = [||];
+    haps = [||];
+    flast = [||];
+    fpend = [||];
+    finbox = [||];
     fhead = [||];
-    femit = [||];
     fblk = [||];
-    forder = [||];
+    fnext = [||];
+    fpre = [||];
+    fmsg = [||];
+    fmon = [||];
+    pool = [||];
+    np = 0;
+    epred = [||];
+    ne = 0;
     facc = Bytes.create 8;
   }
 
 let reset t =
-  (* zero the active squares: everything outside them is already zero *)
-  let zero_rows mat rows =
-    for r = 0 to rows - 1 do
-      zero_ints mat (r * t.mcap) t.nmach
-    done
-  in
-  zero_rows t.mclock t.nmach;
-  zero_rows t.iclock t.nmach;
-  zero_rows t.monclock t.nmons;
-  zero_ints t.send_count 0 t.nmach;
+  t.nlog <- 0;
   t.nmach <- 0;
-  t.nmons <- 0;
-  t.top <- 0;
   t.nsteps <- 0;
-  t.open_dirty <- false;
   t.nmsg <- 0;
-  t.nhaps <- 0
+  t.nhaps <- 0;
+  t.nmons <- 0;
+  t.replayed <- -1
 
 (* --- growable storage -------------------------------------------------- *)
 
@@ -154,80 +117,39 @@ let grown arr need =
   Array.blit arr 0 bigger 0 (Array.length arr);
   bigger
 
-(* Re-lay the clock matrices out at a stride of at least [need]. *)
-let grow_machines t need =
-  let cap = max need (2 * t.mcap) in
-  let relayout mat rows =
-    let bigger = Array.make (rows * cap) 0 in
-    for r = 0 to (Array.length mat / t.mcap) - 1 do
-      Array.blit mat (r * t.mcap) bigger (r * cap) t.mcap
-    done;
-    bigger
-  in
-  t.mclock <- relayout t.mclock cap;
-  t.iclock <- relayout t.iclock cap;
-  t.monclock <- relayout t.monclock (Array.length t.monclock / t.mcap);
-  t.send_count <- grown t.send_count cap;
-  t.mcap <- cap
-
 let[@inline] ensure_machine t m =
   if m >= t.nmach then begin
-    if m >= t.mcap then grow_machines t (m + 1);
+    if m >= Array.length t.send_count then
+      t.send_count <- grown t.send_count (m + 1);
+    for q = t.nmach to m do
+      t.send_count.(q) <- 0
+    done;
     t.nmach <- m + 1
   end
 
-(* A fresh arena region of [len] ints (contents unspecified). *)
-let[@inline] alloc t len =
-  let off = t.top in
-  if off + len > Array.length t.arena then t.arena <- grown t.arena (off + len);
-  t.top <- off + len;
-  off
-
-(* Snapshot clock row [r] of [mat] into a fresh arena region. *)
-let[@inline] snapshot t mat r =
-  let off = alloc t t.nmach in
-  copy_ints mat (r * t.mcap) t.arena off t.nmach;
-  off
-
-(* Bring the open step's snapshot up to date with its machine's row. *)
-let[@inline] sync t =
-  if t.open_dirty then begin
-    let i = t.nsteps - 1 in
-    let r = t.smach.(i) * t.mcap in
-    if t.slen.(i) = t.nmach then
-      copy_ints t.mclock r t.arena t.soff.(i) t.nmach
-    else begin
-      t.soff.(i) <- snapshot t t.mclock t.smach.(i);
-      t.slen.(i) <- t.nmach
-    end;
-    t.open_dirty <- false
-  end
-
-let[@inline] push_hap t x y =
-  let k = t.nhaps in
-  if k = Array.length t.hx then begin
-    t.hx <- grown t.hx (k + 1);
-    t.hy <- grown t.hy (k + 1)
-  end;
-  t.hx.(k) <- x;
-  t.hy.(k) <- y;
-  t.nhaps <- k + 1
+let[@inline] append t tag a b =
+  let k = t.nlog in
+  if k + 3 > Array.length t.log then t.log <- grown t.log (k + 3);
+  let log = t.log in
+  Array.unsafe_set log k tag;
+  Array.unsafe_set log (k + 1) a;
+  Array.unsafe_set log (k + 2) b;
+  t.nlog <- k + 3
 
 let[@inline] new_msg t ~sender =
   let stamp = t.nmsg in
-  if stamp = Array.length t.moff then begin
-    t.moff <- grown t.moff (stamp + 1);
-    t.mlen <- grown t.mlen (stamp + 1);
+  if stamp = Array.length t.msender then begin
     t.msender <- grown t.msender (stamp + 1);
     t.mord <- grown t.mord (stamp + 1)
   end;
-  t.moff.(stamp) <- snapshot t t.mclock sender;
-  t.mlen.(stamp) <- t.nmach;
   t.msender.(stamp) <- sender;
   t.mord.(stamp) <- t.send_count.(sender);
   t.send_count.(sender) <- t.send_count.(sender) + 1;
   t.nmsg <- stamp + 1;
   stamp
+
+let[@inline] check_msg t ~lo msg =
+  if msg < lo || msg >= t.nmsg then invalid_arg "Hb: unknown message stamp"
 
 (* --- payload hashing (FNV-1a, same constants as Coverage) -------------- *)
 
@@ -253,114 +175,60 @@ let[@inline] actor t = t.smach.(cur_step t)
 
 let on_create t ~parent ~child =
   ensure_machine t child;
-  if parent >= 0 then begin
-    ensure_machine t parent;
-    let p = parent * t.mcap and c = child * t.mcap in
-    copy_ints t.mclock p t.mclock c t.nmach;
-    copy_ints t.mclock p t.iclock c t.nmach
-  end
+  if parent >= 0 then ensure_machine t parent;
+  append t 0 parent child
 
 let begin_step t ~machine ~msg =
   ensure_machine t machine;
-  sync t;
-  let mc = t.mclock and r = machine * t.mcap in
-  if msg >= 0 then begin
-    let a = t.arena and off = t.moff.(msg) in
-    for q = 0 to t.mlen.(msg) - 1 do
-      let v = Array.unsafe_get a (off + q) in
-      if v > Array.unsafe_get mc (r + q) then Array.unsafe_set mc (r + q) v
-    done
-  end;
-  mc.(r + machine) <- mc.(r + machine) + 1;
+  check_msg t ~lo:(-1) msg;
   let i = t.nsteps in
   if i = Array.length t.smach then begin
     t.smach <- grown t.smach (i + 1);
-    t.soff <- grown t.soff (i + 1);
-    t.slen <- grown t.slen (i + 1);
     let p = Bytes.create (8 * Array.length t.smach) in
     Bytes.blit t.payload 0 p 0 (8 * i);
     t.payload <- p
   end;
   t.smach.(i) <- machine;
-  t.slen.(i) <- -1;
   set64 t.payload (8 * i)
     (if msg >= 0 then
        mix (mix (mix fnv_offset 1) t.msender.(msg)) t.mord.(msg)
      else mix fnv_offset 0);
   t.nsteps <- i + 1;
-  t.open_dirty <- true
-
-(* [x] <- [y] <- join x y, componentwise over the active width. The
-   [int array] annotations matter: a polymorphic element type would turn
-   every comparison into a [caml_greaterthan] call and every read into a
-   float-array check. *)
-let[@inline] join2 t (mx : int array) rx (my : int array) ry =
-  for q = 0 to t.nmach - 1 do
-    let a = Array.unsafe_get mx (rx + q) and b = Array.unsafe_get my (ry + q) in
-    if a > b then Array.unsafe_set my (ry + q) a
-    else if b > a then Array.unsafe_set mx (rx + q) b
-  done
-
-(* Rows [r1], [r2] of [m12] and row [r3] of [m3] all become their join. *)
-let join3 t (m12 : int array) r1 r2 (m3 : int array) r3 =
-  for q = 0 to t.nmach - 1 do
-    let v =
-      Int.max
-        (Int.max (Array.unsafe_get m12 (r1 + q)) (Array.unsafe_get m12 (r2 + q)))
-        (Array.unsafe_get m3 (r3 + q))
-    in
-    Array.unsafe_set m12 (r1 + q) v;
-    Array.unsafe_set m12 (r2 + q) v;
-    Array.unsafe_set m3 (r3 + q) v
-  done
+  append t 1 machine msg
 
 let on_send t ~target =
   ensure_machine t target;
   let a = actor t in
-  join2 t t.mclock (a * t.mcap) t.iclock (target * t.mcap);
-  t.open_dirty <- true;
   mix_payload t 4 target;
-  push_hap t target a;
-  new_msg t ~sender:a
+  t.nhaps <- t.nhaps + 1;
+  let stamp = new_msg t ~sender:a in
+  append t 2 target stamp;
+  stamp
 
 let on_send_delayed t ~target =
   ensure_machine t target;
   let a = actor t in
   mix_payload t 8 target;
-  new_msg t ~sender:a
+  let stamp = new_msg t ~sender:a in
+  append t 3 target stamp;
+  stamp
 
 let on_delayed_delivery t ~target ~msg =
   ensure_machine t target;
-  let len = t.mlen.(msg) in
-  if len < t.nmach then begin
-    (* machines created since the send: widen the stamp, zero-padded *)
-    let off = alloc t t.nmach in
-    copy_ints t.arena t.moff.(msg) t.arena off len;
-    zero_ints t.arena (off + len) (t.nmach - len);
-    t.moff.(msg) <- off;
-    t.mlen.(msg) <- t.nmach
-  end;
-  join2 t t.arena t.moff.(msg) t.iclock (target * t.mcap);
-  push_hap t target t.msender.(msg)
+  check_msg t ~lo:0 msg;
+  t.nhaps <- t.nhaps + 1;
+  append t 4 target msg
 
-(* A touch and a crash both join the actor's clock with the target's
-   machine and inbox clocks, all three ways: the decision read (or wiped)
-   the whole inbox state, so it conflicts with the target's dequeues too. *)
-let on_touch t ~target =
+(* A touch and a crash order the same way (see the replay below); only
+   their payload tags differ. *)
+let touch t ~target tag =
   ensure_machine t target;
-  let a = actor t in
-  join3 t t.mclock (a * t.mcap) (target * t.mcap) t.iclock (target * t.mcap);
-  t.open_dirty <- true;
-  mix_payload t 7 target;
-  push_hap t target a
+  mix_payload t tag target;
+  t.nhaps <- t.nhaps + 1;
+  append t 5 target 0
 
-let on_crash t ~target =
-  ensure_machine t target;
-  let a = actor t in
-  join3 t t.mclock (a * t.mcap) (target * t.mcap) t.iclock (target * t.mcap);
-  t.open_dirty <- true;
-  mix_payload t 5 target;
-  push_hap t target a
+let on_touch t ~target = touch t ~target 7
+let on_crash t ~target = touch t ~target 5
 
 (* Monitor names are interned by a scan: harnesses pass the same literal
    each time, so the physical comparison hits without hashing, and a
@@ -386,8 +254,6 @@ let monitor_id t name =
       t.mon_names <- names;
       t.mon_hash <- grown t.mon_hash cap
     end;
-    if (id + 1) * t.mcap > Array.length t.monclock then
-      t.monclock <- grown t.monclock ((id + 1) * t.mcap);
     t.mon_names.(id) <- name;
     t.mon_hash.(id) <- strhash name;
     t.nmons <- id + 1;
@@ -395,15 +261,79 @@ let monitor_id t name =
   end
 
 let on_notify t ~monitor =
-  let a = actor t in
+  ignore (cur_step t);
   let id = monitor_id t monitor in
-  join2 t t.mclock (a * t.mcap) t.monclock (id * t.mcap);
-  t.open_dirty <- true;
   mix_payload t 6 t.mon_hash.(id);
-  push_hap t (-1 - id) a
+  t.nhaps <- t.nhaps + 1;
+  append t 6 id 0
 
 let on_bool t b = mix_payload t 2 (if b then 1 else 0)
 let on_int t v = mix_payload t 3 v
+
+(* --- vector clocks, replayed from the log ------------------------------ *)
+
+(* Each step's clock and the happening feed, rebuilt from the log when a
+   query finds the cache older than the log. Clocks are plain arrays as
+   wide as every machine seen so far (machines not yet created read 0):
+   only queries pay for them. *)
+let replay t =
+  let nm = t.nmach in
+  let rows k = Array.init k (fun _ -> Array.make nm 0) in
+  let mc = rows nm and ic = rows nm and mon = rows t.nmons in
+  let msgs = Array.make t.nmsg [||] and sclock = Array.make t.nsteps [||] in
+  let haps = Array.make (2 * t.nhaps) 0 and h = ref 0 and cur = ref (-1) in
+  let hap x y =
+    haps.(!h) <- x;
+    haps.(!h + 1) <- y;
+    h := !h + 2
+  in
+  (* [into] absorbs [c]; [both] leaves the join in both *)
+  let into x c = Array.iteri (fun q v -> if v > x.(q) then x.(q) <- v) c in
+  let both x y = into x y; into y x in
+  let close () = if !cur >= 0 then sclock.(!cur) <- Array.copy mc.(t.smach.(!cur)) in
+  for e = 0 to (t.nlog / 3) - 1 do
+    let a = t.log.((3 * e) + 1) and b = t.log.((3 * e) + 2) in
+    let actor = if !cur >= 0 then mc.(t.smach.(!cur)) else [||] in
+    match t.log.(3 * e) with
+    | 0 ->
+      (* the child inherits the creator's causal past, inbox included *)
+      if a >= 0 then begin
+        mc.(b) <- Array.copy mc.(a);
+        ic.(b) <- Array.copy mc.(a)
+      end
+    | 1 ->
+      close ();
+      incr cur;
+      if b >= 0 then into mc.(a) msgs.(b);
+      mc.(a).(a) <- mc.(a).(a) + 1
+    | 2 ->
+      (* two enqueues into one inbox are ordered: their order is FIFO order *)
+      both actor ic.(a);
+      msgs.(b) <- Array.copy actor;
+      hap a t.smach.(!cur)
+    | 3 -> msgs.(b) <- Array.copy actor (* the inbox conflict waits *)
+    | 4 ->
+      both msgs.(b) ic.(a);
+      hap a t.msender.(b)
+    | 5 ->
+      (* the decision read (or wiped) the whole inbox state, so it conflicts
+         with the target's dequeues too: actor, target machine and target
+         inbox all become their join *)
+      into actor mc.(a);
+      both actor ic.(a);
+      into mc.(a) actor;
+      hap a t.smach.(!cur)
+    | _ ->
+      (* notifications of one monitor are totally ordered *)
+      both actor mon.(a);
+      hap (-1 - a) t.smach.(!cur)
+  done;
+  close ();
+  t.sclock <- sclock;
+  t.haps <- haps;
+  t.replayed <- t.nlog
+
+let[@inline] clocks t = if t.replayed <> t.nlog then replay t
 
 (* --- queries ----------------------------------------------------------- *)
 
@@ -418,24 +348,18 @@ let machine_of t i =
 
 let clock_of t i =
   check_step t i;
-  sync t;
-  Array.sub t.arena t.soff.(i) t.slen.(i)
-
-let[@inline] component t i q =
-  if q < t.slen.(i) then Array.unsafe_get t.arena (t.soff.(i) + q) else 0
+  clocks t;
+  Array.copy t.sclock.(i)
 
 let ordered t i j =
   check_step t i;
   check_step t j;
-  if i = j then true
-  else begin
-    sync t;
-    (* i happens-before j iff j's causal past contains at least as many
-       steps of i's machine as i's own step count — the standard O(1)
-       vector-clock test. *)
-    let m = t.smach.(i) in
-    component t j m >= component t i m
-  end
+  clocks t;
+  (* i happens-before j iff j's causal past contains at least as many
+     steps of i's machine as i's own step count — the standard O(1)
+     vector-clock test. *)
+  let m = t.smach.(i) in
+  i = j || t.sclock.(j).(m) >= t.sclock.(i).(m)
 
 let independent t i j = i <> j && (not (ordered t i j)) && not (ordered t j i)
 
@@ -443,107 +367,183 @@ let happenings t = t.nhaps
 
 let happening t i =
   if i < 0 || i >= t.nhaps then invalid_arg "Hb: happening index out of range";
-  let x = t.hx.(i) and actor = t.hy.(i) in
+  clocks t;
+  let x = t.haps.(2 * i) and actor = t.haps.((2 * i) + 1) in
   if x >= 0 then Touch { target = x; actor } else Notify { actor; monitor = -1 - x }
+
+(* --- canonical fingerprint --------------------------------------------- *)
+
+(* A dependence set is -1 (empty), a step [s >= 0] (the set {s}), or
+   [-2 - x] for a list node in [pool]: a step at [x], the rest of the set
+   at [x + 1]. A set is never changed once built, so sets share tails, a
+   union copies only its left operand, and the common singletons take no
+   node at all. *)
+let cons t s rest =
+  if rest = -1 then s
+  else begin
+    let x = t.np in
+    if x + 2 > Array.length t.pool then t.pool <- grown t.pool (x + 2);
+    t.pool.(x) <- s;
+    t.pool.(x + 1) <- rest;
+    t.np <- x + 2;
+    -2 - x
+  end
+
+let rec union t x y =
+  if x = -1 then y
+  else if x >= 0 then cons t x y
+  else cons t t.pool.(-2 - x) (union t t.pool.(-1 - x) y)
+
+(* The steps of set [x] precede the open step, which runs on machine
+   [ms]; those on [ms] itself are program order already. *)
+let[@inline] pred t ms p =
+  if Array.unsafe_get t.smach p <> ms then begin
+    let e = t.ne in
+    if e = Array.length t.epred then t.epred <- grown t.epred (e + 1);
+    Array.unsafe_set t.epred e p;
+    t.ne <- e + 1
+  end
+
+let rec pred_list t ms x =
+  if x <> -1 then begin
+    pred t ms (if x >= 0 then x else t.pool.(-2 - x));
+    if x < -1 then pred_list t ms t.pool.(-1 - x)
+  end
+
+let[@inline] preds t ms x =
+  if x >= 0 then pred t ms x else if x < -1 then pred_list t ms x
+
+(* One pass over the log. Each vector-clock join of the replay becomes a
+   set of steps whose final clocks cover the joined clock: per machine,
+   the steps absorbed since its last step ([fpend]); per inbox, monitor
+   and message, the steps whose joins it carries. A step's predecessors
+   ([epred] from [fpre.(s)] to [fpre.(s + 1)]) are the sets it absorbs,
+   and every one of them is in its causal past, so its readiness below is
+   exactly the clock test. [fhead] and [fnext] thread each machine's steps
+   in program order. *)
+let derive t =
+  let last = t.flast and pend = t.fpend and inbox = t.finbox in
+  let head = t.fhead and next = t.fnext and pre = t.fpre in
+  let mset = t.fmsg and mon = t.fmon and log = t.log and nlog = t.nlog in
+  for m = 0 to t.nmach - 1 do
+    last.(m) <- -1;
+    pend.(m) <- -1;
+    inbox.(m) <- -1;
+    head.(m) <- max_int
+  done;
+  for id = 0 to t.nmons - 1 do
+    mon.(id) <- -1
+  done;
+  t.np <- 0;
+  t.ne <- 0;
+  let s = ref (-1) and ms = ref (-1) and k = ref 0 in
+  while !k < nlog do
+    let a = Array.unsafe_get log (!k + 1) and b = Array.unsafe_get log (!k + 2) in
+    (match Array.unsafe_get log !k with
+     | 0 ->
+       if a >= 0 then begin
+         let x = if last.(a) >= 0 then cons t last.(a) pend.(a) else pend.(a) in
+         pend.(b) <- x;
+         inbox.(b) <- x
+       end
+     | 1 ->
+       incr s;
+       ms := a;
+       pre.(!s) <- t.ne;
+       preds t a pend.(a);
+       pend.(a) <- -1;
+       if b >= 0 then preds t a mset.(b);
+       if last.(a) >= 0 then next.(last.(a)) <- !s else head.(a) <- !s;
+       next.(!s) <- max_int;
+       last.(a) <- !s
+     | 2 ->
+       preds t !ms inbox.(a);
+       inbox.(a) <- !s;
+       mset.(b) <- !s
+     | 3 -> mset.(b) <- !s
+     | 4 ->
+       (* the join is two-way: message and inbox both carry the union *)
+       let u = union t mset.(b) inbox.(a) in
+       mset.(b) <- u;
+       inbox.(a) <- u
+     | 5 ->
+       preds t !ms last.(a);
+       preds t !ms pend.(a);
+       preds t !ms inbox.(a);
+       pend.(a) <- !s;
+       inbox.(a) <- !s
+     | _ ->
+       preds t !ms mon.(a);
+       mon.(a) <- !s);
+    k := !k + 3
+  done;
+  pre.(!s + 1) <- t.ne
+
+let fit (a : int array) need =
+  if Array.length a >= need then a else Array.make (max need (2 * Array.length a)) 0
 
 (* Greedy canonical linearization: repeatedly emit, among the steps whose
    whole causal past is already emitted, the one belonging to the lowest
    machine index. Deterministic for a given partial order, so any two
    linearizations of the same Mazurkiewicz trace hash identically.
 
-   A head step is ready once every other machine [q] has emitted at least
-   [clock.(q)] steps. Emitted counts only grow, so each machine keeps a
-   cursor [blk] at the first component that blocked its current head and
-   resumes the check there: a head's readiness costs O(machines) over its
-   whole wait, not per emitted step. All work arrays are scratch kept in
-   [t]; a call allocates nothing but its result. *)
+   A step [p] is emitted iff it lies before its machine's head. Emission
+   only moves heads forward, so each machine keeps a cursor [fblk] at the
+   first predecessor that blocked its current head and resumes there: a
+   head's readiness costs O(predecessors) over its whole wait. All work
+   arrays are scratch kept in [t]; a call allocates nothing but its
+   result once they have grown. *)
 let canonical_fingerprint t =
-  sync t;
   let n = t.nsteps and nm = t.nmach in
-  if Array.length t.ffin < nm then begin
-    let cap = max nm (2 * Array.length t.ffin) in
-    t.ffin <- Array.make cap 0;
-    t.fnext <- Array.make cap 0;
-    t.fhead <- Array.make cap 0;
-    t.femit <- Array.make cap 0;
-    t.fblk <- Array.make cap 0
-  end;
-  if Array.length t.forder < n then
-    t.forder <- Array.make (max n (2 * Array.length t.forder)) 0;
-  let fin = t.ffin and next = t.fnext and head = t.fhead in
-  let emit = t.femit and blk = t.fblk and order = t.forder in
-  let smach = t.smach and soff = t.soff and slen = t.slen and arena = t.arena in
-  (* Each machine's steps in program order, as the slice of [order] that
-     ends before [fin.(m)]; [next.(m)] walks the slice and [head.(m)] is
-     the machine's next unemitted step (-1 once it has none). *)
-  zero_ints fin 0 nm;
-  for i = 0 to n - 1 do
-    let m = smach.(i) in
-    fin.(m) <- fin.(m) + 1
-  done;
-  let acc = ref 0 in
+  t.flast <- fit t.flast nm;
+  t.fpend <- fit t.fpend nm;
+  t.finbox <- fit t.finbox nm;
+  t.fhead <- fit t.fhead nm;
+  t.fblk <- fit t.fblk nm;
+  t.fnext <- fit t.fnext n;
+  t.fpre <- fit t.fpre (n + 1);
+  t.fmsg <- fit t.fmsg t.nmsg;
+  t.fmon <- fit t.fmon t.nmons;
+  t.epred <- fit t.epred (t.nlog / 3);
+  derive t;
+  let head = t.fhead and blk = t.fblk and next = t.fnext and pre = t.fpre in
+  let epred = t.epred and smach = t.smach in
   for m = 0 to nm - 1 do
-    next.(m) <- !acc;
-    acc := !acc + fin.(m);
-    fin.(m) <- !acc
-  done;
-  for i = 0 to n - 1 do
-    let m = smach.(i) in
-    order.(next.(m)) <- i;
-    next.(m) <- next.(m) + 1
-  done;
-  for m = 0 to nm - 1 do
-    let first = if m = 0 then 0 else fin.(m - 1) in
-    next.(m) <- first;
-    head.(m) <- (if first < fin.(m) then order.(first) else -1);
-    emit.(m) <- 0;
-    blk.(m) <- 0
+    if head.(m) < max_int then blk.(m) <- pre.(head.(m))
   done;
   set64 t.facc 0 fnv_offset;
   let lo = ref 0 in
   for _ = 1 to n do
-    while head.(!lo) < 0 do
+    while head.(!lo) = max_int do
       incr lo
     done;
+    (* Predecessors come earlier in the log than their step, so the
+       lowest-indexed unemitted step is always ready: the scan stops. *)
     let chosen = ref (-1) and m = ref !lo in
-    while !chosen < 0 && !m < nm do
+    while !chosen < 0 do
       let s = head.(!m) in
-      if s >= 0 then begin
-        (* components past the snapshot's length read as 0: satisfied *)
-        let off = soff.(s) and len = slen.(s) in
-        let q = ref blk.(!m) in
+      if s < max_int then begin
+        let q = ref (Array.unsafe_get blk !m) and stop = Array.unsafe_get pre (s + 1) in
         while
-          !q < len
-          && (!q = !m
-             || Array.unsafe_get arena (off + !q) <= Array.unsafe_get emit !q)
+          !q < stop
+          &&
+          let p = Array.unsafe_get epred !q in
+          p < Array.unsafe_get head (Array.unsafe_get smach p)
         do
           incr q
         done;
-        blk.(!m) <- !q;
-        if !q >= len then chosen := s
+        Array.unsafe_set blk !m !q;
+        if !q = stop then chosen := s
       end;
       if !chosen < 0 then incr m
     done;
-    (* The dependence clocks are acyclic by construction (steps only ever
-       absorb earlier steps), so some head is always ready; fall back to
-       the positionally-first unemitted step defensively. *)
-    if !chosen < 0 then begin
-      let best = ref max_int in
-      for q = 0 to nm - 1 do
-        if head.(q) >= 0 then best := Int.min !best head.(q)
-      done;
-      chosen := !best;
-      m := smach.(!best)
-    end;
     let s = !chosen and mm = !m in
     set64 t.facc 0
       (Int64.mul
          (Int64.logxor (mix (get64 t.facc 0) mm) (get64 t.payload (8 * s)))
          fnv_prime);
-    let k = next.(mm) + 1 in
-    next.(mm) <- k;
-    head.(mm) <- (if k < fin.(mm) then order.(k) else -1);
-    emit.(mm) <- emit.(mm) + 1;
-    blk.(mm) <- 0
+    let s' = next.(s) in
+    head.(mm) <- s';
+    if s' < max_int then blk.(mm) <- pre.(s')
   done;
   get64 t.facc 0

@@ -1,8 +1,10 @@
-(** Per-execution happens-before tracking (vector clocks).
+(** Per-execution happens-before tracking: a log of the runtime's hook
+    calls, with vector clocks rebuilt only when a query asks.
 
-    One recorder observes a single execution as the {!Runtime} unfolds it:
-    every scheduling step (a machine start or an event dequeue) gets a
-    vector clock — one component per machine — merged from
+    One recorder observes a single execution as the {!Runtime} unfolds it.
+    Its partial order is the one vector clocks define: every scheduling
+    step (a machine start or an event dequeue) gets a clock — one
+    component per machine — merged from
 
     - the machine's own previous step,
     - the delivered message's clock (snapshotted at send time), and
@@ -25,6 +27,20 @@
     independent steps yields an equivalent execution (same Mazurkiewicz
     trace), which is what {!canonical_fingerprint} quotients away.
 
+    What each call costs:
+    - every hook and {!reset}: O(1), an append to the log (amortised:
+      buffers grow by doubling and are kept across {!reset});
+    - {!steps}, {!machine_of}, {!happenings}: O(1), kept by the hooks;
+    - {!canonical_fingerprint}: one pass over the log deriving step-level
+      dependency edges, then a greedy emission over them — O(log length
+      + steps x machines), allocating nothing but its result;
+    - {!clock_of}, {!ordered}, {!independent}, {!happening}: the first
+      query after the log grew replays the whole log through vector
+      clocks (O(log length x machines), allocating fresh arrays); further
+      queries read the cached clocks in O(1) ([clock_of] copies one).
+    The runtime reads only the fingerprint and the happening count; the
+    clock queries serve tests.
+
     A recorder makes {e no} strategy draws and never perturbs the
     schedule; with [Runtime.config.hb = None] the runtime does not touch
     this module at all (same zero-cost contract as logging/coverage,
@@ -42,11 +58,12 @@ val create : unit -> t
     through [reset] and allocates nothing once the buffers have grown to
     the longest execution.
 
-    Storage contract: clocks are [int array] rows updated in place, and
-    step and message clocks are snapshots copied into one int arena, so
-    no array the recorder hands out ({!clock_of}) aliases its state, and
-    no value read from it stays valid across [reset]. The recorder is
-    not thread-safe; one execution (one domain) owns it at a time. *)
+    Storage contract: the log and the per-step and per-message
+    bookkeeping are flat [int] buffers overwritten in place; [reset]
+    rewinds their counters in O(1) and drops the cached clocks. No array
+    the recorder hands out ({!clock_of}) aliases its state, and no value
+    read from it stays valid across [reset]. The recorder is not
+    thread-safe; one execution (one domain) owns it at a time. *)
 val reset : t -> unit
 
 (** {1 Runtime hooks}

@@ -239,7 +239,21 @@ module Builder = struct
   let length t = t.len
 
   let finish t : trace =
-    let codes = Array.sub t.codes 0 t.len in
+    (* [Array.sub] copies a prefix of up to 256 words (the minor heap's
+       largest block) with one memcpy, but initialises a longer one, which
+       lands in the major heap, with one [caml_initialize] per element;
+       there a fresh zeroed [int array] written with plain stores is
+       faster. *)
+    let codes =
+      if t.len <= 256 then Array.sub t.codes 0 t.len
+      else begin
+        let c = Array.make t.len 0 in
+        for i = 0 to t.len - 1 do
+          Array.unsafe_set c i (Array.unsafe_get t.codes i)
+        done;
+        c
+      end
+    in
     let wide =
       match t.wide with
       | [] -> [||]

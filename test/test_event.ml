@@ -113,6 +113,36 @@ let test_memoized_name_matches_strip () =
   Alcotest.(check (list bool)) "same names under 2 worker domains"
     [ true; true ] (List.map Domain.join workers)
 
+(* --- constructor ids read off the constructor block ---------------------- *)
+
+(* Same bare names as this file's constructors, declared by another module. *)
+module Other = struct
+  type Event.t += Sample_event of int | Other_event
+end
+
+let test_constructor_id_matches_of_val () =
+  let events =
+    [
+      Sample_event 1; Sample_event 2; Other_event; Other.Sample_event 1;
+      Other.Other_event; Event.Halt_event; Event.Unit_event;
+    ]
+  in
+  List.iter
+    (fun e ->
+      Alcotest.(check int) "constructor_id = of_val's id"
+        Obj.Extension_constructor.(id (of_val e))
+        (Event.constructor_id e);
+      Alcotest.(check string) "name unchanged" (reference_name e)
+        (Event.name e))
+    events;
+  Alcotest.(check bool) "same bare name, other module: distinct ids" true
+    (Event.constructor_id Other_event
+     <> Event.constructor_id Other.Other_event
+    && Event.constructor_id (Sample_event 1)
+       <> Event.constructor_id (Other.Sample_event 1));
+  Alcotest.(check int) "payloads aside" (Event.constructor_id (Sample_event 1))
+    (Event.constructor_id (Sample_event 2))
+
 let suite =
   [
     Alcotest.test_case "name strips module path" `Quick test_name_strips_path;
@@ -121,4 +151,6 @@ let suite =
       test_registered_printer_wins;
     Alcotest.test_case "memoized name = uncached strip, 2 domains" `Quick
       test_memoized_name_matches_strip;
+    Alcotest.test_case "constructor_id = of_val's id, two modules" `Quick
+      test_constructor_id_matches_of_val;
   ]

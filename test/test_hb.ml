@@ -35,7 +35,14 @@ let test_delivery_merge () =
   Alcotest.(check bool) "creation edge orders the child's start" true
     (Hb.ordered h 0 2);
   Alcotest.(check bool) "siblings with no messages are independent" true
-    (Hb.independent h 1 2)
+    (Hb.independent h 1 2);
+  Alcotest.check_raises "a stamp never issued"
+    (Invalid_argument "Hb: unknown message stamp") (fun () ->
+      Hb.begin_step h ~machine:1 ~msg:1);
+  Alcotest.check_raises "a delivery of a stamp never issued"
+    (Invalid_argument "Hb: unknown message stamp") (fun () ->
+      Hb.on_delayed_delivery h ~target:1 ~msg:(-1));
+  Alcotest.(check int) "a rejected hook records nothing" 3 (Hb.steps h)
 
 let test_ordered_reflexive_independent_irreflexive () =
   let h = three_steps () in
@@ -359,7 +366,7 @@ let replay_run h ops =
 let prop_matches_reference =
   let open QCheck in
   let op = triple small_nat small_nat small_nat in
-  Test.make ~count:200 ~name:"flat recorder matches the eager reference"
+  Test.make ~count:1_000 ~name:"flat recorder matches the eager reference"
     (list_of_size Gen.(1 -- 3) (list_of_size Gen.(1 -- 250) op))
     (fun runs ->
       let h = Hb.create () in
@@ -368,6 +375,79 @@ let prop_matches_reference =
           Hb.reset h;
           replay_run h ops)
         runs)
+
+(* --- the two joins an edge log gets wrong --------------------------------- *)
+
+(* A hand-written hook sequence, driven through both recorders. Stamps are
+   handed out in send order from 0, so the sequences name them up front. *)
+type op =
+  | Create of int * int  (* parent, child *)
+  | Begin of int * int  (* machine, msg *)
+  | Send of int
+  | Send_delayed of int
+  | Deliver of int * int  (* target, msg *)
+  | Notify of string
+
+let drive ops =
+  let h = Hb.create () and r = Hb_ref.create () in
+  List.iter
+    (function
+      | Create (parent, child) ->
+        Hb.on_create h ~parent ~child;
+        Hb_ref.on_create r ~parent ~child
+      | Begin (machine, msg) ->
+        Hb.begin_step h ~machine ~msg;
+        Hb_ref.begin_step r ~machine ~msg
+      | Send target ->
+        Alcotest.(check int) "stamp" (Hb_ref.on_send r ~target)
+          (Hb.on_send h ~target)
+      | Send_delayed target ->
+        Alcotest.(check int) "stamp" (Hb_ref.on_send_delayed r ~target)
+          (Hb.on_send_delayed h ~target)
+      | Deliver (target, msg) ->
+        Hb.on_delayed_delivery h ~target ~msg;
+        Hb_ref.on_delayed_delivery r ~target ~msg
+      | Notify monitor ->
+        Hb.on_notify h ~monitor;
+        Hb_ref.on_notify r ~monitor)
+    ops;
+  Alcotest.(check bool) "every query matches the reference" true (agree h r);
+  h
+
+let root = [ Create (-1, 0); Begin (0, -1); Create (0, 1); Create (0, 2); Create (0, 3) ]
+
+(* Machine 3 enqueues into 1's inbox (step 1); machine 2's delayed message
+   reaches the same inbox later (step 2, flush); machine 1 dequeues the
+   delayed message first, the earlier one deferred (step 3). The delivery
+   joins message and inbox both ways, so the dequeuer follows the earlier
+   enqueuer; the canonical order then emits machine 3 before machine 1. *)
+let test_delayed_delivery_two_way () =
+  let h =
+    drive
+      (root
+      @ [ Begin (3, -1); Send 1; Begin (2, -1); Send_delayed 1; Deliver (1, 1); Begin (1, 1) ])
+  in
+  Alcotest.(check bool) "dequeuer after the delayed sender" true (Hb.ordered h 2 3);
+  Alcotest.(check bool) "dequeuer after the inbox's earlier enqueuer" true
+    (Hb.ordered h 1 3);
+  Alcotest.(check int) "the enqueuer's step is in the dequeuer's clock" 1
+    (Hb.clock_of h 3).(3)
+
+(* Machine 3 notifies a monitor (step 1). Machine 1 sends to 2, then
+   notifies the same monitor (step 2), absorbing step 1 after the message
+   was stamped. The receiver (step 3) follows the sender but not step 1. *)
+let test_send_then_absorb () =
+  let h =
+    drive
+      (root
+      @ [ Begin (3, -1); Notify "Safety"; Begin (1, -1); Send 2; Notify "Safety"; Begin (2, 0) ])
+  in
+  Alcotest.(check bool) "the absorbed step precedes the sender's step" true
+    (Hb.ordered h 1 2);
+  Alcotest.(check bool) "receiver after the sender" true (Hb.ordered h 2 3);
+  Alcotest.(check bool) "absorbed step not before the receiver" false
+    (Hb.ordered h 1 3);
+  Alcotest.(check int) "the receiver's clock misses it" 0 (Hb.clock_of h 3).(3)
 
 let suite =
   [
@@ -382,5 +462,9 @@ let suite =
     Alcotest.test_case "sampled vnext executions" `Slow test_sampled_properties;
     Alcotest.test_case "swap-adjacent-independent invariance" `Slow
       test_swap_invariance;
+    Alcotest.test_case "delayed delivery joins both ways" `Quick
+      test_delayed_delivery_two_way;
+    Alcotest.test_case "send, then absorb in the same step" `Quick
+      test_send_then_absorb;
     QCheck_alcotest.to_alcotest prop_matches_reference;
   ]
